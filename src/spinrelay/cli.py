@@ -5,6 +5,9 @@ Subcommands: ``analytic`` (closed forms), ``mc`` (one Monte Carlo cell),
 file), ``encode`` (optimal-encoding coefficients), ``selftest`` (the
 acceptance suite).  Output is CSV (RFC-4180, 17 significant digits) or
 JSON lines.
+
+Exit codes: 0 ok, 1 a z-gate or acceptance criterion failed, 2 usage
+error, 3 numerical failure (a routine that did not converge).
 """
 
 from __future__ import annotations
@@ -261,6 +264,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a numerical routine failed to converge: not a z-gate failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from spinrelay.encoding import (
 )
 from spinrelay.encoding import _solve_shifted_tridiag
 from spinrelay.legendre import legendre_largest_zero, legendre_values
-from spinrelay.rng import RandomStream
+from spinrelay.rng import RandomStream, as_generator
 
 
 def _mean_se(samples):
@@ -309,6 +309,15 @@ class TestOutcomeDensity:
                 legendre_largest_zero(n // 2 + 1), abs=1e-11)
 
 
+@pytest.fixture(scope="module")
+def optimal_densities():
+    """Optimal-encoding densities with their inverse-CDF tables built."""
+    densities = {n: outcome_density(optimal_encoding(n)) for n in (2, 40, 280, 1000)}
+    for density in densities.values():
+        density._inverse_table
+    return densities
+
+
 class TestOutcomeSampling:
     @pytest.mark.parametrize("n_spins,target", [
         (2, 1 / math.sqrt(3)),
@@ -327,13 +336,54 @@ class TestOutcomeSampling:
         assert isinstance(sample_outcome_tilt(density, RandomStream(3)), float)
 
     def test_sample_ks_against_exact_cdf(self):
-        density = outcome_density(optimal_encoding(4))
-        x = np.sort(sample_outcome_tilt(density, RandomStream(98), 100_000))
-        cdf = density.cdf(x)
-        n = x.size
-        ks = max(np.max(np.abs(np.arange(1, n + 1) / n - cdf)),
-                 np.max(np.abs(np.arange(0, n) / n - cdf)))
-        assert ks < 1.62762 / math.sqrt(n)
+        # N = 280 puts the mass within ~1e-4 of x = 1
+        for n_spins in (4, 280):
+            density = outcome_density(optimal_encoding(n_spins))
+            x = np.sort(sample_outcome_tilt(density, RandomStream(98), 100_000))
+            cdf = density.cdf(x)
+            n = x.size
+            ks = max(np.max(np.abs(np.arange(1, n + 1) / n - cdf)),
+                     np.max(np.abs(np.arange(0, n) / n - cdf)))
+            assert ks < 1.62762 / math.sqrt(n), f"N={n_spins}"
+
+    @pytest.mark.parametrize("n_spins", [2, 40, 280, 1000])
+    def test_table_within_tol_between_knots(self, optimal_densities, n_spins):
+        # one random angle inside every table interval, against the exact
+        # series CDF: the refinement only checks midpoints
+        density = optimal_densities[n_spins]
+        table_g, table_theta = density._inverse_table
+        frac = np.random.default_rng(n_spins).random(table_theta.size - 1)
+        theta = table_theta[:-1] + frac * np.diff(table_theta)
+        exact = 1.0 - density.cdf(np.cos(theta))
+        gap = np.abs(np.interp(theta, table_theta, table_g) - exact)
+        assert gap.max() <= density.table_tol
+
+    @pytest.mark.parametrize("n_spins", [2, 40, 280, 1000])
+    def test_sample_inverts_cdf_of_its_draw(self, optimal_densities, n_spins):
+        # x = F^-1(u) for the stream's own uniform draw u, so a seed maps
+        # to the same outcomes as under the exact inverse CDF
+        density = optimal_densities[n_spins]
+        u = as_generator(RandomStream(7)).random(10_000)
+        x = sample_outcome_tilt(density, RandomStream(7), 10_000)
+        assert np.max(np.abs(density.cdf(x) - u)) <= density.table_tol
+
+    @pytest.mark.parametrize("n_spins", [2, 40, 280, 1000])
+    def test_table_mean_is_largest_zero(self, optimal_densities, n_spins):
+        # theta is uniform on each table segment [a, b] with probability
+        # dG, so the sampler's exact mean of cos(theta) is a finite sum
+        table_g, table_theta = optimal_densities[n_spins]._inverse_table
+        a, b = table_theta[:-1], table_theta[1:]
+        mean = float(np.sum(np.diff(table_g) * (np.sin(b) - np.sin(a)) / (b - a)))
+        assert mean == pytest.approx(optimal_tilde_delta(n_spins), abs=1e-6)
+
+    def test_large_n_table_builds(self, optimal_densities):
+        # the mass lies within ~1e-5 of x = 1: a uniform grid in x would
+        # need more than 2^21 knots
+        density = optimal_densities[1000]
+        x = sample_outcome_tilt(density, RandomStream(99), 10_000)
+        assert np.all((-1.0 <= x) & (x <= 1.0))
+        mean, se = _mean_se(x)
+        assert abs(mean - optimal_tilde_delta(1000)) < 4 * se
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spinrelay.cli import main, parse_config_file, parse_int_range
+from spinrelay.encoding import OutcomeDensity
 from spinrelay.records import McEstimate
 from spinrelay.rng import RandomStream
 from spinrelay.sweep import (
@@ -259,6 +260,17 @@ class TestCli:
         assert main(["sweep", "--mode", "nspin_optimal", "--n", "3"]) == 2
         assert main(["mc", "--mode", "nspin_optimal", "--n", "3"]) == 2
         capsys.readouterr()
+
+    def test_numerical_failure_exit_3(self, monkeypatch, capsys):
+        def fail(self):
+            raise RuntimeError("inverse-CDF table refinement did not converge")
+
+        monkeypatch.setattr(OutcomeDensity, "_inverse_table", property(fail))
+        code = main(["sweep", "--mode", "nspin_optimal", "--n", "4",
+                     "--trials", "100", "--workers", "2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error: inverse-CDF table refinement did not converge\n"
 
     def test_encode_jsonl(self, capsys):
         assert main(["encode", "--n", "2"]) == 0
