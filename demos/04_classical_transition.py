@@ -13,7 +13,7 @@ asymptote of the optimal shrink factor that drives the square-root law.
 """
 
 from spinrelay import (
-    bessel_j0_first_zero,
+    BESSEL_J0_FIRST_ZERO,
     classical_threshold,
     fk_asymptotic,
     fk_optimal,
@@ -35,7 +35,7 @@ for enc in ("parallel", "optimal"):
     law = "N ~ k (ratio ~ 4)" if enc == "parallel" else "N ~ sqrt(k) (ratio ~ 2)"
     print(f"\n{enc}: threshold(256)/threshold(64) = {r:.2f}   [{law}]")
 
-xi0 = bessel_j0_first_zero()
+xi0 = BESSEL_J0_FIRST_ZERO
 print(f"\nBessel-zero asymptote: (1 - x_n) 2 n^2 -> xi0^2 = {xi0**2:.4f}")
 print(f"{'N':>5} {'(1-x_n) 2 n^2':>14} {'rel. err.':>10} {'F_1 exact':>10} {'F_1 asympt.':>11}")
 for n_spins in (20, 50, 100, 200, 400):

@@ -9,9 +9,7 @@ that cross-checks every closed form.
 
 from .encoding import (
     EncodingSpec,
-    JacobiMatrix,
     OutcomeDensity,
-    chain_delta,
     chain_dots_nspin,
     classical_threshold,
     delta_k_parallel_start,
@@ -23,18 +21,12 @@ from .encoding import (
     optimal_tilde_delta,
     outcome_density,
     parallel_tilde_delta,
-    principal_eigenpair,
-    sample_outcome_tilt,
     simulate_chain_nspin,
 )
 from .legendre import (
     BESSEL_J0_FIRST_ZERO,
-    LegendreTable,
-    bessel_j0_first_zero,
-    legendre_all,
     legendre_largest_zero,
     legendre_series,
-    legendre_values,
 )
 from .qubit import (
     BlochState,

@@ -6,11 +6,12 @@ Two families are covered:
   factor is N/(N+2);
 * the optimal entangled encoding, a superposition over the zero-projection
   states |J,0> of the total-spin blocks, J = 0..N/2 (N even), whose
-  coefficient vector is the principal eigenvector of a symmetric
-  tridiagonal matrix with band (J+1)/sqrt(4(J+1)^2 - 1).  Its per-observer
-  shrink factor equals the largest zero of the degree-(N/2+1) Legendre
-  polynomial, since that matrix is exactly the truncated Legendre Jacobi
-  (Golub-Welsch) matrix.
+  coefficient vector is the principal eigenvector of the truncated
+  Legendre Jacobi matrix, the symmetric tridiagonal matrix with band
+  (J+1)/sqrt(4(J+1)^2 - 1).  Its eigenvalues are the zeros of the
+  degree-(N/2+1) Legendre polynomial, so the per-observer shrink factor
+  is the largest zero x, and the eigenvector is known in closed form,
+  phi_J proportional to sqrt(2J+1) P_J(x) (Golub-Welsch).
 
 Per-observer shrink factors multiply along a chain, so every closed form
 here is a product of per-step factors; the Monte Carlo simulators sample
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-import math
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -46,31 +46,6 @@ def _require_even(n_spins: int):
 
 
 @dataclass(frozen=True)
-class JacobiMatrix:
-    """Symmetric tridiagonal matrix with zero diagonal.
-
-    ``off_diagonal[J]`` links rows J and J+1, J = 0..dim-2.  For the
-    encoding problem the band is (J+1)/sqrt(4(J+1)^2 - 1), every entry in
-    (1/2, 1/sqrt(3)] and decreasing toward 1/2.
-    """
-
-    off_diagonal: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.off_diagonal.size + 1
-
-    def dense(self) -> np.ndarray:
-        return (np.diag(self.off_diagonal, 1) + np.diag(self.off_diagonal, -1))
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        out[:-1] += self.off_diagonal * v[1:]
-        out[1:] += self.off_diagonal * v[:-1]
-        return out
-
-
-@dataclass(frozen=True)
 class EncodingSpec:
     """Coefficients phi[J] of an encoding over the |J,0> basis, J = 0..N/2."""
 
@@ -88,128 +63,33 @@ class EncodingSpec:
         object.__setattr__(self, "phi", phi)
 
 
-def jacobi_matrix(n_spins: int) -> JacobiMatrix:
-    """Tridiagonal matrix whose principal eigenvector is the optimal encoding.
+def jacobi_matrix(n_spins: int) -> np.ndarray:
+    """Dense symmetric matrix whose principal eigenvector is the optimal encoding.
 
-    Dimension N/2+1; the entry linking rows J and J+1 is
-    (J+1)/sqrt(4(J+1)^2 - 1).  Rejects odd or non-positive N.
+    Dimension N/2+1 with zero diagonal; the entry linking rows J and J+1
+    is (J+1)/sqrt(4(J+1)^2 - 1).  :func:`optimal_encoding` does not use
+    it; its dense eigenpairs (``np.linalg.eigh``) are the independent
+    oracle for the closed form.  Rejects odd or non-positive N.
     """
     _require_even(n_spins)
     j = np.arange(1, n_spins // 2 + 1, dtype=float)
-    return JacobiMatrix(off_diagonal=j / np.sqrt(4.0 * j * j - 1.0))
-
-
-# ---------------------------------------------------------------------------
-# Tridiagonal eigensolver: Sturm-sequence bisection for the top eigenvalue,
-# inverse iteration for its vector.
-# ---------------------------------------------------------------------------
-
-def _count_eigs_below(off_sq: np.ndarray, sigma: float) -> int:
-    """Eigenvalues strictly below sigma, counted via the LDL^T pivot signs."""
-    count = 0
-    d = -sigma
-    if d < 0.0:
-        count += 1
-    for bsq in off_sq:
-        denom = d if d != 0.0 else -1e-300
-        d = -sigma - bsq / denom
-        if d < 0.0:
-            count += 1
-    return count
-
-
-def _lambda_max_bisect(off: np.ndarray, tol: float = 1e-13) -> float:
-    """Largest eigenvalue by bisection on [0, 1]; safe because the
-    spectrum consists of Gauss-Legendre nodes, all inside (-1, 1), with
-    the largest one positive for dim >= 2."""
-    off_sq = off * off
-    n = off.size + 1
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _count_eigs_below(off_sq, mid) == n:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _solve_shifted_tridiag(off: np.ndarray, shift: float,
-                           rhs: np.ndarray) -> np.ndarray:
-    """Solve (T - shift I) x = rhs for the zero-diagonal tridiagonal T.
-
-    Gaussian elimination with partial pivoting; row swaps introduce fill-in
-    no further than a second superdiagonal.  Near-singular shifts (the
-    whole point of inverse iteration) are handled by a tiny-pivot floor.
-    """
-    n = rhs.size
-    d = np.full(n, -shift)
-    dl = off.astype(float).copy()
-    du = off.astype(float).copy()
-    du2 = np.zeros(max(n - 2, 0))  # fill-in from row swaps
-    b = rhs.astype(float).copy()
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                d[i] = 1e-30
-            m = dl[i] / d[i]
-            d[i + 1] -= m * du[i]
-            b[i + 1] -= m * b[i]
-        else:
-            # swap rows i and i+1; row i's col-(i+2) entry is still zero here
-            m = d[i] / dl[i]
-            d[i] = dl[i]
-            t_du = du[i]
-            du[i] = d[i + 1]
-            d[i + 1] = t_du - m * d[i + 1]
-            if i < n - 2:
-                du2[i] = du[i + 1]
-                du[i + 1] = -m * du[i + 1]
-            t_b = b[i]
-            b[i] = b[i + 1]
-            b[i + 1] = t_b - m * b[i]
-    x = np.empty(n)
-    if d[n - 1] == 0.0:
-        d[n - 1] = 1e-30
-    x[n - 1] = b[n - 1] / d[n - 1]
-    if n >= 2:
-        x[n - 2] = (b[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (b[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
-    return x
-
-
-def principal_eigenpair(matrix: JacobiMatrix, residual_tol: float = 1e-12,
-                        max_iter: int = 50) -> tuple[float, np.ndarray]:
-    """Top eigenvalue and its normalized, all-positive eigenvector.
-
-    Bisection locates the eigenvalue to 1e-13; inverse iteration with that
-    shift then converges in one or two solves.  The returned eigenvalue is
-    the Rayleigh quotient of the converged vector.  Raises if the residual
-    norm ||Mv - lambda v|| fails to reach ``residual_tol`` within
-    ``max_iter`` iterations.
-    """
-    lam = _lambda_max_bisect(matrix.off_diagonal)
-    n = matrix.dim
-    v = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(max_iter):
-        w = _solve_shifted_tridiag(matrix.off_diagonal, lam, v)
-        w = w / np.linalg.norm(w)
-        if w.sum() < 0.0:
-            w = -w
-        mw = matrix.matvec(w)
-        rayleigh = float(w @ mw)
-        if np.linalg.norm(mw - rayleigh * w) <= residual_tol:
-            return rayleigh, w
-        v = w
-    raise RuntimeError(
-        f"inverse iteration did not reach residual {residual_tol} in {max_iter} steps")
+    band = j / np.sqrt(4.0 * j * j - 1.0)
+    return np.diag(band, 1) + np.diag(band, -1)
 
 
 def optimal_encoding(n_spins: int) -> EncodingSpec:
-    """The entangled encoding maximizing the per-observer shrink factor."""
-    _, vec = principal_eigenpair(jacobi_matrix(n_spins))
-    return EncodingSpec(n_spins=n_spins, phi=vec)
+    """The entangled encoding maximizing the per-observer shrink factor.
+
+    Built in closed form: with x the largest zero of P_{N/2+1}, the
+    principal eigenvector of :func:`jacobi_matrix` has components
+    proportional to sqrt(2J+1) P_J(x) (Golub & Welsch, Math. Comp. 23,
+    1969), all positive because x lies above every zero of P_J, J <= N/2.
+    """
+    _require_even(n_spins)
+    half = n_spins // 2
+    x = legendre_largest_zero(half + 1)
+    phi = np.sqrt(2.0 * np.arange(half + 1) + 1.0) * npleg.legvander(x, half)[0]
+    return EncodingSpec(n_spins=n_spins, phi=phi / np.linalg.norm(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +143,6 @@ def fk_asymptotic(n_spins: int, k: int) -> float:
     if base <= 0.0:
         raise ValueError(f"asymptotic form needs 1 - 2 xi0^2/N^2 > 0; N = {n_spins} is too small")
     return 0.5 * (1.0 + base ** k)
-
-
-def chain_delta(steps) -> float:
-    """Product of per-step shrink factors; the empty chain gives 1."""
-    return math.prod(steps, start=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,28 +230,15 @@ def outcome_density(encoding: EncodingSpec, table_tol: float = 1e-4) -> OutcomeD
     """Build the tilt-cosine density of ``encoding``.
 
     The amplitude sum_J sqrt(2J+1) phi_J P_J is squared with a Legendre
-    series product, so the CDF follows exactly from the antiderivative
-    identity int P_L = (P_{L+1} - P_{L-1})/(2L+1).
+    series product, so the CDF is its exact Legendre antiderivative from -1.
     """
     phi = encoding.phi
     degrees = np.arange(phi.size, dtype=float)
     amplitude = np.sqrt(2.0 * degrees + 1.0) * phi
     g = 0.5 * npleg.legmul(amplitude, amplitude)
-
-    cdf = np.zeros(g.size + 1)
-    cdf[0] = g[0]           # int_{-1}^{x} P_0 = x + 1 = P_0 + P_1
-    cdf[1] += g[0]
-    for deg in range(1, g.size):
-        cdf[deg + 1] += g[deg] / (2.0 * deg + 1.0)
-        cdf[deg - 1] -= g[deg] / (2.0 * deg + 1.0)
-
-    return OutcomeDensity(encoding=encoding, pdf_series=g, cdf_series=cdf,
+    return OutcomeDensity(encoding=encoding, pdf_series=g,
+                          cdf_series=npleg.legint(g, lbnd=-1),
                           table_tol=table_tol)
-
-
-def sample_outcome_tilt(density: OutcomeDensity, rng, size: int | None = None):
-    """Draw tilt cosines distributed as the encoding's outcome density."""
-    return density.sample(rng, size)
 
 
 def _validate_chain(n_spins: int, k: int, protocol: str):

@@ -1,18 +1,20 @@
-"""Legendre polynomials, their largest zeros, and the leading Bessel zero.
+"""Legendre series evaluation, largest Legendre zeros, the leading Bessel zero.
 
-Everything here is driven by the three-term recurrence
+Both routines here run the three-term recurrence
 
     (n+1) P_{n+1}(x) = (2n+1) x P_n(x) - n P_{n-1}(x),
 
-which is numerically stable on [-1, 1].  The largest zero of P_n controls
-the per-observer shrink factor of the optimal entangled encoding, so it is
-computed to near machine precision with a bracketed, bisection-safeguarded
-Newton iteration.
+which is numerically stable on [-1, 1].  ``legendre_series`` evaluates a
+series with reused buffers, the hot path of the inverse-CDF table builds.
+The largest zero of P_n controls the per-observer shrink factor of the
+optimal entangled encoding, so it is computed to near machine precision
+with a bracketed, bisection-safeguarded Newton iteration; unlike
+``numpy.polynomial.legendre.legroots`` it costs O(n) per Newton step, not O(n^3).
+Everything else uses ``numpy.polynomial.legendre`` directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 import math
 
@@ -21,41 +23,6 @@ import numpy as np
 #: first positive zero of the Bessel function J0; verified against a
 #: power-series root-find in the test suite, embedded here as a constant.
 BESSEL_J0_FIRST_ZERO = 2.404825557695773
-
-
-@dataclass(frozen=True)
-class LegendreTable:
-    """Values P_0(x) .. P_L(x) at a single abscissa."""
-
-    degree: int
-    x: float
-    values: np.ndarray  # shape (degree + 1,)
-
-
-def legendre_values(max_degree: int, x) -> np.ndarray:
-    """Evaluate P_0 .. P_max_degree at ``x`` (scalar or ndarray).
-
-    Returns an array of shape (max_degree + 1,) + shape(x).
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
-    x = np.asarray(x, dtype=float)
-    out = np.empty((max_degree + 1,) + x.shape, dtype=float)
-    out[0] = 1.0
-    if max_degree >= 1:
-        out[1] = x
-    for n in range(1, max_degree):
-        out[n + 1] = ((2 * n + 1) * x * out[n] - n * out[n - 1]) / (n + 1)
-    return out
-
-
-def legendre_all(max_degree: int, x: float) -> LegendreTable:
-    """Recurrence table of P_0(x) .. P_L(x); requires |x| <= 1."""
-    xf = float(x)
-    if not abs(xf) <= 1.0:
-        raise ValueError(f"abscissa must satisfy |x| <= 1, got {xf}")
-    vals = legendre_values(max_degree, xf)
-    return LegendreTable(degree=max_degree, x=xf, values=vals)
 
 
 def legendre_series(coeffs, x):
@@ -126,8 +93,3 @@ def legendre_largest_zero(n: int) -> float:
             return x_new
         x = x_new
     raise RuntimeError(f"largest-zero iteration did not converge for n = {n}")
-
-
-def bessel_j0_first_zero() -> float:
-    """First zero of J0, xi_0 = 2.404825557695773 (embedded constant)."""
-    return BESSEL_J0_FIRST_ZERO

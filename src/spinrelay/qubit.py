@@ -55,23 +55,16 @@ class QubitKrausFamily:
     where m_phi is m tilted by ``offset_angle``.  phi = 0 re-prepares the
     guess itself (minimal disturbance); phi = pi re-prepares the opposite
     direction (maximal disturbance).  The outcome statistics never depend
-    on phi, only the state handed to the next observer does.
-
-    ``azimuth_policy`` fixes where on the tilt cone m_phi sits: "random"
-    (uniform per outcome, the default, which preserves average covariance)
-    or "fixed" (use ``fixed_azimuth`` in the deterministic frame of
-    :func:`spinrelay.sphere.rotate_towards`).
+    on phi, only the state handed to the next observer does.  m_phi sits
+    at a uniformly random azimuth on the tilt cone, drawn per outcome,
+    which preserves average covariance.
     """
 
     offset_angle: float = 0.0
-    azimuth_policy: str = "random"
-    fixed_azimuth: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.offset_angle <= math.pi:
             raise ValueError("offset_angle must lie in [0, pi]")
-        if self.azimuth_policy not in ("random", "fixed"):
-            raise ValueError("azimuth_policy must be 'random' or 'fixed'")
 
 
 @dataclass(frozen=True)
@@ -136,10 +129,7 @@ def _prepare(estimates: np.ndarray, kraus: QubitKrausFamily, gen) -> np.ndarray:
     if phi == 0.0:
         return estimates
     n = estimates.shape[0]
-    if kraus.azimuth_policy == "random":
-        az = gen.uniform(0.0, 2.0 * np.pi, size=n)
-    else:
-        az = np.full(n, kraus.fixed_azimuth)
+    az = gen.uniform(0.0, 2.0 * np.pi, size=n)
     return rotate_towards(estimates, np.full(n, math.cos(phi)), az)
 
 

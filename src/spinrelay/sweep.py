@@ -22,10 +22,9 @@ from pathlib import Path
 from .encoding import (
     chain_dots_nspin,
     delta_k_parallel_start,
-    jacobi_matrix,
+    optimal_encoding,
     optimal_tilde_delta,
     parallel_tilde_delta,
-    principal_eigenpair,
 )
 from .qubit import QubitKrausFamily, chain_dots_single, disturbance_constant, eta_from_c
 from .records import McEstimate
@@ -245,12 +244,15 @@ def write_plot_script(csv_path: str, script_path: str) -> None:
 
 
 def emit_encoding(n_spins: int) -> dict:
-    """Serializable description of the optimal encoding for ``n_spins``."""
-    lam, vec = principal_eigenpair(jacobi_matrix(n_spins))
+    """Serializable description of the optimal encoding for ``n_spins``.
+
+    ``lambda_max``, the top eigenvalue of the encoding's Jacobi matrix,
+    is the largest Legendre zero, so it equals ``optimal_tilde_delta``.
+    """
     return {
         "N": n_spins,
-        "lambda_max": lam,
-        "phi": [float(c) for c in vec],
+        "lambda_max": optimal_tilde_delta(n_spins),
+        "phi": [float(c) for c in optimal_encoding(n_spins).phi],
         "parallel_tilde_delta": parallel_tilde_delta(n_spins),
         "optimal_tilde_delta": optimal_tilde_delta(n_spins),
         "build": build_id(),

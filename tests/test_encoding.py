@@ -1,14 +1,15 @@
-"""N-spin encodings: matrix, eigensolver, densities, chains, thresholds."""
+"""N-spin encodings: matrix, closed-form encoding, densities, chains, thresholds."""
 
+import json
 import math
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
+from spinrelay.cli import main
 from spinrelay.encoding import (
     EncodingSpec,
-    chain_delta,
     chain_dots_nspin,
     classical_threshold,
     delta_k_parallel_start,
@@ -20,12 +21,9 @@ from spinrelay.encoding import (
     optimal_tilde_delta,
     outcome_density,
     parallel_tilde_delta,
-    principal_eigenpair,
-    sample_outcome_tilt,
     simulate_chain_nspin,
 )
-from spinrelay.encoding import _solve_shifted_tridiag
-from spinrelay.legendre import legendre_largest_zero, legendre_values
+from spinrelay.legendre import legendre_largest_zero
 from spinrelay.rng import RandomStream, as_generator
 
 
@@ -40,23 +38,30 @@ def _random_encoding(n_spins, seed):
 
 
 # ---------------------------------------------------------------------------
-# Matrix and eigensolver
+# Matrix and closed-form encoding against the dense eigensolver
 # ---------------------------------------------------------------------------
+
+def _dense_top_eigenpair(n_spins):
+    """Oracle: top eigenpair of the dense Jacobi matrix, vector sign fixed."""
+    vals, vecs = np.linalg.eigh(jacobi_matrix(n_spins))
+    vec = vecs[:, -1]
+    return vals[-1], vec if vec.sum() > 0 else -vec
+
 
 class TestJacobiMatrix:
     def test_band_values(self):
-        np.testing.assert_allclose(jacobi_matrix(2).off_diagonal,
+        np.testing.assert_allclose(np.diag(jacobi_matrix(2), 1),
                                    [1 / math.sqrt(3)], atol=1e-15)
-        np.testing.assert_allclose(jacobi_matrix(4).off_diagonal,
+        np.testing.assert_allclose(np.diag(jacobi_matrix(4), 1),
                                    [1 / math.sqrt(3), 2 / math.sqrt(15)], atol=1e-15)
 
     def test_diagonal_zero(self):
-        dense = jacobi_matrix(10).dense()
+        dense = jacobi_matrix(10)
         np.testing.assert_array_equal(np.diag(dense), np.zeros(6))
         np.testing.assert_array_equal(dense, dense.T)
 
     def test_band_bounded_and_decreasing_to_half(self):
-        off = jacobi_matrix(100).off_diagonal
+        off = np.diag(jacobi_matrix(100), 1)
         assert np.all((0.5 < off) & (off <= 1 / math.sqrt(3) + 1e-15))
         assert np.all(np.diff(off) < 0.0)
         assert off[-1] == pytest.approx(0.5, abs=1e-4)
@@ -64,7 +69,7 @@ class TestJacobiMatrix:
     def test_eigenvalues_are_legendre_zeros(self):
         # dense oracle: eigenvalues of the N=2 matrix are +-1/sqrt(3), the
         # zeros of the degree-2 Legendre polynomial
-        eigs = np.linalg.eigvalsh(jacobi_matrix(2).dense())
+        eigs = np.linalg.eigvalsh(jacobi_matrix(2))
         np.testing.assert_allclose(eigs, [-1 / math.sqrt(3), 1 / math.sqrt(3)],
                                    atol=1e-14)
 
@@ -74,65 +79,51 @@ class TestJacobiMatrix:
             jacobi_matrix(bad)
 
 
-class TestTridiagSolve:
-    def test_matches_dense_oracle(self):
-        gen = np.random.default_rng(11)
-        for dim in (1, 2, 3, 8, 40):
-            off = gen.uniform(0.05, 0.5, max(dim - 1, 0))
-            shift = gen.uniform(-1.2, 1.2)
-            rhs = gen.normal(size=dim)
-            dense = np.diag(off, 1) + np.diag(off, -1) - shift * np.eye(dim)
-            x = _solve_shifted_tridiag(off, shift, rhs)
-            np.testing.assert_allclose(dense @ x, rhs, atol=1e-10)
-
-
 class TestPrincipalEigenpair:
+    """The closed form phi_J ~ sqrt(2J+1) P_J(x_{N/2+1}) and its shrink
+    factor, checked against dense ``np.linalg.eigh``."""
+
     def test_two_spin_analytic(self):
-        lam, vec = principal_eigenpair(jacobi_matrix(2))
+        lam, vec = _dense_top_eigenpair(2)
         assert lam == pytest.approx(1 / math.sqrt(3), abs=1e-13)
         np.testing.assert_allclose(vec, [1 / math.sqrt(2), 1 / math.sqrt(2)],
                                    atol=1e-12)
+        np.testing.assert_allclose(optimal_encoding(2).phi, vec, atol=1e-12)
 
     def test_four_spin_matches_root(self):
-        lam, _ = principal_eigenpair(jacobi_matrix(4))
+        lam, _ = _dense_top_eigenpair(4)
         assert lam == pytest.approx(legendre_largest_zero(3), abs=1e-13)
 
     def test_residual_contract(self):
-        for n in (2, 8, 50, 200):
-            matrix = jacobi_matrix(n)
-            lam, vec = principal_eigenpair(matrix)
-            assert np.linalg.norm(matrix.matvec(vec) - lam * vec) <= 1e-12
-            assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+        for n in range(2, 201, 2):
+            phi = optimal_encoding(n).phi
+            x = optimal_tilde_delta(n)
+            assert np.linalg.norm(jacobi_matrix(n) @ phi - x * phi) <= 1e-12, f"N={n}"
 
     def test_matches_dense_eigensolver(self):
-        for n in (2, 6, 20, 60):
-            matrix = jacobi_matrix(n)
-            lam, vec = principal_eigenpair(matrix)
-            ref_vals, ref_vecs = np.linalg.eigh(matrix.dense())
-            assert lam == pytest.approx(ref_vals[-1], abs=1e-12)
-            ref = ref_vecs[:, -1]
-            ref = ref if ref.sum() > 0 else -ref
-            np.testing.assert_allclose(vec, ref, atol=1e-9)
-
-    def test_eigenvector_closed_form(self):
-        # components are proportional to sqrt(2J+1) P_J(lambda)
-        for n in (4, 30, 200):
-            lam, vec = principal_eigenpair(jacobi_matrix(n))
-            degrees = np.arange(n // 2 + 1)
-            closed = (np.sqrt(2.0 * degrees + 1.0)
-                      * legendre_values(n // 2, lam))
-            closed /= np.linalg.norm(closed)
-            np.testing.assert_allclose(vec, closed, atol=1e-10)
+        for n in (2, 6, 20, 60, 200):
+            lam, vec = _dense_top_eigenpair(n)
+            assert optimal_tilde_delta(n) == pytest.approx(lam, abs=1e-12)
+            np.testing.assert_allclose(optimal_encoding(n).phi, vec, atol=1e-10,
+                                       err_msg=f"N={n}")
 
     def test_root_identity_up_to_200(self):
         for n in range(2, 201, 2):
-            lam, _ = principal_eigenpair(jacobi_matrix(n))
+            lam = np.linalg.eigvalsh(jacobi_matrix(n))[-1]
             assert abs(lam - legendre_largest_zero(n // 2 + 1)) < 1e-11
 
     def test_positivity_and_large_size(self):
-        for n in (100, 2000):
-            _, vec = principal_eigenpair(jacobi_matrix(n))
-            assert np.all(vec > 0.0)
+        for n in (100, 2000, 10_000):
+            phi = optimal_encoding(n).phi
+            assert phi.shape == (n // 2 + 1,)
+            assert np.all(phi > 0.0), f"N={n}"
+
+    def test_encode_cli_matches_dense_eigensolver(self, capsys):
+        assert main(["encode", "--n", "200"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        lam, vec = _dense_top_eigenpair(200)
+        assert payload["lambda_max"] == pytest.approx(lam, abs=1e-12)
+        np.testing.assert_allclose(payload["phi"], vec, atol=1e-10)
 
 
 class TestOptimalEncoding:
@@ -206,10 +197,9 @@ class TestClosedForms:
         assert abs(value - BESSEL_J0_FIRST_ZERO ** 2) / BESSEL_J0_FIRST_ZERO ** 2 < 0.02
 
     def test_chain_delta(self):
-        assert chain_delta([1 / 3, 1 / 3]) == pytest.approx(1 / 9, abs=1e-16)
-        assert chain_delta([]) == 1.0
+        # per-step shrink factors multiply along the chain
         x = optimal_tilde_delta(2)
-        assert chain_delta([parallel_tilde_delta(2), x, x]) == pytest.approx(
+        assert math.prod([parallel_tilde_delta(2), x, x]) == pytest.approx(
             delta_k_parallel_start(2, 3), rel=1e-15)
 
     def test_monotonicity_in_size(self):
@@ -257,7 +247,7 @@ def test_rotation_overlap_is_legendre_polynomial():
     # overlap of a tilted spin-J block equals P_J(cos(theta))
     for j in range(7):
         for theta in (0.0, 0.4, 1.0, 2.2, math.pi):
-            expected = legendre_values(j, math.cos(theta))[j]
+            expected = npleg.legval(math.cos(theta), [0.0] * j + [1.0])
             assert _rotation_middle_element(j, theta) == pytest.approx(
                 float(expected), abs=1e-12), f"J={j}, theta={theta}"
 
@@ -281,7 +271,7 @@ class TestOutcomeDensity:
         nodes, weights = npleg.leggauss(14)
         quad = float(weights @ (nodes * density.pdf(nodes)))
         matrix = jacobi_matrix(12)
-        assert quad == pytest.approx(float(enc.phi @ matrix.matvec(enc.phi)), abs=1e-10)
+        assert quad == pytest.approx(float(enc.phi @ matrix @ enc.phi), abs=1e-10)
         assert density.mean_tilt() == pytest.approx(quad, abs=1e-10)
 
     def test_pdf_matches_direct_formula(self):
@@ -289,7 +279,7 @@ class TestOutcomeDensity:
         density = outcome_density(enc)
         xs = np.linspace(-1.0, 1.0, 23)
         degrees = np.arange(enc.phi.size)
-        amp = (np.sqrt(2 * degrees + 1.0) * enc.phi) @ legendre_values(enc.phi.size - 1, xs)
+        amp = npleg.legval(xs, np.sqrt(2 * degrees + 1.0) * enc.phi)
         np.testing.assert_allclose(density.pdf(xs), 0.5 * amp ** 2,
                                    rtol=1e-10, atol=1e-12)
 
@@ -325,21 +315,21 @@ class TestOutcomeSampling:
     ])
     def test_sample_mean(self, n_spins, target):
         density = outcome_density(optimal_encoding(n_spins))
-        x = sample_outcome_tilt(density, RandomStream(97), 100_000)
+        x = density.sample(RandomStream(97), 100_000)
         mean, se = _mean_se(x)
         assert abs(mean - target) < 3 * se
 
     def test_sample_range_and_scalar(self):
         density = outcome_density(optimal_encoding(6))
-        x = sample_outcome_tilt(density, RandomStream(3), 50_000)
+        x = density.sample(RandomStream(3), 50_000)
         assert np.all((-1.0 <= x) & (x <= 1.0))
-        assert isinstance(sample_outcome_tilt(density, RandomStream(3)), float)
+        assert isinstance(density.sample(RandomStream(3)), float)
 
     def test_sample_ks_against_exact_cdf(self):
         # N = 280 puts the mass within ~1e-4 of x = 1
         for n_spins in (4, 280):
             density = outcome_density(optimal_encoding(n_spins))
-            x = np.sort(sample_outcome_tilt(density, RandomStream(98), 100_000))
+            x = np.sort(density.sample(RandomStream(98), 100_000))
             cdf = density.cdf(x)
             n = x.size
             ks = max(np.max(np.abs(np.arange(1, n + 1) / n - cdf)),
@@ -364,7 +354,7 @@ class TestOutcomeSampling:
         # to the same outcomes as under the exact inverse CDF
         density = optimal_densities[n_spins]
         u = as_generator(RandomStream(7)).random(10_000)
-        x = sample_outcome_tilt(density, RandomStream(7), 10_000)
+        x = density.sample(RandomStream(7), 10_000)
         assert np.max(np.abs(density.cdf(x) - u)) <= density.table_tol
 
     @pytest.mark.parametrize("n_spins", [2, 40, 280, 1000])
@@ -380,7 +370,7 @@ class TestOutcomeSampling:
         # the mass lies within ~1e-5 of x = 1: a uniform grid in x would
         # need more than 2^21 knots
         density = optimal_densities[1000]
-        x = sample_outcome_tilt(density, RandomStream(99), 10_000)
+        x = density.sample(RandomStream(99), 10_000)
         assert np.all((-1.0 <= x) & (x <= 1.0))
         mean, se = _mean_se(x)
         assert abs(mean - optimal_tilde_delta(1000)) < 4 * se

@@ -1,4 +1,4 @@
-"""Legendre recurrence, largest zeros, and the Bessel constant."""
+"""Legendre series, tables, largest zeros, and the Bessel constant."""
 
 import math
 
@@ -8,11 +8,8 @@ import pytest
 
 from spinrelay.legendre import (
     BESSEL_J0_FIRST_ZERO,
-    bessel_j0_first_zero,
-    legendre_all,
     legendre_largest_zero,
     legendre_series,
-    legendre_values,
 )
 
 
@@ -27,38 +24,40 @@ def j0_power_series(x: float) -> float:
     return total
 
 
+def _legendre_p(degree, x):
+    """Oracle: P_degree(x) from numpy's Legendre module."""
+    return npleg.legval(x, [0.0] * degree + [1.0])
+
+
+# npleg.legvander builds the closed-form optimal encoding: its P_L tables
+# must be exact at x = 1, vanish at known roots and stay bounded on [-1, 1]
+
 def test_table_at_one():
-    table = legendre_all(3, 1.0)
-    np.testing.assert_allclose(table.values, [1.0, 1.0, 1.0, 1.0], atol=0)
+    np.testing.assert_allclose(npleg.legvander(1.0, 3)[0], [1.0, 1.0, 1.0, 1.0],
+                               atol=0)
 
 
 def test_known_roots_vanish():
-    assert abs(legendre_all(2, 1 / math.sqrt(3)).values[2]) < 1e-14
-    assert abs(legendre_all(3, math.sqrt(3 / 5)).values[3]) < 1e-14
-
-
-def test_rejects_out_of_range_abscissa():
-    for bad in (1.0000001, -2.0, float("nan")):
-        with pytest.raises(ValueError):
-            legendre_all(4, bad)
+    assert abs(npleg.legvander(1 / math.sqrt(3), 2)[0, 2]) < 1e-14
+    assert abs(npleg.legvander(math.sqrt(3 / 5), 3)[0, 3]) < 1e-14
 
 
 def test_values_bounded_on_interval():
     gen = np.random.default_rng(8)
     for x in gen.uniform(-1.0, 1.0, 25):
-        table = legendre_all(40, x)
-        assert table.values[0] == 1.0
-        assert np.all(np.abs(table.values) <= 1.0 + 1e-12)
+        table = npleg.legvander(x, 40)[0]
+        assert table[0] == 1.0
+        assert np.all(np.abs(table) <= 1.0 + 1e-12)
 
 
 def test_values_match_numpy_oracle():
+    # legendre_series on each single P_L, up to degree 40
     xs = np.linspace(-1, 1, 17)
-    table = legendre_values(12, xs)
-    for degree in range(13):
+    for degree in range(41):
         coeffs = np.zeros(degree + 1)
         coeffs[degree] = 1.0
-        np.testing.assert_allclose(table[degree], npleg.legval(xs, coeffs),
-                                   atol=1e-13)
+        np.testing.assert_allclose(legendre_series(coeffs, xs),
+                                   _legendre_p(degree, xs), atol=1e-13)
 
 
 def test_series_matches_numpy_oracle():
@@ -86,7 +85,7 @@ class TestLargestZero:
     def test_residual_up_to_200(self):
         for n in range(2, 201):
             x = legendre_largest_zero(n)
-            assert abs(legendre_all(n, x).values[n]) < 1e-11, f"P_{n} residual too big"
+            assert abs(_legendre_p(n, x)) < 1e-11, f"P_{n} residual too big"
 
     def test_strictly_increasing(self):
         roots = [legendre_largest_zero(n) for n in range(1, 201)]
@@ -115,10 +114,10 @@ class TestBesselZero:
                 hi = mid
             else:
                 lo = mid
-        assert abs(bessel_j0_first_zero() - 0.5 * (lo + hi)) < 1e-12
+        assert abs(BESSEL_J0_FIRST_ZERO - 0.5 * (lo + hi)) < 1e-12
 
     def test_is_a_zero_of_j0(self):
-        assert abs(j0_power_series(bessel_j0_first_zero())) < 1e-12
+        assert abs(j0_power_series(BESSEL_J0_FIRST_ZERO)) < 1e-12
 
     def test_matches_coarse_value(self):
-        assert abs(bessel_j0_first_zero() - 2.4) < 5e-3
+        assert abs(BESSEL_J0_FIRST_ZERO - 2.4) < 5e-3

@@ -141,8 +141,6 @@ class TestKrausFamily:
             QubitKrausFamily(-0.1)
         with pytest.raises(ValueError):
             QubitKrausFamily(3.5)
-        with pytest.raises(ValueError):
-            QubitKrausFamily(0.5, azimuth_policy="diagonal")
 
 
 # ---------------------------------------------------------------------------
