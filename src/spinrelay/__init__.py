@@ -21,7 +21,6 @@ from .encoding import (
     optimal_tilde_delta,
     outcome_density,
     parallel_tilde_delta,
-    simulate_chain_nspin,
 )
 from .legendre import (
     BESSEL_J0_FIRST_ZERO,
@@ -38,12 +37,9 @@ from .qubit import (
     disturbance_constant,
     eta_from_c,
     fidelity_from_delta,
-    simulate_chain_single,
-    simulate_observer_covariant,
-    simulate_observer_sg,
     single_qubit_fidelity,
 )
-from .records import ChainRecord, McEstimate
+from .records import McEstimate
 from .rng import RandomStream, as_generator
 from .sphere import (
     inverse_cdf_cos_tilt,

@@ -14,8 +14,9 @@ Two families are covered:
   phi_J proportional to sqrt(2J+1) P_J(x) (Golub-Welsch).
 
 Per-observer shrink factors multiply along a chain, so every closed form
-here is a product of per-step factors; the Monte Carlo simulators sample
-the same chains trajectory by trajectory for cross-checking.
+here is a product of per-step factors; :func:`chain_dots_nspin` samples
+batches of the same chains through :func:`spinrelay.sphere.observer_chain`
+for cross-checking.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from .legendre import (
     legendre_largest_zero,
     legendre_series,
 )
-from .records import ChainRecord
 from .rng import as_generator
-from .sphere import rotate_towards, sample_cos_tilt, sample_uniform_sphere
+from .sphere import observer_chain, sample_cos_tilt, tilt_step
 
 PROTOCOLS = ("parallel", "optimal", "parallel_start")
 ENCODINGS = ("parallel", "optimal")
@@ -253,28 +253,6 @@ def _validate_chain(n_spins: int, k: int, protocol: str):
         _require_even(n_spins)
 
 
-def _chain_estimates_nspin(n_spins, k, protocol, rng, trials):
-    _validate_chain(n_spins, k, protocol)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    gen = as_generator(rng)
-    density = None
-    if protocol != "parallel":
-        density = outcome_density(optimal_encoding(n_spins))
-    true_dirs = sample_uniform_sphere(gen, trials)
-    current = true_dirs
-    ests = np.empty((trials, k, 3))
-    for j in range(k):
-        if protocol == "parallel" or (protocol == "parallel_start" and j == 0):
-            x = sample_cos_tilt(gen, n_spins, trials)
-        else:
-            x = density.sample(gen, trials)
-        az = gen.uniform(0.0, 2.0 * np.pi, size=trials)
-        current = rotate_towards(current, x, az)
-        ests[:, j, :] = current
-    return true_dirs, ests
-
-
 def chain_dots_nspin(n_spins: int, k: int, protocol: str, rng,
                      trials: int) -> np.ndarray:
     """Vectorized N-spin observer chains; overlaps of shape (trials, k).
@@ -282,17 +260,30 @@ def chain_dots_nspin(n_spins: int, k: int, protocol: str, rng,
     ``protocol`` selects what every observer re-prepares and measures:
     "parallel" (all steps draw the N-copy tilt law, any N >= 1),
     "optimal" (all steps draw the optimal encoding's density, even N >= 2),
-    or "parallel_start" (parallel first step, optimal afterwards).
+    or "parallel_start" (parallel first step, optimal afterwards).  Each
+    observer hands on its estimate, re-encoded.
     """
-    true_dirs, ests = _chain_estimates_nspin(n_spins, k, protocol, rng, trials)
-    return np.sum(ests * true_dirs[:, None, :], axis=-1)
+    _validate_chain(n_spins, k, protocol)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
 
+    def observer(sample_tilt):
+        def observe(state, gen):
+            est = tilt_step(state, sample_tilt(gen, trials), gen)
+            return est, est
+        return observe
 
-def simulate_chain_nspin(n_spins: int, k: int, protocol: str, rng) -> ChainRecord:
-    """One trajectory of the k-observer N-spin chain."""
-    true_dirs, ests = _chain_estimates_nspin(n_spins, k, protocol, rng, trials=1)
-    dots = np.sum(ests[0] * true_dirs[0], axis=-1)
-    return ChainRecord(true_direction=true_dirs[0], estimates=ests[0], dots=dots)
+    parallel = observer(lambda gen, size: sample_cos_tilt(gen, n_spins, size))
+    if protocol == "parallel":
+        observers = [parallel] * k
+    else:
+        optimal = observer(outcome_density(optimal_encoding(n_spins)).sample)
+        first = parallel if protocol == "parallel_start" else optimal
+        observers = [first] + [optimal] * (k - 1)
+    dots = np.empty((trials, k))
+    for j, (true_dirs, est, _) in enumerate(observer_chain(observers, rng, trials)):
+        dots[:, j] = np.sum(est * true_dirs, axis=-1)
+    return dots
 
 
 def classical_threshold(k: int, target_fidelity: float, encoding: str) -> int:

@@ -16,13 +16,12 @@ import math
 
 import numpy as np
 
-from .records import ChainRecord
-from .rng import as_generator
 from .sphere import (
-    inverse_cdf_cos_tilt,
+    observer_chain,
     require_unit,
-    rotate_towards,
+    sample_cos_tilt,
     sample_uniform_sphere,
+    tilt_step,
 )
 
 SCHEMES = ("covariant", "stern_gerlach")
@@ -128,52 +127,22 @@ def _prepare(estimates: np.ndarray, kraus: QubitKrausFamily, gen) -> np.ndarray:
     phi = kraus.offset_angle
     if phi == 0.0:
         return estimates
-    n = estimates.shape[0]
-    az = gen.uniform(0.0, 2.0 * np.pi, size=n)
-    return rotate_towards(estimates, np.full(n, math.cos(phi)), az)
+    return tilt_step(estimates, math.cos(phi), gen)
 
 
 def _covariant_estimates(state_dirs: np.ndarray, gen) -> np.ndarray:
-    n = state_dirs.shape[0]
-    x = inverse_cdf_cos_tilt(1.0 - gen.random(n), 1)
-    az = gen.uniform(0.0, 2.0 * np.pi, size=n)
-    return rotate_towards(state_dirs, x, az)
+    return tilt_step(state_dirs, sample_cos_tilt(gen, 1, state_dirs.shape[0]), gen)
 
 
 def _sg_estimates(state_dirs: np.ndarray, gen) -> np.ndarray:
+    """Stern-Gerlach observer: a uniformly random axis m, outcome +- with
+    probability (1 +- m . state)/2, and the outcome direction as estimate.
+    Marginally this reproduces the covariant observer."""
     n = state_dirs.shape[0]
     axes = sample_uniform_sphere(gen, n)
     p_plus = 0.5 * (1.0 + np.sum(axes * state_dirs, axis=-1))
     signs = np.where(gen.random(n) < p_plus, 1.0, -1.0)
     return signs[:, None] * axes
-
-
-def simulate_observer_covariant(state_dir, kraus: QubitKrausFamily, rng):
-    """One covariant-POVM observer acting on a pure state along ``state_dir``.
-
-    Returns (estimate, prepared): the guessed direction, drawn with tilt
-    density (1 + x)/2 about the state and uniform azimuth, and the pure
-    direction handed on (the estimate tilted by the Kraus offset angle).
-    """
-    gen = as_generator(rng)
-    state = require_unit(state_dir, "state_dir")[None, :]
-    est = _covariant_estimates(state, gen)
-    prep = _prepare(est, kraus, gen)
-    return est[0], prep[0]
-
-
-def simulate_observer_sg(state_dir, rng):
-    """One Stern-Gerlach observer: uniformly random axis, two outcomes.
-
-    The measurement axis m is uniform on the sphere, the outcome is +-
-    with probability (1 +- m . state)/2, the estimate is the outcome
-    direction, and the prepared state equals the estimate (the projector's
-    eigenstate).  Marginally this reproduces the covariant observer.
-    """
-    gen = as_generator(rng)
-    state = require_unit(state_dir, "state_dir")[None, :]
-    est = _sg_estimates(state, gen)
-    return est[0], est[0].copy()
 
 
 def chain_dots_single(k: int, kraus: QubitKrausFamily, scheme: str, rng,
@@ -189,23 +158,6 @@ def chain_dots_single(k: int, kraus: QubitKrausFamily, scheme: str, rng,
     """
     if overlap not in ("estimate", "prepared"):
         raise ValueError("overlap must be 'estimate' or 'prepared'")
-    _validate_chain_args(k, kraus, scheme, trials)
-    gen = as_generator(rng)
-    true_dirs = sample_uniform_sphere(gen, trials)
-    current = true_dirs
-    dots = np.empty((trials, k))
-    for j in range(k):
-        if scheme == "covariant":
-            est = _covariant_estimates(current, gen)
-        else:
-            est = _sg_estimates(current, gen)
-        current = _prepare(est, kraus, gen)
-        tracked = est if overlap == "estimate" else current
-        dots[:, j] = np.sum(tracked * true_dirs, axis=-1)
-    return dots
-
-
-def _validate_chain_args(k, kraus, scheme, trials):
     if k < 1:
         raise ValueError(f"chain length must be >= 1, got {k}")
     if not isinstance(kraus, QubitKrausFamily):
@@ -214,27 +166,15 @@ def _validate_chain_args(k, kraus, scheme, trials):
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    measure = _covariant_estimates if scheme == "covariant" else _sg_estimates
 
+    def observe(state, gen):
+        est = measure(state, gen)
+        return est, _prepare(est, kraus, gen)
 
-def _chain_estimates(k, kraus, scheme, rng, trials):
-    _validate_chain_args(k, kraus, scheme, trials)
-    gen = as_generator(rng)
-    true_dirs = sample_uniform_sphere(gen, trials)
-    current = true_dirs
-    ests = np.empty((trials, k, 3))
-    for j in range(k):
-        if scheme == "covariant":
-            est = _covariant_estimates(current, gen)
-        else:
-            est = _sg_estimates(current, gen)
-        ests[:, j, :] = est
-        current = _prepare(est, kraus, gen)
-    return true_dirs, ests
-
-
-def simulate_chain_single(k: int, kraus: QubitKrausFamily, scheme: str,
-                          rng) -> ChainRecord:
-    """One trajectory of the k-observer single-qubit chain."""
-    true_dirs, ests = _chain_estimates(k, kraus, scheme, rng, trials=1)
-    dots = np.sum(ests[0] * true_dirs[0], axis=-1)
-    return ChainRecord(true_direction=true_dirs[0], estimates=ests[0], dots=dots)
+    dots = np.empty((trials, k))
+    steps = observer_chain([observe] * k, rng, trials)
+    for j, (true_dirs, est, prepared) in enumerate(steps):
+        tracked = est if overlap == "estimate" else prepared
+        dots[:, j] = np.sum(tracked * true_dirs, axis=-1)
+    return dots

@@ -1,33 +1,10 @@
-"""Shared result containers for trajectory simulation and MC estimation."""
+"""Result container of a Monte Carlo estimate."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ChainRecord:
-    """One simulated observer chain.
-
-    ``estimates[j]`` is observer j+1's guess of the encoded direction and
-    ``dots[j]`` its overlap with the true direction.
-    """
-
-    true_direction: np.ndarray       # shape (3,)
-    estimates: np.ndarray            # shape (k, 3)
-    dots: np.ndarray                 # shape (k,)
-
-    def __post_init__(self):
-        if self.estimates.shape != (self.dots.shape[0], 3):
-            raise ValueError("estimates and dots lengths disagree")
-        if np.any(np.abs(self.dots) > 1.0 + 1e-12):
-            raise ValueError("dot products must lie in [-1, 1]")
-
-    @property
-    def n_observers(self) -> int:
-        return self.dots.shape[0]
 
 
 @dataclass(frozen=True)

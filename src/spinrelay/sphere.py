@@ -1,8 +1,10 @@
 """Geometry and sampling on the unit 2-sphere.
 
 Directions are plain float ndarrays: shape ``(3,)`` for a single unit
-vector or ``(..., 3)`` for batches.  All functions broadcast over leading
-axes so trajectory simulations can run fully vectorized.
+vector or ``(..., 3)`` for batches.  The geometric functions broadcast
+over leading axes.  Every observer chain runs through
+:func:`observer_chain` on a batch of shape (trials, 3), and every
+covariant step through :func:`tilt_step`.
 """
 
 from __future__ import annotations
@@ -117,3 +119,26 @@ def rotate_towards(axis, cos_tilt, azimuth) -> np.ndarray:
            + (s * np.cos(psi))[..., None] * e1
            + (s * np.sin(psi))[..., None] * e2)
     return out
+
+
+def tilt_step(dirs, cos_tilt, gen) -> np.ndarray:
+    """Tilt each row of ``dirs`` (shape (n, 3)) by ``cos_tilt`` at a uniform
+    azimuth drawn from ``gen``: one covariant step."""
+    az = gen.uniform(0.0, 2.0 * np.pi, size=dirs.shape[0])
+    return rotate_towards(dirs, cos_tilt, az)
+
+
+def observer_chain(observers, rng, trials: int):
+    """Run ``trials`` chains of the given observers, one after another.
+
+    Draws the true directions, then applies each observer
+    ``(state, gen) -> (estimate, handed_on)`` to the state the previous
+    one handed on, and yields ``(true_dirs, estimate, handed_on)`` after
+    each step.
+    """
+    gen = as_generator(rng)
+    true_dirs = sample_uniform_sphere(gen, trials)
+    state = true_dirs
+    for observe in observers:
+        estimate, state = observe(state, gen)
+        yield true_dirs, estimate, state

@@ -21,9 +21,9 @@ from spinrelay.encoding import (
     optimal_tilde_delta,
     outcome_density,
     parallel_tilde_delta,
-    simulate_chain_nspin,
 )
 from spinrelay.legendre import legendre_largest_zero
+from spinrelay.qubit import QubitKrausFamily, chain_dots_single
 from spinrelay.rng import RandomStream, as_generator
 
 
@@ -391,12 +391,6 @@ class TestNspinChains:
         with pytest.raises(ValueError):
             chain_dots_nspin(2, 1, "entangled", RandomStream(1), 10)
 
-    def test_record_structure(self):
-        rec = simulate_chain_nspin(4, 3, "optimal", RandomStream(8))
-        assert rec.n_observers == 3
-        np.testing.assert_allclose(np.linalg.norm(rec.estimates, axis=1), 1.0,
-                                   atol=1e-12)
-
     def test_single_spin_parallel_chain(self):
         # N = 1 parallel is exactly the single-qubit optimal chain: 1/27 at k=3
         dots = chain_dots_nspin(1, 3, "parallel", RandomStream(41), 300_000)
@@ -437,6 +431,57 @@ class TestNspinChains:
         a = chain_dots_nspin(2, 2, "optimal", RandomStream(45), 1000)
         b = chain_dots_nspin(2, 2, "optimal", RandomStream(45), 1000)
         np.testing.assert_array_equal(a, b)
+
+
+class TestDrawLayout:
+    """Pins the order of the Philox draws along a chain: the true
+    directions, then per observer its tilt, its azimuth and any
+    re-preparation azimuth.  Any change to that order changes every
+    seeded sweep record, so these values may only change on purpose."""
+
+    SINGLE = {
+        ("covariant", "estimate"): [
+            [0.7332064707291475, 0.4214495541916068, 0.057239718511916504],
+            [0.13562192680539104, 0.15400883649038558, 0.9147055706838665]],
+        ("covariant", "prepared"): [
+            [0.2573598031954813, -0.1269192530936256, -0.31072394760989064],
+            [-0.35483562185257456, -0.11684552105444335, 0.44076563803728597]],
+        ("stern_gerlach", "estimate"): [
+            [0.9801968986293141, 0.5817967277037516, -0.2273023046775164],
+            [-0.36178692957970626, -0.0561207878206795, 0.06621784990867986]],
+        ("stern_gerlach", "prepared"): [
+            [0.8617527906958433, 0.2614382068973332, -0.6450513613288908],
+            [-0.5018892302632862, 0.28442956004753206, -0.4210526047295486]],
+    }
+    NSPIN = {
+        "parallel": [
+            [0.9198370507758005, 0.7134679813787183, 0.684032342967723],
+            [0.7013846193821514, 0.6172471445366913, 0.6711852073592608]],
+        "optimal": [
+            [0.814183527251182, 0.8849210643113955, 0.3051321980393089],
+            [0.9437383298997482, 0.4239964202085886, 0.4863820637345403]],
+        "parallel_start": [
+            [0.9198370507758005, 0.9562205905484715, 0.4131795410817771],
+            [0.7013846193821514, 0.16809528685104552, 0.25242770884047266]],
+    }
+
+    @pytest.mark.parametrize("scheme, overlap", sorted(SINGLE))
+    def test_single_qubit_chain(self, scheme, overlap):
+        dots = chain_dots_single(3, QubitKrausFamily(0.7), scheme, RandomStream(5), 2,
+                                 overlap=overlap)
+        np.testing.assert_allclose(dots, self.SINGLE[scheme, overlap], rtol=1e-12)
+
+    @pytest.mark.parametrize("protocol", sorted(NSPIN))
+    def test_nspin_chain(self, protocol):
+        dots = chain_dots_nspin(6, 3, protocol, RandomStream(5), 2)
+        np.testing.assert_allclose(dots, self.NSPIN[protocol], rtol=1e-12)
+
+    def test_single_spin_parallel_is_single_qubit_chain(self):
+        # both draw the N = 1 tilt law with the same draws in the same order
+        s = RandomStream(9)
+        np.testing.assert_array_equal(
+            chain_dots_nspin(1, 3, "parallel", s, 1000),
+            chain_dots_single(3, QubitKrausFamily(0.0), "covariant", s, 1000))
 
 
 # ---------------------------------------------------------------------------
