@@ -14,7 +14,7 @@ same statistics as the continuous covariant POVM.
 
 import numpy as np
 
-from spinrelay import QubitKrausFamily, RandomStream, analytic_fk_single
+from spinrelay import QubitKrausFamily, RandomStream, analytic_delta, fidelity_from_delta
 from spinrelay.qubit import chain_dots_single
 
 TRIALS = 200_000
@@ -30,7 +30,7 @@ cov = chain_dots_single(K_MAX, kraus, "covariant", RandomStream(1), TRIALS)
 sg = chain_dots_single(K_MAX, kraus, "stern_gerlach", RandomStream(2), TRIALS)
 
 for k in range(1, K_MAX + 1):
-    exact = analytic_fk_single(k, 1.0 / 3.0)
+    exact = fidelity_from_delta(analytic_delta("single_qubit", 1, k))
     d_cov, d_sg = cov[:, k - 1], sg[:, k - 1]
     f_cov = 0.5 * (1.0 + d_cov.mean())
     f_sg = 0.5 * (1.0 + d_sg.mean())

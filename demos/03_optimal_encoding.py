@@ -20,14 +20,13 @@ import numpy.polynomial.legendre as npleg
 
 from spinrelay import (
     RandomStream,
-    delta_k_parallel_start,
-    jacobi_matrix,
+    analytic_delta,
     optimal_encoding,
     optimal_tilde_delta,
     outcome_density,
     parallel_tilde_delta,
 )
-from spinrelay.encoding import chain_dots_nspin
+from spinrelay.encoding import chain_dots_nspin, jacobi_matrix
 
 print(f"{'N':>4} {'parallel N/(N+2)':>17} {'optimal x_(N/2+1)':>18} {'gain':>7}")
 for n in (2, 4, 6, 10, 20, 50, 100):
@@ -59,7 +58,7 @@ dots = chain_dots_nspin(4, 3, "parallel_start", RandomStream(5), TRIALS)
 print(f"\nMixed protocol, N = 4 ({TRIALS:,} trajectories):")
 print(f"{'k':>2} {'closed form':>12} {'MC':>10} {'z':>6}")
 for k in (1, 2, 3):
-    ref = delta_k_parallel_start(4, k)
+    ref = analytic_delta("parallel_start", 4, k)
     col = dots[:, k - 1]
     se = col.std(ddof=1) / np.sqrt(TRIALS)
     print(f"{k:>2} {ref:>12.6f} {col.mean():>10.6f} {(col.mean()-ref)/se:>+6.2f}")

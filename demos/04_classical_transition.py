@@ -14,9 +14,10 @@ asymptote of the optimal shrink factor that drives the square-root law.
 
 from spinrelay import (
     BESSEL_J0_FIRST_ZERO,
+    analytic_delta,
     classical_threshold,
+    fidelity_from_delta,
     fk_asymptotic,
-    fk_optimal,
     legendre_largest_zero,
 )
 
@@ -25,15 +26,15 @@ TARGET = 0.9
 print(f"smallest N keeping observer k at fidelity >= {TARGET}\n")
 print(f"{'k':>5} {'parallel N':>11} {'optimal N':>10} {'N_par/N_opt':>12}")
 for k in (4, 16, 64, 256, 1024):
-    n_par = classical_threshold(k, TARGET, "parallel")
-    n_opt = classical_threshold(k, TARGET, "optimal")
+    n_par = classical_threshold(k, TARGET, "nspin_parallel")
+    n_opt = classical_threshold(k, TARGET, "nspin_optimal")
     print(f"{k:>5} {n_par:>11} {n_opt:>10} {n_par/n_opt:>12.1f}")
 
-for enc in ("parallel", "optimal"):
-    r = (classical_threshold(256, TARGET, enc)
-         / classical_threshold(64, TARGET, enc))
-    law = "N ~ k (ratio ~ 4)" if enc == "parallel" else "N ~ sqrt(k) (ratio ~ 2)"
-    print(f"\n{enc}: threshold(256)/threshold(64) = {r:.2f}   [{law}]")
+for mode in ("nspin_parallel", "nspin_optimal"):
+    r = (classical_threshold(256, TARGET, mode)
+         / classical_threshold(64, TARGET, mode))
+    law = "N ~ k (ratio ~ 4)" if mode == "nspin_parallel" else "N ~ sqrt(k) (ratio ~ 2)"
+    print(f"\n{mode}: threshold(256)/threshold(64) = {r:.2f}   [{law}]")
 
 xi0 = BESSEL_J0_FIRST_ZERO
 print(f"\nBessel-zero asymptote: (1 - x_n) 2 n^2 -> xi0^2 = {xi0**2:.4f}")
@@ -41,5 +42,6 @@ print(f"{'N':>5} {'(1-x_n) 2 n^2':>14} {'rel. err.':>10} {'F_1 exact':>10} {'F_1
 for n_spins in (20, 50, 100, 200, 400):
     deg = n_spins // 2 + 1
     value = (1.0 - legendre_largest_zero(deg)) * 2.0 * deg ** 2
+    f_exact = fidelity_from_delta(analytic_delta("nspin_optimal", n_spins, 1))
     print(f"{n_spins:>5} {value:>14.4f} {abs(value - xi0**2)/xi0**2:>10.4f} "
-          f"{fk_optimal(n_spins, 1):>10.6f} {fk_asymptotic(n_spins, 1):>11.6f}")
+          f"{f_exact:>10.6f} {fk_asymptotic(n_spins, 1):>11.6f}")

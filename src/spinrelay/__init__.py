@@ -10,13 +10,11 @@ that cross-checks every closed form.
 from .encoding import (
     EncodingSpec,
     OutcomeDensity,
+    analytic_delta,
     chain_dots_nspin,
+    chain_laws,
     classical_threshold,
-    delta_k_parallel_start,
     fk_asymptotic,
-    fk_optimal,
-    fk_parallel,
-    jacobi_matrix,
     optimal_encoding,
     optimal_tilde_delta,
     outcome_density,
@@ -28,11 +26,7 @@ from .legendre import (
     legendre_series,
 )
 from .qubit import (
-    BlochState,
-    DepolarizingChannel,
     QubitKrausFamily,
-    analytic_fk_single,
-    apply_depolarizing,
     chain_dots_single,
     disturbance_constant,
     eta_from_c,
@@ -48,6 +42,6 @@ from .sphere import (
     sample_uniform_sphere,
     unit_vector,
 )
-from .sweep import SweepConfig, analytic_delta, emit_encoding, mc_estimate_delta, run_sweep
+from .sweep import SweepConfig, emit_encoding, mc_estimate_delta, run_sweep
 
 __version__ = "0.1.0"

@@ -90,7 +90,7 @@ def criterion_4() -> CriterionResult:
     """Parallel encoding: MC shrink matches (N/(N+2))^k."""
     zs = []
     for n in (2, 4, 10):
-        dots = chain_dots_nspin(n, 2, "parallel", RandomStream(42).child(n), 10 ** 5)
+        dots = chain_dots_nspin(n, 2, "nspin_parallel", RandomStream(42).child(n), 10 ** 5)
         for k in (1, 2):
             mean, se = _mean_se(dots[:, k - 1])
             ref = (n / (n + 2.0)) ** k
@@ -156,8 +156,8 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     """Threshold N for F_k = 0.9 scales ~k (parallel) vs ~sqrt(k) (optimal)."""
     start = time.perf_counter()
-    par = [classical_threshold(k, 0.9, "parallel") for k in (64, 256)]
-    opt = [classical_threshold(k, 0.9, "optimal") for k in (64, 256)]
+    par = [classical_threshold(k, 0.9, "nspin_parallel") for k in (64, 256)]
+    opt = [classical_threshold(k, 0.9, "nspin_optimal") for k in (64, 256)]
     ratio_par = par[1] / par[0]
     ratio_opt = opt[1] / opt[0]
     elapsed = time.perf_counter() - start

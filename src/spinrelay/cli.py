@@ -7,7 +7,8 @@ acceptance suite).  Output is CSV (RFC-4180, 17 significant digits) or
 JSON lines.
 
 Exit codes: 0 ok, 1 a z-gate or acceptance criterion failed, 2 usage
-error, 3 numerical failure (a routine that did not converge).
+error (including a config or output path that cannot be read or
+written), 3 numerical failure (a routine that did not converge).
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import json
 import sys
 from pathlib import Path
 
+from .encoding import MODES, analytic_delta
 from .sweep import (
     FORMATS,
-    MODES,
     SweepConfig,
-    analytic_delta,
     emit_encoding,
     max_abs_z,
     records_to_bytes,
@@ -123,18 +123,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analytic(args) -> int:
-    n_values = parse_int_range(args.n)
     k_values = parse_int_range(args.k)
+    rows = []
+    for n in parse_int_range(args.n):
+        for k in k_values:
+            delta = analytic_delta(args.mode, n, k, args.phi)
+            rows.append({"mode": args.mode, "N": n, "k": k,
+                         "phi": args.phi if args.mode == "single_qubit" else None,
+                         "delta": delta,
+                         "fidelity": fidelity_from_delta(max(-1.0, min(1.0, delta)))})
+    # opened only once every row is valid, so a rejected call leaves --out alone
     fh, close = _open_out(args.out)
     try:
-        rows = []
-        for n in n_values:
-            for k in k_values:
-                delta = analytic_delta(args.mode, n, k, args.phi)
-                rows.append({"mode": args.mode, "N": n, "k": k,
-                             "phi": args.phi if args.mode == "single_qubit" else None,
-                             "delta": delta,
-                             "fidelity": fidelity_from_delta(max(-1.0, min(1.0, delta)))})
         if args.format == "csv":
             import csv
             writer = csv.writer(fh)
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

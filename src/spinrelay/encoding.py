@@ -13,16 +13,19 @@ Two families are covered:
   is the largest zero x, and the eigenvector is known in closed form,
   phi_J proportional to sqrt(2J+1) P_J(x) (Golub-Welsch).
 
-Per-observer shrink factors multiply along a chain, so every closed form
-here is a product of per-step factors; :func:`chain_dots_nspin` samples
-batches of the same chains through :func:`spinrelay.sphere.observer_chain`
-for cross-checking.
+Per-observer shrink factors multiply along a chain.  :func:`chain_laws`
+lists the steps of every chain the CLI names; :func:`analytic_delta`
+multiplies their factors, and :func:`chain_dots_nspin` samples batches of
+the same chains through :func:`spinrelay.sphere.observer_chain` for
+cross-checking.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+import math
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -32,11 +35,12 @@ from .legendre import (
     legendre_largest_zero,
     legendre_series,
 )
+from .qubit import fidelity_from_delta
 from .rng import as_generator
 from .sphere import observer_chain, sample_cos_tilt, tilt_step
 
-PROTOCOLS = ("parallel", "optimal", "parallel_start")
-ENCODINGS = ("parallel", "optimal")
+#: the observer chains; a sweep cell's random substream follows this order
+MODES = ("single_qubit", "nspin_parallel", "nspin_optimal", "parallel_start")
 
 
 def _require_even(n_spins: int):
@@ -108,29 +112,6 @@ def optimal_tilde_delta(n_spins: int) -> float:
     zero of the Legendre polynomial of degree N/2 + 1."""
     _require_even(n_spins)
     return legendre_largest_zero(n_spins // 2 + 1)
-
-
-def fk_parallel(n_spins: int, k: int) -> float:
-    """Mean fidelity of observer k for an all-parallel chain."""
-    if k < 1:
-        raise ValueError(f"observer index must be >= 1, got {k}")
-    return 0.5 * (1.0 + parallel_tilde_delta(n_spins) ** k)
-
-
-def fk_optimal(n_spins: int, k: int) -> float:
-    """Mean fidelity of observer k for an all-optimal chain."""
-    if k < 1:
-        raise ValueError(f"observer index must be >= 1, got {k}")
-    return 0.5 * (1.0 + optimal_tilde_delta(n_spins) ** k)
-
-
-def delta_k_parallel_start(n_spins: int, k: int) -> float:
-    """Shrink factor after k observers when the source emits parallel
-    copies but every observer re-prepares the optimal encoding:
-    N/(N+2) times the optimal factor to the power k-1."""
-    if k < 1:
-        raise ValueError(f"observer index must be >= 1, got {k}")
-    return parallel_tilde_delta(n_spins) * optimal_tilde_delta(n_spins) ** (k - 1)
 
 
 def fk_asymptotic(n_spins: int, k: int) -> float:
@@ -241,31 +222,70 @@ def outcome_density(encoding: EncodingSpec, table_tol: float = 1e-4) -> OutcomeD
                           table_tol=table_tol)
 
 
-def _validate_chain(n_spins: int, k: int, protocol: str):
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
+def chain_laws(mode: str, n_spins: int, k: int,
+               phi: float = 0.0) -> list[tuple[str, float]]:
+    """The k observers of ``mode``'s chain as (tilt law, hand-on offset) pairs.
+
+    Each observer draws its estimate's tilt from the "parallel" law (N
+    copies) or the "optimal" law (the optimal encoding's outcome density)
+    and hands on its estimate turned by the offset angle.  single_qubit is
+    the N = 1 parallel law with offset phi in [0, pi]; nspin_parallel the
+    parallel law at any N >= 1; nspin_optimal the optimal law, and
+    parallel_start one parallel step then optimal ones, at even N >= 2.
+    phi is ignored outside single_qubit.  Raises ValueError for an unknown
+    mode or a k, N or phi the mode does not allow.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if k < 1:
         raise ValueError(f"chain length must be >= 1, got {k}")
-    if protocol == "parallel":
+    if mode == "single_qubit":
+        if n_spins != 1:
+            raise ValueError(f"single_qubit mode runs at N = 1 only, got N = {n_spins}")
+        if not 0.0 <= phi <= math.pi:
+            raise ValueError(f"phi must lie in [0, pi], got {phi}")
+        return [("parallel", phi)] * k
+    if mode == "nspin_parallel":
         if n_spins < 1:
-            raise ValueError(f"need N >= 1, got {n_spins}")
-    else:
-        _require_even(n_spins)
+            raise ValueError(f"parallel mode needs N >= 1, got N = {n_spins}")
+        return [("parallel", 0.0)] * k
+    _require_even(n_spins)
+    first = "parallel" if mode == "parallel_start" else "optimal"
+    return [(first, 0.0)] + [("optimal", 0.0)] * (k - 1)
 
 
-def chain_dots_nspin(n_spins: int, k: int, protocol: str, rng,
+_LAW_MEANS = {"parallel": parallel_tilde_delta, "optimal": optimal_tilde_delta}
+
+
+def analytic_delta(mode: str, n_spins: int, k: int, phi: float = 0.0) -> float:
+    """Closed-form mean overlap with the truth of the state observer k hands on.
+
+    The product over :func:`chain_laws` of each step's law mean, its
+    per-observer shrink factor, times the cosine of its offset.  Equal
+    steps are raised to their count, so a long chain costs one power per
+    distinct step and no density is built.
+    """
+    steps = Counter(chain_laws(mode, n_spins, k, phi))
+    return math.prod((_LAW_MEANS[law](n_spins) * math.cos(offset)) ** count
+                     for (law, offset), count in steps.items())
+
+
+def chain_dots_nspin(n_spins: int, k: int, mode: str, rng,
                      trials: int) -> np.ndarray:
     """Vectorized N-spin observer chains; overlaps of shape (trials, k).
 
-    ``protocol`` selects what every observer re-prepares and measures:
-    "parallel" (all steps draw the N-copy tilt law, any N >= 1),
-    "optimal" (all steps draw the optimal encoding's density, even N >= 2),
-    or "parallel_start" (parallel first step, optimal afterwards).  Each
-    observer hands on its estimate, re-encoded.
+    Every observer draws its tilt from its step's law in
+    :func:`chain_laws` and hands on its estimate, re-encoded; the optimal
+    density is built once per call, and only if a step uses it.  The
+    hand-on offsets are all zero here: single_qubit at N = 1 runs without
+    one, and :func:`spinrelay.qubit.chain_dots_single` runs the offset.
     """
-    _validate_chain(n_spins, k, protocol)
+    laws = [law for law, _ in chain_laws(mode, n_spins, k)]
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    samplers = {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size)}
+    if "optimal" in laws:
+        samplers["optimal"] = outcome_density(optimal_encoding(n_spins)).sample
 
     def observer(sample_tilt):
         def observe(state, gen):
@@ -273,50 +293,38 @@ def chain_dots_nspin(n_spins: int, k: int, protocol: str, rng,
             return est, est
         return observe
 
-    parallel = observer(lambda gen, size: sample_cos_tilt(gen, n_spins, size))
-    if protocol == "parallel":
-        observers = [parallel] * k
-    else:
-        optimal = observer(outcome_density(optimal_encoding(n_spins)).sample)
-        first = parallel if protocol == "parallel_start" else optimal
-        observers = [first] + [optimal] * (k - 1)
+    observers = [observer(samplers[law]) for law in laws]
     dots = np.empty((trials, k))
     for j, (true_dirs, est, _) in enumerate(observer_chain(observers, rng, trials)):
         dots[:, j] = np.sum(est * true_dirs, axis=-1)
     return dots
 
 
-def classical_threshold(k: int, target_fidelity: float, encoding: str) -> int:
-    """Smallest ensemble size N whose k-th observer still reaches
-    ``target_fidelity``.
+def classical_threshold(k: int, target_fidelity: float, mode: str) -> int:
+    """Smallest ensemble size N whose k-th observer in ``mode``'s chain
+    still reaches ``target_fidelity``.
 
-    Uses the closed forms only; N is searched monotonically (any N >= 1
-    for "parallel", even N >= 2 for "optimal").
+    Uses :func:`analytic_delta` only; N is searched monotonically (any
+    N >= 1 for "nspin_parallel", even N >= 2 for the optimal modes).
     """
-    if k < 1:
-        raise ValueError(f"observer index must be >= 1, got {k}")
     if not 0.5 < target_fidelity < 1.0:
         raise ValueError("target fidelity must lie strictly between 1/2 and 1")
-    if encoding not in ENCODINGS:
-        raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
+    step = 1 if mode == "nspin_parallel" else 2
 
-    if encoding == "parallel":
-        reaches = lambda n: fk_parallel(n, k) >= target_fidelity
-        to_n = lambda idx: idx          # idx >= 1
-    else:
-        reaches = lambda n: fk_optimal(n, k) >= target_fidelity
-        to_n = lambda idx: 2 * idx      # idx >= 1 -> even N
+    def reaches(idx):
+        delta = analytic_delta(mode, step * idx, k)
+        return fidelity_from_delta(delta) >= target_fidelity
 
     hi = 1
-    while not reaches(to_n(hi)):
+    while not reaches(hi):
         hi *= 2
         if hi > 2 ** 40:
             raise RuntimeError("threshold search exceeded safety bound")
-    lo = hi // 2  # to_n(lo) fails (or lo == 0)
+    lo = hi // 2  # step * lo fails (or lo == 0)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if reaches(to_n(mid)):
+        if reaches(mid):
             hi = mid
         else:
             lo = mid
-    return to_n(hi)
+    return step * hi

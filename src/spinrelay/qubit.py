@@ -115,13 +115,6 @@ def apply_depolarizing(state: BlochState, channel: DepolarizingChannel) -> Bloch
     return BlochState(channel.eta * state.r)
 
 
-def analytic_fk_single(k: int, eta: float) -> float:
-    """Closed-form mean fidelity of observer k: F_k = (1 + eta^k) / 2."""
-    if k < 1:
-        raise ValueError(f"observer index must be >= 1, got {k}")
-    return 0.5 * (1.0 + eta ** k)
-
-
 def _prepare(estimates: np.ndarray, kraus: QubitKrausFamily, gen) -> np.ndarray:
     """States handed to the next observer: estimates tilted by the offset angle."""
     phi = kraus.offset_angle

@@ -14,23 +14,23 @@ from functools import lru_cache
 import csv
 import io
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
 
 from .encoding import (
+    MODES,
+    analytic_delta,
     chain_dots_nspin,
-    delta_k_parallel_start,
+    chain_laws,
     optimal_encoding,
     optimal_tilde_delta,
     parallel_tilde_delta,
 )
-from .qubit import QubitKrausFamily, chain_dots_single, disturbance_constant, eta_from_c
+from .qubit import QubitKrausFamily, chain_dots_single
 from .records import McEstimate
 from .rng import RandomStream
 
-MODES = ("single_qubit", "nspin_parallel", "nspin_optimal", "parallel_start")
 FORMATS = ("csv", "jsonl")
 
 RECORD_FIELDS = ("mode", "N", "k", "phi", "analytic", "mc_mean", "mc_stderr",
@@ -68,23 +68,11 @@ class SweepConfig:
     workers: int = 1
 
     def validate(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.n_values or not self.k_values:
             raise ValueError("N and k ranges must be non-empty")
-        if any(k < 1 for k in self.k_values):
-            raise ValueError("every k must be >= 1")
-        if self.mode == "single_qubit":
-            if any(n != 1 for n in self.n_values):
-                raise ValueError("single_qubit mode runs at N = 1 only")
-            if not 0.0 <= self.phi <= math.pi:
-                raise ValueError("phi must lie in [0, pi]")
-        elif self.mode == "nspin_parallel":
-            if any(n < 1 for n in self.n_values):
-                raise ValueError("parallel mode needs N >= 1")
-        else:
-            if any(n < 2 or n % 2 for n in self.n_values):
-                raise ValueError(f"{self.mode} mode needs even N >= 2")
+        for n in self.n_values:
+            for k in self.k_values:
+                chain_laws(self.mode, n, k, self.phi)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.fmt not in FORMATS:
@@ -95,30 +83,13 @@ class SweepConfig:
             raise ValueError("workers must be >= 1")
 
 
-def analytic_delta(mode: str, n_spins: int, k: int, phi: float = 0.0) -> float:
-    """Closed-form shrink factor of observer k for the given mode."""
-    if mode == "single_qubit":
-        eta = eta_from_c(disturbance_constant(QubitKrausFamily(phi)))
-        return eta ** k
-    if mode == "nspin_parallel":
-        return parallel_tilde_delta(n_spins) ** k
-    if mode == "nspin_optimal":
-        return optimal_tilde_delta(n_spins) ** k
-    if mode == "parallel_start":
-        return delta_k_parallel_start(n_spins, k)
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
 def mc_estimate_delta(mode: str, n_spins: int, k: int, phi: float,
                       trials: int, rng: RandomStream) -> McEstimate:
     """Monte Carlo estimate of observer k's shrink factor for one cell."""
     if mode == "single_qubit":
         dots = chain_dots_single(k, QubitKrausFamily(phi), "covariant", rng, trials)
     else:
-        protocol = {"nspin_parallel": "parallel",
-                    "nspin_optimal": "optimal",
-                    "parallel_start": "parallel_start"}[mode]
-        dots = chain_dots_nspin(n_spins, k, protocol, rng, trials)
+        dots = chain_dots_nspin(n_spins, k, mode, rng, trials)
     return McEstimate.from_samples(dots[:, k - 1], seed=rng.seed)
 
 
@@ -246,12 +217,11 @@ def write_plot_script(csv_path: str, script_path: str) -> None:
 def emit_encoding(n_spins: int) -> dict:
     """Serializable description of the optimal encoding for ``n_spins``.
 
-    ``lambda_max``, the top eigenvalue of the encoding's Jacobi matrix,
-    is the largest Legendre zero, so it equals ``optimal_tilde_delta``.
+    ``optimal_tilde_delta`` is also the top eigenvalue of the encoding's
+    Jacobi matrix.
     """
     return {
         "N": n_spins,
-        "lambda_max": optimal_tilde_delta(n_spins),
         "phi": [float(c) for c in optimal_encoding(n_spins).phi],
         "parallel_tilde_delta": parallel_tilde_delta(n_spins),
         "optimal_tilde_delta": optimal_tilde_delta(n_spins),
@@ -265,11 +235,11 @@ def write_encoding(payload: dict, fmt: str, fh) -> None:
         fh.write(json.dumps(payload) + "\n")
     elif fmt == "csv":
         writer = csv.writer(fh)
-        writer.writerow(["N", "lambda_max", "J", "phi_J",
+        writer.writerow(["N", "J", "phi_J",
                          "parallel_tilde_delta", "optimal_tilde_delta", "build"])
         for j, coeff in enumerate(payload["phi"]):
             writer.writerow([
-                payload["N"], _fmt(payload["lambda_max"]), j, _fmt(coeff),
+                payload["N"], j, _fmt(coeff),
                 _fmt(payload["parallel_tilde_delta"]),
                 _fmt(payload["optimal_tilde_delta"]), payload["build"],
             ])

@@ -7,15 +7,15 @@ import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
+from spinrelay import encoding
 from spinrelay.cli import main
 from spinrelay.encoding import (
     EncodingSpec,
+    analytic_delta,
     chain_dots_nspin,
+    chain_laws,
     classical_threshold,
-    delta_k_parallel_start,
     fk_asymptotic,
-    fk_optimal,
-    fk_parallel,
     jacobi_matrix,
     optimal_encoding,
     optimal_tilde_delta,
@@ -23,12 +23,16 @@ from spinrelay.encoding import (
     parallel_tilde_delta,
 )
 from spinrelay.legendre import legendre_largest_zero
-from spinrelay.qubit import QubitKrausFamily, chain_dots_single
+from spinrelay.qubit import QubitKrausFamily, chain_dots_single, fidelity_from_delta
 from spinrelay.rng import RandomStream, as_generator
 
 
 def _mean_se(samples):
     return samples.mean(), samples.std(ddof=1) / math.sqrt(samples.size)
+
+
+def _fidelity(mode, n_spins, k):
+    return fidelity_from_delta(analytic_delta(mode, n_spins, k))
 
 
 def _random_encoding(n_spins, seed):
@@ -122,7 +126,7 @@ class TestPrincipalEigenpair:
         assert main(["encode", "--n", "200"]) == 0
         payload = json.loads(capsys.readouterr().out)
         lam, vec = _dense_top_eigenpair(200)
-        assert payload["lambda_max"] == pytest.approx(lam, abs=1e-12)
+        assert payload["optimal_tilde_delta"] == pytest.approx(lam, abs=1e-12)
         np.testing.assert_allclose(payload["phi"], vec, atol=1e-10)
 
 
@@ -163,27 +167,29 @@ class TestClosedForms:
             optimal_tilde_delta(5)
 
     def test_fk_parallel(self):
-        assert fk_parallel(1, 1) == pytest.approx(2 / 3, abs=1e-15)
-        assert fk_parallel(2, 2) == pytest.approx(5 / 8, abs=1e-15)
-        assert fk_parallel(10, 1) == pytest.approx(11 / 12, abs=1e-15)
+        assert _fidelity("nspin_parallel", 1, 1) == pytest.approx(2 / 3, abs=1e-15)
+        assert _fidelity("nspin_parallel", 2, 2) == pytest.approx(5 / 8, abs=1e-15)
+        assert _fidelity("nspin_parallel", 10, 1) == pytest.approx(11 / 12, abs=1e-15)
 
     def test_fk_optimal(self):
-        assert fk_optimal(2, 1) == pytest.approx(0.5 * (1 + 1 / math.sqrt(3)), abs=1e-13)
-        assert fk_optimal(2, 5000) == pytest.approx(0.5, abs=1e-12)
+        assert _fidelity("nspin_optimal", 2, 1) == pytest.approx(
+            0.5 * (1 + 1 / math.sqrt(3)), abs=1e-13)
+        assert _fidelity("nspin_optimal", 2, 5000) == pytest.approx(0.5, abs=1e-12)
 
     def test_optimal_dominates_parallel(self):
         for n in range(2, 101, 2):
             for k in (1, 3, 9):
-                assert fk_optimal(n, k) >= fk_parallel(n, k)
+                assert _fidelity("nspin_optimal", n, k) >= _fidelity("nspin_parallel", n, k)
 
     def test_mixed_start(self):
-        assert delta_k_parallel_start(2, 1) == pytest.approx(0.5, abs=1e-15)
-        assert delta_k_parallel_start(2, 2) == pytest.approx(0.5 / math.sqrt(3), abs=1e-13)
+        assert analytic_delta("parallel_start", 2, 1) == pytest.approx(0.5, abs=1e-15)
+        assert analytic_delta("parallel_start", 2, 2) == pytest.approx(
+            0.5 / math.sqrt(3), abs=1e-13)
         # re-preparing optimally beats staying parallel from step 2 on
-        assert delta_k_parallel_start(2, 2) > parallel_tilde_delta(2) ** 2
+        assert analytic_delta("parallel_start", 2, 2) > parallel_tilde_delta(2) ** 2
 
     def test_asymptotic(self):
-        assert abs(fk_asymptotic(200, 1) - fk_optimal(200, 1)) < 5e-6
+        assert abs(fk_asymptotic(200, 1) - _fidelity("nspin_optimal", 200, 1)) < 5e-6
         assert 0.5 < fk_asymptotic(4, 1) < 1.0
         with pytest.raises(ValueError):
             fk_asymptotic(3, 1)
@@ -200,7 +206,7 @@ class TestClosedForms:
         # per-step shrink factors multiply along the chain
         x = optimal_tilde_delta(2)
         assert math.prod([parallel_tilde_delta(2), x, x]) == pytest.approx(
-            delta_k_parallel_start(2, 3), rel=1e-15)
+            analytic_delta("parallel_start", 2, 3), rel=1e-15)
 
     def test_monotonicity_in_size(self):
         opt = [optimal_tilde_delta(n) for n in range(2, 201, 2)]
@@ -212,11 +218,50 @@ class TestClosedForms:
 
     def test_fidelity_decreases_in_k(self):
         for n in (2, 10):
-            f_opt = [fk_optimal(n, k) for k in range(1, 8)]
-            f_par = [fk_parallel(n, k) for k in range(1, 8)]
+            f_opt = [_fidelity("nspin_optimal", n, k) for k in range(1, 8)]
+            f_par = [_fidelity("nspin_parallel", n, k) for k in range(1, 8)]
             assert all(a > b for a, b in zip(f_opt, f_opt[1:]))
             assert all(a > b for a, b in zip(f_par, f_par[1:]))
             assert all(0.5 < f <= 1.0 for f in f_opt + f_par)
+
+
+class TestChainLaws:
+    @pytest.mark.parametrize("mode, n_spins, phi", (
+        [("single_qubit", 1, phi) for phi in (0.0, 0.7, math.pi)]
+        + [("nspin_parallel", n, 0.0) for n in (1, 4, 10, 200)]
+        + [(mode, n, 0.0) for mode in ("nspin_optimal", "parallel_start")
+           for n in (2, 4, 10, 200)]))
+    def test_analytic_delta_matches_inline_formulas(self, mode, n_spins, phi):
+        # oracle: each mode's product law written out, with the optimal
+        # factor taken from the dense eigensolver
+        par = n_spins / (n_spins + 2.0)
+        x = np.linalg.eigvalsh(jacobi_matrix(n_spins))[-1] if n_spins % 2 == 0 else None
+        for k in (1, 2, 5):
+            if mode == "single_qubit":
+                expected = (math.cos(phi) / 3.0) ** k
+            elif mode == "nspin_parallel":
+                expected = par ** k
+            elif mode == "nspin_optimal":
+                expected = x ** k
+            else:
+                expected = par * x ** (k - 1)
+            assert analytic_delta(mode, n_spins, k, phi) == pytest.approx(
+                expected, rel=1e-14), f"k={k}"
+
+    def test_analytic_delta_builds_no_density(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("analytic_delta built an outcome density")
+
+        monkeypatch.setattr(encoding, "outcome_density", fail)
+        for mode in ("nspin_optimal", "parallel_start"):
+            assert 0.0 < analytic_delta(mode, 40, 3) < 1.0
+
+    def test_steps(self):
+        assert chain_laws("single_qubit", 1, 2, 0.7) == [("parallel", 0.7)] * 2
+        assert chain_laws("nspin_parallel", 3, 2, 0.7) == [("parallel", 0.0)] * 2
+        assert chain_laws("nspin_optimal", 4, 2) == [("optimal", 0.0)] * 2
+        assert chain_laws("parallel_start", 4, 3) == [
+            ("parallel", 0.0), ("optimal", 0.0), ("optimal", 0.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -383,36 +428,38 @@ class TestOutcomeSampling:
 class TestNspinChains:
     def test_validation(self):
         with pytest.raises(ValueError):
-            chain_dots_nspin(3, 1, "optimal", RandomStream(1), 10)
+            chain_dots_nspin(3, 1, "nspin_optimal", RandomStream(1), 10)
         with pytest.raises(ValueError):
-            chain_dots_nspin(0, 1, "parallel", RandomStream(1), 10)
+            chain_dots_nspin(0, 1, "nspin_parallel", RandomStream(1), 10)
         with pytest.raises(ValueError):
-            chain_dots_nspin(2, 0, "optimal", RandomStream(1), 10)
+            chain_dots_nspin(2, 0, "nspin_optimal", RandomStream(1), 10)
         with pytest.raises(ValueError):
             chain_dots_nspin(2, 1, "entangled", RandomStream(1), 10)
+        with pytest.raises(ValueError):
+            chain_dots_nspin(2, 1, "nspin_parallel", RandomStream(1), 0)
 
     def test_single_spin_parallel_chain(self):
         # N = 1 parallel is exactly the single-qubit optimal chain: 1/27 at k=3
-        dots = chain_dots_nspin(1, 3, "parallel", RandomStream(41), 300_000)
+        dots = chain_dots_nspin(1, 3, "nspin_parallel", RandomStream(41), 300_000)
         mean, se = _mean_se(dots[:, 2])
         assert abs(mean - 1.0 / 27.0) < 3 * se
 
     def test_optimal_two_spin_chain(self):
         # two observers on the entangled pair: (1/sqrt(3))^2 = 1/3
-        dots = chain_dots_nspin(2, 2, "optimal", RandomStream(42), 10 ** 6)
+        dots = chain_dots_nspin(2, 2, "nspin_optimal", RandomStream(42), 10 ** 6)
         mean, se = _mean_se(dots[:, 1])
         assert abs(mean - 1.0 / 3.0) < 3 * se
 
     def test_parallel_start_chain(self):
         dots = chain_dots_nspin(4, 2, "parallel_start", RandomStream(43), 200_000)
         mean, se = _mean_se(dots[:, 1])
-        assert abs(mean - delta_k_parallel_start(4, 2)) < 3 * se
+        assert abs(mean - analytic_delta("parallel_start", 4, 2)) < 3 * se
 
     @pytest.mark.parametrize("n_spins", [2, 4, 10])
     def test_product_law_per_step_ratio(self, n_spins):
         # estimated delta_k / delta_{k-1} is compatible with the per-step
         # factor for k = 2..4 (delta method with per-trajectory covariance)
-        dots = chain_dots_nspin(n_spins, 4, "optimal", RandomStream(44).child(n_spins),
+        dots = chain_dots_nspin(n_spins, 4, "nspin_optimal", RandomStream(44).child(n_spins),
                                 200_000)
         step = optimal_tilde_delta(n_spins)
         n = dots.shape[0]
@@ -428,8 +475,8 @@ class TestNspinChains:
                 f"N={n_spins}, k={k}: ratio {ratio:.4f} vs step {step:.4f}")
 
     def test_chain_reproducible(self):
-        a = chain_dots_nspin(2, 2, "optimal", RandomStream(45), 1000)
-        b = chain_dots_nspin(2, 2, "optimal", RandomStream(45), 1000)
+        a = chain_dots_nspin(2, 2, "nspin_optimal", RandomStream(45), 1000)
+        b = chain_dots_nspin(2, 2, "nspin_optimal", RandomStream(45), 1000)
         np.testing.assert_array_equal(a, b)
 
 
@@ -454,10 +501,10 @@ class TestDrawLayout:
             [-0.5018892302632862, 0.28442956004753206, -0.4210526047295486]],
     }
     NSPIN = {
-        "parallel": [
+        "nspin_parallel": [
             [0.9198370507758005, 0.7134679813787183, 0.684032342967723],
             [0.7013846193821514, 0.6172471445366913, 0.6711852073592608]],
-        "optimal": [
+        "nspin_optimal": [
             [0.814183527251182, 0.8849210643113955, 0.3051321980393089],
             [0.9437383298997482, 0.4239964202085886, 0.4863820637345403]],
         "parallel_start": [
@@ -471,16 +518,16 @@ class TestDrawLayout:
                                  overlap=overlap)
         np.testing.assert_allclose(dots, self.SINGLE[scheme, overlap], rtol=1e-12)
 
-    @pytest.mark.parametrize("protocol", sorted(NSPIN))
-    def test_nspin_chain(self, protocol):
-        dots = chain_dots_nspin(6, 3, protocol, RandomStream(5), 2)
-        np.testing.assert_allclose(dots, self.NSPIN[protocol], rtol=1e-12)
+    @pytest.mark.parametrize("mode", sorted(NSPIN))
+    def test_nspin_chain(self, mode):
+        dots = chain_dots_nspin(6, 3, mode, RandomStream(5), 2)
+        np.testing.assert_allclose(dots, self.NSPIN[mode], rtol=1e-12)
 
     def test_single_spin_parallel_is_single_qubit_chain(self):
         # both draw the N = 1 tilt law with the same draws in the same order
         s = RandomStream(9)
         np.testing.assert_array_equal(
-            chain_dots_nspin(1, 3, "parallel", s, 1000),
+            chain_dots_nspin(1, 3, "nspin_parallel", s, 1000),
             chain_dots_single(3, QubitKrausFamily(0.0), "covariant", s, 1000))
 
 
@@ -490,27 +537,26 @@ class TestDrawLayout:
 
 class TestClassicalThreshold:
     def test_single_observer_parallel(self):
-        assert classical_threshold(1, 2.0 / 3.0, "parallel") == 1
+        assert classical_threshold(1, 2.0 / 3.0, "nspin_parallel") == 1
 
     def test_threshold_is_minimal(self):
-        for k, target, encoding in [(4, 0.8, "parallel"), (16, 0.9, "optimal")]:
-            n = classical_threshold(k, target, encoding)
-            fk = fk_parallel if encoding == "parallel" else fk_optimal
-            step = 1 if encoding == "parallel" else 2
-            assert fk(n, k) >= target
+        for k, target, mode in [(4, 0.8, "nspin_parallel"), (16, 0.9, "nspin_optimal")]:
+            n = classical_threshold(k, target, mode)
+            step = 1 if mode == "nspin_parallel" else 2
+            assert _fidelity(mode, n, k) >= target
             if n - step >= 1:
-                assert fk(n - step, k) < target
+                assert _fidelity(mode, n - step, k) < target
 
     def test_optimal_needs_fewer_spins(self):
         for k in (4, 32, 128):
             for target in (0.75, 0.9):
-                assert (classical_threshold(k, target, "optimal")
-                        <= classical_threshold(k, target, "parallel"))
+                assert (classical_threshold(k, target, "nspin_optimal")
+                        <= classical_threshold(k, target, "nspin_parallel"))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            classical_threshold(0, 0.9, "parallel")
+            classical_threshold(0, 0.9, "nspin_parallel")
         with pytest.raises(ValueError):
-            classical_threshold(1, 0.4, "parallel")
+            classical_threshold(1, 0.4, "nspin_parallel")
         with pytest.raises(ValueError):
             classical_threshold(1, 0.9, "sequential")

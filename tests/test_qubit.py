@@ -6,11 +6,11 @@ import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
+from spinrelay.encoding import analytic_delta
 from spinrelay.qubit import (
     BlochState,
     DepolarizingChannel,
     QubitKrausFamily,
-    analytic_fk_single,
     apply_depolarizing,
     chain_dots_single,
     disturbance_constant,
@@ -125,11 +125,13 @@ class TestChannel:
             DepolarizingChannel(0.5)
 
     def test_analytic_fk(self):
-        assert analytic_fk_single(1, 1.0 / 3.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert analytic_fk_single(2, 1.0 / 3.0) == pytest.approx(5.0 / 9.0, abs=1e-15)
-        assert analytic_fk_single(400, 0.9) == pytest.approx(0.5, abs=1e-15)
+        def fk(k):
+            return fidelity_from_delta(analytic_delta("single_qubit", 1, k))
+        assert fk(1) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert fk(2) == pytest.approx(5.0 / 9.0, abs=1e-15)
+        assert fk(400) == pytest.approx(0.5, abs=1e-15)
         with pytest.raises(ValueError):
-            analytic_fk_single(0, 1.0 / 3.0)
+            fk(0)
 
 
 class TestKrausFamily:
@@ -246,7 +248,7 @@ class TestChainStatistics:
         dots = chain_dots_single(2, QubitKrausFamily(math.pi), "covariant",
                                  RandomStream(23), 200_000, overlap="prepared")
         mean, se = _mean_se(dots[:, 1])
-        ref = analytic_fk_single(2, -1.0 / 3.0) * 2.0 - 1.0  # eta^2 via the fidelity map
+        ref = analytic_delta("single_qubit", 1, 2, math.pi)  # eta^2, eta = -1/3
         assert ref == pytest.approx(1.0 / 9.0, abs=1e-15)
         assert abs(mean - ref) < 3 * se
 

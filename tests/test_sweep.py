@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from spinrelay.cli import main, parse_config_file, parse_int_range
-from spinrelay.encoding import OutcomeDensity
+from spinrelay.encoding import MODES, OutcomeDensity, analytic_delta
 from spinrelay.records import McEstimate
 from spinrelay.rng import RandomStream
 from spinrelay.sweep import (
     RECORD_FIELDS,
     SweepConfig,
-    analytic_delta,
     build_id,
     emit_encoding,
     max_abs_z,
@@ -151,19 +150,22 @@ class TestRunSweep:
 class TestEmitEncoding:
     def test_two_spin_values(self):
         payload = emit_encoding(2)
-        assert payload["lambda_max"] == pytest.approx(0.5773502692, abs=1e-9)
+        assert payload["optimal_tilde_delta"] == pytest.approx(0.5773502692, abs=1e-9)
         np.testing.assert_allclose(payload["phi"], [0.7071067812, 0.7071067812],
                                    atol=1e-9)
         assert payload["parallel_tilde_delta"] == 0.5
 
     def test_four_spin_lambda(self):
-        assert emit_encoding(4)["lambda_max"] == pytest.approx(0.7745966692, abs=1e-9)
+        assert emit_encoding(4)["optimal_tilde_delta"] == pytest.approx(0.7745966692,
+                                                                        abs=1e-9)
 
     def test_csv_round_trip_preserves_norm(self):
         payload = emit_encoding(10)
         buf = io.StringIO(newline="")
         write_encoding(payload, "csv", buf)
         rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert list(rows[0]) == ["N", "J", "phi_J", "parallel_tilde_delta",
+                                 "optimal_tilde_delta", "build"]
         coeffs = np.array([float(r["phi_J"]) for r in rows])
         assert abs(coeffs @ coeffs - 1.0) < 1e-10
         assert {int(r["J"]) for r in rows} == set(range(6))
@@ -256,9 +258,29 @@ class TestCli:
         assert code == 1
         assert "exceeds z-max" in capsys.readouterr().err
 
-    def test_usage_errors_exit_2(self, capsys):
+    def test_usage_errors_exit_2(self, tmp_path, capsys):
         assert main(["sweep", "--mode", "nspin_optimal", "--n", "3"]) == 2
         assert main(["mc", "--mode", "nspin_optimal", "--n", "3"]) == 2
+        assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 2
+        assert main(["sweep", "--mode", "nspin_parallel", "--n", "2", "--trials", "100",
+                     "--out", str(tmp_path / "no" / "such" / "x.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4 and all(line.startswith("error: ") for line in err)
+
+    def test_analytic_rejects_bad_chains(self, tmp_path, capsys):
+        cases = [(mode, "1" if mode == "single_qubit" else "2", "0", "0") for mode in MODES]
+        cases += [("nspin_optimal", "3", "1", "0"), ("single_qubit", "1", "1", "4"),
+                  ("single_qubit", "2", "1", "0")]
+        for mode, n, k, phi in cases:
+            code = main(["analytic", "--mode", mode, "--n", n, "--k", k, "--phi", phi])
+            out, err = capsys.readouterr()
+            assert code == 2, (mode, n, k, phi)
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        # a rejected call leaves an existing output file as it was
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier output\n")
+        assert main(["analytic", "--k", "0", "--out", str(kept)]) == 2
+        assert kept.read_text() == "earlier output\n"
         capsys.readouterr()
 
     def test_numerical_failure_exit_3(self, monkeypatch, capsys):
@@ -275,7 +297,8 @@ class TestCli:
     def test_encode_jsonl(self, capsys):
         assert main(["encode", "--n", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["lambda_max"] == pytest.approx(0.5773502692, abs=1e-9)
+        assert payload["optimal_tilde_delta"] == pytest.approx(0.5773502692, abs=1e-9)
+        assert "lambda_max" not in payload
 
     def test_selftest_single_criterion(self, capsys):
         assert main(["selftest", "--criteria", "8"]) == 0
