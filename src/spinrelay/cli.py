@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -65,6 +66,21 @@ def _open_out(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
     return open(path, "w", newline=""), True
+
+
+def _check_writable(path: str | None, flag: str) -> None:
+    """Reject an output path whose directory is missing or read-only.
+
+    Runs before any cell is simulated; the file itself is neither created
+    nor truncated here.
+    """
+    if path is None or path == "-":
+        return
+    folder = Path(path).parent
+    if not folder.is_dir():
+        raise ValueError(f"{flag} {path}: directory {str(folder)!r} does not exist")
+    if Path(path).is_dir() or not os.access(folder, os.W_OK | os.X_OK):
+        raise ValueError(f"{flag} {path}: not a writable file path")
 
 
 def _add_common(p: argparse.ArgumentParser, with_phi=True):
@@ -157,6 +173,7 @@ def cmd_mc(args) -> int:
                       phi=args.phi, trials=args.trials, seed=args.seed,
                       fmt=args.format)
     cfg.validate()
+    _check_writable(args.out, "--out")
     from .sweep import run_sweep, write_records
     records = run_sweep(cfg)
     fh, close = _open_out(args.out)
@@ -204,6 +221,8 @@ def cmd_sweep(args) -> int:
         cfg.validate()
         if args.plot_script and (cfg.fmt != "csv" or out in (None, "-")):
             raise ValueError("--plot-script needs --format csv and --out FILE")
+        _check_writable(out, "--out")
+        _check_writable(args.plot_script, "--plot-script")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ from .legendre import (
 )
 from .qubit import fidelity_from_delta
 from .rng import as_generator
-from .sphere import observer_chain, sample_cos_tilt, tilt_step
+from .sphere import observer_chain, row_dot, sample_cos_tilt, tilt_step
 
 #: the observer chains; a sweep cell's random substream follows this order
 MODES = ("single_qubit", "nspin_parallel", "nspin_optimal", "parallel_start")
@@ -296,7 +296,7 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng,
     observers = [observer(samplers[law]) for law in laws]
     dots = np.empty((trials, k))
     for j, (true_dirs, est, _) in enumerate(observer_chain(observers, rng, trials)):
-        dots[:, j] = np.sum(est * true_dirs, axis=-1)
+        dots[:, j] = row_dot(est, true_dirs)
     return dots
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .sphere import (
     observer_chain,
     require_unit,
+    row_dot,
     sample_cos_tilt,
     sample_uniform_sphere,
     tilt_step,
@@ -133,9 +134,9 @@ def _sg_estimates(state_dirs: np.ndarray, gen) -> np.ndarray:
     Marginally this reproduces the covariant observer."""
     n = state_dirs.shape[0]
     axes = sample_uniform_sphere(gen, n)
-    p_plus = 0.5 * (1.0 + np.sum(axes * state_dirs, axis=-1))
-    signs = np.where(gen.random(n) < p_plus, 1.0, -1.0)
-    return signs[:, None] * axes
+    p_plus = 0.5 * (1.0 + row_dot(axes, state_dirs))
+    axes *= np.where(gen.random(n) < p_plus, 1.0, -1.0)[:, None]
+    return axes
 
 
 def chain_dots_single(k: int, kraus: QubitKrausFamily, scheme: str, rng,
@@ -169,5 +170,5 @@ def chain_dots_single(k: int, kraus: QubitKrausFamily, scheme: str, rng,
     steps = observer_chain([observe] * k, rng, trials)
     for j, (true_dirs, est, prepared) in enumerate(steps):
         tracked = est if overlap == "estimate" else prepared
-        dots[:, j] = np.sum(tracked * true_dirs, axis=-1)
+        dots[:, j] = row_dot(tracked, true_dirs)
     return dots

@@ -5,6 +5,11 @@ vector or ``(..., 3)`` for batches.  The geometric functions broadcast
 over leading axes.  Every observer chain runs through
 :func:`observer_chain` on a batch of shape (trials, 3), and every
 covariant step through :func:`tilt_step`.
+
+The kernel works on the three component columns, in place.  So the
+batches that :func:`sample_uniform_sphere` and :func:`rotate_towards`
+return are column-major ``(n, 3)`` views, each component contiguous:
+index the last axis, and do not assume C order.
 """
 
 from __future__ import annotations
@@ -33,12 +38,29 @@ def unit_vector(x: float, y: float, z: float) -> np.ndarray:
     return v / n
 
 
+def _columns(shape) -> np.ndarray:
+    """Uninitialized ``shape + (3,)`` array whose components are contiguous."""
+    return np.moveaxis(np.empty((3,) + tuple(shape)), 0, -1)
+
+
+def row_dot(u, v) -> np.ndarray:
+    """Row-wise dot product of (..., 3) arrays, one column at a time.
+
+    Sums (u0 v0 + u1 v1) + u2 v2, the order of ``np.sum(u * v, axis=-1)``
+    and ``np.linalg.norm``, so the bits match theirs.
+    """
+    out = u[..., 0] * v[..., 0]
+    out += u[..., 1] * v[..., 1]
+    out += u[..., 2] * v[..., 2]
+    return out
+
+
 def require_unit(v, name: str = "vector") -> np.ndarray:
     """Validate that ``v`` (shape (..., 3)) has unit norm; return it as float array."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != 3:
         raise ValueError(f"{name} must have 3 components, got shape {v.shape}")
-    norms = np.linalg.norm(v, axis=-1)
+    norms = np.sqrt(row_dot(v, v))
     if not np.all(np.abs(norms - 1.0) <= _VALIDATE_TOL):
         worst = float(np.max(np.abs(norms - 1.0)))
         raise ValueError(f"{name} is not unit-norm (max |norm-1| = {worst:.3e})")
@@ -55,7 +77,11 @@ def sample_uniform_sphere(rng, size: int | None = None) -> np.ndarray:
     z = gen.uniform(-1.0, 1.0, size=size)
     phi = gen.uniform(0.0, 2.0 * np.pi, size=size)
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
+    out = _columns(np.shape(z))
+    np.multiply(s, np.cos(phi), out=out[..., 0])
+    np.multiply(s, np.sin(phi), out=out[..., 1])
+    out[..., 2] = z
+    return out
 
 
 def inverse_cdf_cos_tilt(u, n_copies: int):
@@ -104,21 +130,41 @@ def rotate_towards(axis, cos_tilt, azimuth) -> np.ndarray:
         raise ValueError("cos_tilt must lie in [-1, 1]")
     x = np.clip(x, -1.0, 1.0)
     psi = np.asarray(azimuth, dtype=float)
-
-    # Gram-Schmidt of the reference axis against a.
-    near_x = np.abs(a[..., 0]) > 1.0 - 1e-6
-    ref = np.where(near_x[..., None],
-                   np.array([0.0, 1.0, 0.0]),
-                   np.array([1.0, 0.0, 0.0]))
-    e1 = ref - np.sum(ref * a, axis=-1, keepdims=True) * a
-    e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
-    e2 = np.cross(a, e1)
-
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    out = (x[..., None] * a
-           + (s * np.cos(psi))[..., None] * e1
-           + (s * np.sin(psi))[..., None] * e2)
-    return out
+    s_cos = s * np.cos(psi)
+    s_sin = s * np.sin(psi)
+
+    # One flat batch of rows; each column below is a contiguous pass.
+    shape = np.broadcast_shapes(a.shape[:-1], s_cos.shape)
+    a = np.broadcast_to(a, shape + (3,)).reshape(-1, 3)
+    x, s_cos, s_sin = (np.broadcast_to(v, shape).reshape(-1) for v in (x, s_cos, s_sin))
+
+    # Gram-Schmidt of the reference axis against a; ref . a is exactly
+    # a_x (ref = x-hat) or a_y (ref = y-hat).
+    near_x = np.abs(a[:, 0]) > 1.0 - 1e-6
+    proj = np.where(near_x, a[:, 1], a[:, 0])
+    e1 = _columns(near_x.shape)
+    for c, ref in enumerate((~near_x, near_x, False)):
+        np.multiply(proj, a[:, c], out=e1[:, c])
+        np.subtract(ref, e1[:, c], out=e1[:, c])
+    norm = np.sqrt(row_dot(e1, e1))
+    e1 /= norm[:, None]
+
+    # x a + s cos(psi) e1 + s sin(psi) e2 with e2 = a x e1, column by
+    # column in the spare buffers.
+    out = _columns(x.shape)
+    e2, term = proj, norm
+    for c in range(3):
+        i, j = (c + 1) % 3, (c + 2) % 3
+        np.multiply(a[:, i], e1[:, j], out=e2)
+        np.multiply(a[:, j], e1[:, i], out=term)
+        e2 -= term
+        np.multiply(x, a[:, c], out=out[:, c])
+        np.multiply(s_cos, e1[:, c], out=term)
+        out[:, c] += term
+        np.multiply(s_sin, e2, out=term)
+        out[:, c] += term
+    return out.reshape(shape + (3,))
 
 
 def tilt_step(dirs, cos_tilt, gen) -> np.ndarray:

@@ -1,13 +1,20 @@
 """Sphere sampling laws and the tilt-rotation primitive."""
 
+import re
+
 import numpy as np
 import pytest
 
+from spinrelay import sphere
+from spinrelay.encoding import chain_dots_nspin
+from spinrelay.qubit import QubitKrausFamily, chain_dots_single
 from spinrelay.rng import RandomStream
 from spinrelay.sphere import (
+    UNIT_TOL,
     inverse_cdf_cos_tilt,
     require_unit,
     rotate_towards,
+    row_dot,
     sample_cos_tilt,
     sample_uniform_sphere,
     unit_vector,
@@ -118,3 +125,140 @@ class TestRotateTowards:
             rotate_towards(np.array([1.0, 1.0, 0.0]), 0.5, 0.0)
         with pytest.raises(ValueError):
             rotate_towards(np.array([0.0, 0.0, 1.0]), 1.5, 0.0)
+
+
+def _rotate_reference(axis, cos_tilt, azimuth):
+    """The (..., 3) formula the column-wise kernel replaced: the oracle
+    that kernel must match bit for bit."""
+    a = np.asarray(axis, dtype=float)
+    if a.shape[-1] != 3:
+        raise ValueError(f"axis must have 3 components, got shape {a.shape}")
+    norms = np.linalg.norm(a, axis=-1)
+    if not np.all(np.abs(norms - 1.0) <= 1e-9):
+        worst = float(np.max(np.abs(norms - 1.0)))
+        raise ValueError(f"axis is not unit-norm (max |norm-1| = {worst:.3e})")
+    x = np.asarray(cos_tilt, dtype=float)
+    if np.any(np.abs(x) > 1.0 + UNIT_TOL):
+        raise ValueError("cos_tilt must lie in [-1, 1]")
+    x = np.clip(x, -1.0, 1.0)
+    psi = np.asarray(azimuth, dtype=float)
+
+    near_x = np.abs(a[..., 0]) > 1.0 - 1e-6
+    ref = np.where(near_x[..., None],
+                   np.array([0.0, 1.0, 0.0]),
+                   np.array([1.0, 0.0, 0.0]))
+    e1 = ref - np.sum(ref * a, axis=-1, keepdims=True) * a
+    e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
+    e2 = np.cross(a, e1)
+
+    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    return (x[..., None] * a
+            + (s * np.cos(psi))[..., None] * e1
+            + (s * np.sin(psi))[..., None] * e2)
+
+
+def _column_major(v):
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(v, -1, 0)), 0, -1)
+
+
+def _near_x_rows():
+    """Unit rows whose |a_x| sits just above and just below 1 - 1e-6,
+    where the kernel switches its reference axis."""
+    rows = []
+    for ax in (1.0 - 1e-6 + 1e-9, 1.0 - 1e-6 - 1e-9, 1.0 - 1e-6 + 1e-12, 1.0 - 1e-6 - 1e-12):
+        for sign in (1.0, -1.0):
+            rest = np.sqrt(1.0 - ax * ax)
+            rows.append(unit_vector(sign * ax, 0.6 * rest, -0.8 * rest))
+    return np.array(rows)
+
+
+class TestKernelOracle:
+    """The column-wise rotate_towards against the (..., 3) formula."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        gen = RandomStream(2024).generator()
+        n = 100_000
+        v = gen.normal(size=(n, 3))
+        axes = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        return axes, gen.uniform(-1.0, 1.0, n), gen.uniform(0.0, 2 * np.pi, n)
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, _column_major])
+    def test_random_rows(self, batch, layout):
+        axes, tilts, azimuths = batch
+        axes = layout(axes)
+        out = rotate_towards(axes, tilts, azimuths)
+        assert out.shape == axes.shape
+        assert all(out[:, c].flags.c_contiguous for c in range(3))
+        np.testing.assert_array_equal(out, _rotate_reference(axes, tilts, azimuths))
+        np.testing.assert_array_equal(rotate_towards(axes, 0.3, azimuths),
+                                      _rotate_reference(axes, 0.3, azimuths))
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, _column_major])
+    def test_edge_rows(self, layout):
+        eye = np.eye(3)
+        axes = layout(np.concatenate([_near_x_rows(), eye, -eye]))
+        n = axes.shape[0]
+        azimuths = np.linspace(0.0, 2 * np.pi, n)
+        per_row = np.linspace(-1.0, 1.0, n)
+        for tilt in (1.0, -1.0, 0.25, per_row):
+            np.testing.assert_array_equal(rotate_towards(axes, tilt, azimuths),
+                                          _rotate_reference(axes, tilt, azimuths))
+
+    def test_single_vector_and_nested_batch(self, batch):
+        axes, tilts, azimuths = batch
+        for axis in (axes[0], np.array([1.0, 0.0, 0.0]), np.array([0.0, -1.0, 0.0])):
+            out = rotate_towards(axis, 0.4, 1.1)
+            assert out.shape == (3,)
+            np.testing.assert_array_equal(out, _rotate_reference(axis, 0.4, 1.1))
+            # one axis broadcast against per-row tilts
+            np.testing.assert_array_equal(rotate_towards(axis, tilts[:7], azimuths[:7]),
+                                          _rotate_reference(axis, tilts[:7], azimuths[:7]))
+        nested = axes[:10].reshape(2, 5, 3)
+        for layout in (np.ascontiguousarray, _column_major):
+            args = (layout(nested), tilts[:10].reshape(2, 5), azimuths[:10].reshape(2, 5))
+            out = rotate_towards(*args)
+            assert out.shape == (2, 5, 3)
+            np.testing.assert_array_equal(out, _rotate_reference(*args))
+        # tilts with more axes than the azimuths and the axis
+        args = (axes[:5], tilts[:10].reshape(2, 5), azimuths[:5])
+        np.testing.assert_array_equal(rotate_towards(*args), _rotate_reference(*args))
+
+    def test_row_dot_is_numpy_sum(self, batch):
+        axes, _, _ = batch
+        other = np.roll(axes, 1, axis=0)
+        for u, v in ((axes, other), (_column_major(axes), other),
+                     (_column_major(axes), _column_major(other))):
+            np.testing.assert_array_equal(row_dot(u, v), np.sum(u * v, axis=-1))
+            np.testing.assert_array_equal(np.sqrt(row_dot(u, u)),
+                                          np.linalg.norm(u, axis=-1))
+
+    def test_bad_input_messages_unchanged(self):
+        cases = [(np.array([1.0, 1.0, 0.0]), 0.5), (np.array([[0.0, 0.0, 1.0], [0.6, 0.8, 0.1]]), 0.5),
+                 (np.array([0.0, 0.0, 1.0]), 1.5), (np.array([0.0, 0.0, 1.0, 0.0]), 0.5)]
+        for axis, tilt in cases:
+            with pytest.raises(ValueError) as expected:
+                _rotate_reference(axis, tilt, 0.0)
+            with pytest.raises(ValueError, match=re.escape(str(expected.value)) + "$"):
+                rotate_towards(axis, tilt, 0.0)
+
+
+class TestWholeChainOnReference:
+    """Every chain gives the same overlaps with the (..., 3) formula
+    patched in for the kernel, on the same stream."""
+
+    @pytest.mark.parametrize("scheme", ["covariant", "stern_gerlach"])
+    @pytest.mark.parametrize("overlap", ["estimate", "prepared"])
+    def test_single_qubit(self, monkeypatch, scheme, overlap):
+        def run():
+            return chain_dots_single(3, QubitKrausFamily(0.7), scheme, RandomStream(31),
+                                     2000, overlap=overlap)
+        fast = run()
+        monkeypatch.setattr(sphere, "rotate_towards", _rotate_reference)
+        np.testing.assert_array_equal(fast, run())
+
+    @pytest.mark.parametrize("mode", ["nspin_parallel", "nspin_optimal", "parallel_start"])
+    def test_nspin(self, monkeypatch, mode):
+        fast = chain_dots_nspin(6, 3, mode, RandomStream(31), 2000)
+        monkeypatch.setattr(sphere, "rotate_towards", _rotate_reference)
+        np.testing.assert_array_equal(fast, chain_dots_nspin(6, 3, mode, RandomStream(31), 2000))

@@ -267,6 +267,26 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 4 and all(line.startswith("error: ") for line in err)
 
+    def test_unwritable_out_fails_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        import spinrelay.sweep as sweep_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("run_sweep called before the output path was checked")
+
+        monkeypatch.setattr(sweep_mod, "run_sweep", fail)
+        missing = str(tmp_path / "no" / "such" / "x.csv")
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier output\n")
+        cases = [["sweep", "--k", "1..3", "--trials", "300000", "--out", missing],
+                 ["mc", "--k", "3", "--trials", "1000000", "--out", missing],
+                 ["sweep", "--out", str(tmp_path)],
+                 ["sweep", "--out", str(kept), "--plot-script", missing]]
+        for argv in cases:
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+        assert kept.read_text() == "earlier output\n"
+
     def test_analytic_rejects_bad_chains(self, tmp_path, capsys):
         cases = [(mode, "1" if mode == "single_qubit" else "2", "0", "0") for mode in MODES]
         cases += [("nspin_optimal", "3", "1", "0"), ("single_qubit", "1", "1", "4"),
