@@ -42,6 +42,10 @@ from .sphere import observer_chain, row_dot, sample_cos_tilt, tilt_step
 #: the observer chains; a sweep cell's random substream follows this order
 MODES = ("single_qubit", "nspin_parallel", "nspin_optimal", "parallel_start")
 
+#: cells of the tilt sampler's guide table; a power of two, so that q * M
+#: and c / M are exact
+_GUIDE_CELLS = 4096
+
 
 def _require_even(n_spins: int):
     if n_spins < 2 or n_spins % 2 != 0:
@@ -140,9 +144,11 @@ class OutcomeDensity:
     table of the survival function G(theta) = 1 - CDF(cos theta) on a
     uniform grid in the tilt angle theta = arccos x: for the optimal
     encoding g is concentrated within ~1/N^2 of x = 1, but in theta it
-    is smooth on a scale of ~1/N, so the grid follows from N.  The table
-    is built lazily on first use and immutable afterwards, so a density
-    may be shared across threads.
+    is smooth on a scale of ~1/N, so the grid follows from N.  A draw u
+    finds its table interval through a guide table over G, in O(1) for
+    most draws; the result is bit-identical to np.interp on the same
+    table.  The table is built lazily on first use and immutable
+    afterwards, so a density may be shared across threads.
     """
 
     encoding: EncodingSpec
@@ -166,15 +172,22 @@ class OutcomeDensity:
         return 1.0 - legendre_series(self.cdf_series, np.cos(theta))
 
     @cached_property
-    def _inverse_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G, theta) knots, G increasing, refined by interval halving
-        until the tabulated G is within table_tol of the exact one at
-        every interval midpoint.
+    def _inverse_table(self):
+        """(G, theta, slope, guide): the knots, G increasing, the
+        sampler's per-interval slopes and its guide table.
 
+        The knots are refined by interval halving until the tabulated G
+        is within table_tol of the exact one at every interval midpoint.
         The start grid resolves the N/2 oscillations of the amplitude
         with 16 intervals each; the floor of 1024 intervals keeps the
         sampler's mean bias below 1e-6 at small N, which table_tol alone
         would not.
+
+        slope holds np.interp's slopes diff(theta) / diff(G), and a 0
+        after the last knot.  guide[c] is the interval j, G[j] <= q <
+        G[j+1], of every q in the cell [c/M, (c+1)/M) of M = 4096 equal
+        cells (Chen & Asau 1974; Devroye 1986, sec. III.2.4), or -1
+        where a knot splits the cell; its last entry is q = 1's interval.
         """
         intervals = max(1024, 16 * (self.encoding.n_spins // 2 + 2))
         theta = np.linspace(0.0, np.pi, intervals + 1)
@@ -195,16 +208,37 @@ class OutcomeDensity:
         keep = np.empty(knots.size, dtype=bool)
         keep[0] = True
         keep[1:] = np.diff(knots) > 0.0
-        return knots[keep], theta[keep]
+        table_g, theta = knots[keep], theta[keep]
+        slope = np.append(np.diff(theta) / np.diff(table_g), 0.0)
+        edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
+        guide = np.searchsorted(table_g, edges, side="right") - 1
+        guide[:-1][guide[:-1] != np.searchsorted(table_g, edges[1:]) - 1] = -1
+        return table_g, theta, slope, guide
 
     def sample(self, rng, size: int | None = None):
-        gen = as_generator(rng)
-        table_g, table_theta = self._inverse_table
-        u = gen.random(size)
-        # 1 - u is exact for u >= 1/2, so the tail near x = 1, where the
-        # optimal density puts its mass, keeps full resolution
-        x = np.cos(np.interp(1.0 - u, table_g, table_theta))
-        return x if np.ndim(x) else float(x)
+        x = np.asarray(as_generator(rng).random(size))
+        q = x.reshape(-1)
+        # q = 1 - u is exact for u >= 1/2, so the tail near x = 1, where
+        # the optimal density puts its mass, keeps full resolution
+        np.subtract(1.0, q, out=q)
+        np.cos(self._tilt_angle(q), out=q)
+        return x if x.ndim else float(x)
+
+    def _tilt_angle(self, q: np.ndarray) -> np.ndarray:
+        """theta at survival q (1-D, in [0, 1]), overwriting q: the value
+        of np.interp(q, G, theta), bit for bit, from a guide-table lookup."""
+        table_g, table_theta, slope, guide = self._inverse_table
+        # each q's interval from its guide cell, or by binary search in a
+        # split cell; q * M is exact, so the cell index is exact too
+        t = q * _GUIDE_CELLS
+        j = guide[t.astype(np.intp)]
+        split = np.flatnonzero(j < 0)
+        j[split] = np.searchsorted(table_g, q[split], side="right") - 1
+        # np.interp's arithmetic, slope * (q - G[j]) + theta[j]
+        q -= table_g.take(j, out=t)
+        q *= slope.take(j, out=t)
+        q += table_theta.take(j, out=t)
+        return q
 
 
 def outcome_density(encoding: EncodingSpec, table_tol: float = 1e-4) -> OutcomeDensity:

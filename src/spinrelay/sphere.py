@@ -6,13 +6,16 @@ over leading axes.  Every observer chain runs through
 :func:`observer_chain` on a batch of shape (trials, 3), and every
 covariant step through :func:`tilt_step`.
 
-The kernel works on the three component columns, in place.  So the
-batches that :func:`sample_uniform_sphere` and :func:`rotate_towards`
-return are column-major ``(n, 3)`` views, each component contiguous:
-index the last axis, and do not assume C order.
+The kernel works on the three component columns, in blocks of rows
+that stay in cache.  So the batches that :func:`sample_uniform_sphere`
+and :func:`rotate_towards` return are column-major ``(n, 3)`` views,
+each component contiguous: index the last axis, and do not assume C
+order.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,6 +27,10 @@ UNIT_TOL = 1e-12
 #: tolerance used when *validating* unit-norm inputs (a little slack over
 #: UNIT_TOL so values that round-tripped through arithmetic still pass)
 _VALIDATE_TOL = 1e-9
+
+#: rows per block of rotate_towards, so that its ten scratch columns
+#: fit in a 2 MB L2 cache
+_BLOCK_ROWS = 2 ** 14
 
 
 def unit_vector(x: float, y: float, z: float) -> np.ndarray:
@@ -112,6 +119,14 @@ def sample_cos_tilt(rng, n_copies: int, size: int | None = None):
     return inverse_cdf_cos_tilt(u, n_copies)
 
 
+def _check_rotation(axis, cos_tilt):
+    """The input checks of :func:`rotate_towards` on the whole batch, in
+    order: a unit-norm axis, then a tilt cosine in [-1, 1]."""
+    require_unit(axis, "axis")
+    if np.any(np.abs(cos_tilt) > 1.0 + UNIT_TOL):
+        raise ValueError("cos_tilt must lie in [-1, 1]")
+
+
 def rotate_towards(axis, cos_tilt, azimuth) -> np.ndarray:
     """Direction at prescribed tilt cosine from ``axis``.
 
@@ -124,46 +139,86 @@ def rotate_towards(axis, cos_tilt, azimuth) -> np.ndarray:
 
     Broadcasts: axis (..., 3), cos_tilt (...), azimuth (...).
     """
-    a = require_unit(axis, "axis")
-    x = np.asarray(cos_tilt, dtype=float)
-    if np.any(np.abs(x) > 1.0 + UNIT_TOL):
-        raise ValueError("cos_tilt must lie in [-1, 1]")
-    x = np.clip(x, -1.0, 1.0)
+    axis = np.asarray(axis, dtype=float)
+    cos_tilt = np.asarray(cos_tilt, dtype=float)
     psi = np.asarray(azimuth, dtype=float)
-    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    s_cos = s * np.cos(psi)
-    s_sin = s * np.sin(psi)
+    if axis.shape[-1] != 3 or 0 in axis.shape[:-1] + cos_tilt.shape + psi.shape:
+        # a malformed axis, or no rows for the checks in the loop to see
+        _check_rotation(axis, cos_tilt)
 
-    # One flat batch of rows; each column below is a contiguous pass.
-    shape = np.broadcast_shapes(a.shape[:-1], s_cos.shape)
-    a = np.broadcast_to(a, shape + (3,)).reshape(-1, 3)
-    x, s_cos, s_sin = (np.broadcast_to(v, shape).reshape(-1) for v in (x, s_cos, s_sin))
+    # One flat batch of rows, worked through in blocks so that the
+    # scratch columns, allocated once per call, stay in cache.
+    shape = np.broadcast_shapes(axis.shape[:-1], cos_tilt.shape, psi.shape)
+    rows = math.prod(shape)
+    a = np.broadcast_to(axis, shape + (3,)).reshape(-1, 3)
+    x, psi = (np.broadcast_to(v, shape).reshape(-1) for v in (cos_tilt, psi))
+    out = _columns((rows,))
+    scratch = np.empty((10, min(rows, _BLOCK_ROWS)))
+    flags = np.empty((2, scratch.shape[1]), dtype=bool)
+    for lo in range(0, rows, _BLOCK_ROWS):
+        ab, ob = a[lo:lo + _BLOCK_ROWS], out[lo:lo + _BLOCK_ROWS]
+        m = ab.shape[0]
+        xb, s, s_cos, s_sin, proj, e2, term, *e1 = scratch[:, :m]
+        near_x, far_x = flags[:, :m]
 
-    # Gram-Schmidt of the reference axis against a; ref . a is exactly
-    # a_x (ref = x-hat) or a_y (ref = y-hat).
-    near_x = np.abs(a[:, 0]) > 1.0 - 1e-6
-    proj = np.where(near_x, a[:, 1], a[:, 0])
-    e1 = _columns(near_x.shape)
-    for c, ref in enumerate((~near_x, near_x, False)):
-        np.multiply(proj, a[:, c], out=e1[:, c])
-        np.subtract(ref, e1[:, c], out=e1[:, c])
-    norm = np.sqrt(row_dot(e1, e1))
-    e1 /= norm[:, None]
+        # The input checks on this block's rows, by require_unit's rule:
+        # a failing block is reported from the whole batch, so the
+        # message names the worst row of the batch.
+        np.multiply(ab[:, 0], ab[:, 0], out=s)
+        for c in (1, 2):
+            np.multiply(ab[:, c], ab[:, c], out=term)
+            s += term
+        np.sqrt(s, out=s)
+        s -= 1.0
+        np.abs(s, out=s)
+        np.abs(x[lo:lo + m], out=term)
+        if (not np.all(np.less_equal(s, _VALIDATE_TOL, out=near_x))
+                or np.any(np.greater(term, 1.0 + UNIT_TOL, out=far_x))):
+            _check_rotation(axis, cos_tilt)
 
-    # x a + s cos(psi) e1 + s sin(psi) e2 with e2 = a x e1, column by
-    # column in the spare buffers.
-    out = _columns(x.shape)
-    e2, term = proj, norm
-    for c in range(3):
-        i, j = (c + 1) % 3, (c + 2) % 3
-        np.multiply(a[:, i], e1[:, j], out=e2)
-        np.multiply(a[:, j], e1[:, i], out=term)
-        e2 -= term
-        np.multiply(x, a[:, c], out=out[:, c])
-        np.multiply(s_cos, e1[:, c], out=term)
-        out[:, c] += term
-        np.multiply(s_sin, e2, out=term)
-        out[:, c] += term
+        # s = sqrt(1 - x^2) of the clipped tilt, times cos(psi) and sin(psi)
+        np.clip(x[lo:lo + m], -1.0, 1.0, out=xb)
+        np.multiply(xb, xb, out=s)
+        np.subtract(1.0, s, out=s)
+        np.maximum(0.0, s, out=s)
+        np.sqrt(s, out=s)
+        np.cos(psi[lo:lo + m], out=s_cos)
+        s_cos *= s
+        np.sin(psi[lo:lo + m], out=s_sin)
+        s_sin *= s
+
+        # Gram-Schmidt of the reference axis against a; ref . a is exactly
+        # a_x (ref = x-hat) or a_y (ref = y-hat).
+        np.abs(ab[:, 0], out=term)
+        np.greater(term, 1.0 - 1e-6, out=near_x)
+        np.logical_not(near_x, out=far_x)
+        np.copyto(proj, ab[:, 0])
+        np.copyto(proj, ab[:, 1], where=near_x)
+        for c, ref in enumerate((far_x, near_x, False)):
+            np.multiply(proj, ab[:, c], out=e1[c])
+            np.subtract(ref, e1[c], out=e1[c])
+        # |e1|, summed in row_dot's order
+        norm = proj
+        np.multiply(e1[0], e1[0], out=norm)
+        for c in (1, 2):
+            np.multiply(e1[c], e1[c], out=term)
+            norm += term
+        np.sqrt(norm, out=norm)
+        for c in range(3):
+            e1[c] /= norm
+
+        # x a + s cos(psi) e1 + s sin(psi) e2 with e2 = a x e1, column by
+        # column into the block of the output
+        for c in range(3):
+            i, j = (c + 1) % 3, (c + 2) % 3
+            np.multiply(ab[:, i], e1[j], out=e2)
+            np.multiply(ab[:, j], e1[i], out=term)
+            e2 -= term
+            np.multiply(xb, ab[:, c], out=ob[:, c])
+            np.multiply(s_cos, e1[c], out=term)
+            ob[:, c] += term
+            np.multiply(s_sin, e2, out=term)
+            ob[:, c] += term
     return out.reshape(shape + (3,))
 
 

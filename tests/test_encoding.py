@@ -368,7 +368,11 @@ class TestOutcomeSampling:
         density = outcome_density(optimal_encoding(6))
         x = density.sample(RandomStream(3), 50_000)
         assert np.all((-1.0 <= x) & (x <= 1.0))
-        assert isinstance(density.sample(RandomStream(3)), float)
+        scalar = density.sample(RandomStream(3))
+        assert isinstance(scalar, float)
+        assert scalar == x[0]
+        assert density.sample(RandomStream(3), 0).shape == (0,)
+        assert density.sample(RandomStream(3), (2, 3)).shape == (2, 3)
 
     def test_sample_ks_against_exact_cdf(self):
         # N = 280 puts the mass within ~1e-4 of x = 1
@@ -386,7 +390,7 @@ class TestOutcomeSampling:
         # one random angle inside every table interval, against the exact
         # series CDF: the refinement only checks midpoints
         density = optimal_densities[n_spins]
-        table_g, table_theta = density._inverse_table
+        table_g, table_theta, *_ = density._inverse_table
         frac = np.random.default_rng(n_spins).random(table_theta.size - 1)
         theta = table_theta[:-1] + frac * np.diff(table_theta)
         exact = 1.0 - density.cdf(np.cos(theta))
@@ -406,7 +410,7 @@ class TestOutcomeSampling:
     def test_table_mean_is_largest_zero(self, optimal_densities, n_spins):
         # theta is uniform on each table segment [a, b] with probability
         # dG, so the sampler's exact mean of cos(theta) is a finite sum
-        table_g, table_theta = optimal_densities[n_spins]._inverse_table
+        table_g, table_theta, *_ = optimal_densities[n_spins]._inverse_table
         a, b = table_theta[:-1], table_theta[1:]
         mean = float(np.sum(np.diff(table_g) * (np.sin(b) - np.sin(a)) / (b - a)))
         assert mean == pytest.approx(optimal_tilde_delta(n_spins), abs=1e-6)
@@ -419,6 +423,31 @@ class TestOutcomeSampling:
         assert np.all((-1.0 <= x) & (x <= 1.0))
         mean, se = _mean_se(x)
         assert abs(mean - optimal_tilde_delta(1000)) < 4 * se
+
+
+class TestGuideTableOracle:
+    """The guide-table sampler against np.interp on the same table."""
+
+    @pytest.mark.parametrize("n_spins", [2, 40, 280, 1000])
+    def test_sample_is_interp_of_its_draw(self, optimal_densities, n_spins):
+        density = optimal_densities[n_spins]
+        table_g, table_theta, *_ = density._inverse_table
+        u = as_generator(RandomStream(n_spins)).random(10 ** 6)
+        assert np.array_equal(density.sample(RandomStream(n_spins), 10 ** 6),
+                              np.cos(np.interp(1.0 - u, table_g, table_theta)))
+
+    @pytest.mark.parametrize("n_spins", [2, 40, 280, 1000])
+    def test_lookup_at_knots_and_cell_edges(self, optimal_densities, n_spins):
+        # q exactly at every knot and guide-cell edge, one ulp either side
+        # of each, and the ends 0 and 1
+        density = optimal_densities[n_spins]
+        table_g, table_theta, *_ = density._inverse_table
+        edges = np.arange(encoding._GUIDE_CELLS + 1) / encoding._GUIDE_CELLS
+        points = np.concatenate([table_g, edges])
+        q = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
+        q = np.clip(q, 0.0, 1.0)
+        assert np.array_equal(density._tilt_angle(q.copy()),
+                              np.interp(q, table_g, table_theta))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Sphere sampling laws and the tilt-rotation primitive."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,9 +234,55 @@ class TestKernelOracle:
             np.testing.assert_array_equal(np.sqrt(row_dot(u, u)),
                                           np.linalg.norm(u, axis=-1))
 
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, _column_major])
+    @pytest.mark.parametrize("rows", [0, 1, 6, 7, 8, 3 * 7 + 5])
+    def test_block_edges(self, batch, monkeypatch, layout, rows):
+        monkeypatch.setattr(sphere, "_BLOCK_ROWS", 7)
+        axes, tilts, azimuths = batch
+        # near-x rows at rows 5..12 straddle the first block edge; row 3
+        # is just within the unit-norm tolerance
+        axes = np.concatenate([axes[:5], _near_x_rows(), axes[5:]])[:rows]
+        axes[3:4] *= 1.0 - 0.95e-9
+        axes = layout(axes)
+        for tilt in (tilts[:rows], 0.3):
+            out = rotate_towards(axes, tilt, azimuths[:rows])
+            assert out.shape == (rows, 3)
+            assert np.array_equal(out, _rotate_reference(axes, tilt, azimuths[:rows]))
+
+    @pytest.mark.parametrize("axis_excess,bad_tilts", [
+        ({24: 1e-7, 2: 5e-6}, ()), ({24: 5e-6}, ()), ({}, (24,)), ({24: 5e-6}, (3,)),
+        ({24: 1.05e-9}, ())])
+    def test_bad_rows_in_late_blocks(self, batch, monkeypatch, axis_excess, bad_tilts):
+        # the message is the whole batch's: the worst axis row, and an
+        # axis fault before a tilt fault, whichever block each sits in
+        monkeypatch.setattr(sphere, "_BLOCK_ROWS", 7)
+        axes, tilts, azimuths = (v[:26].copy() for v in batch)
+        for row, excess in axis_excess.items():
+            axes[row] *= 1.0 + excess
+        tilts[list(bad_tilts)] = 1.5
+        with pytest.raises(ValueError) as expected:
+            _rotate_reference(axes, tilts, azimuths)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value)) + "$"):
+            rotate_towards(axes, tilts, azimuths)
+
+    def test_peak_memory(self, batch):
+        # one 300k-row call may hold its output and block-sized scratch,
+        # not full-length temporaries
+        axes, tilts, azimuths = (np.tile(v, (3,) + (1,) * (v.ndim - 1)) for v in batch)
+        tracemalloc.start()
+        try:
+            out = rotate_towards(axes, tilts, azimuths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (300_000, 3)
+        assert peak <= out.nbytes + 3 * 2 ** 20
+
     def test_bad_input_messages_unchanged(self):
         cases = [(np.array([1.0, 1.0, 0.0]), 0.5), (np.array([[0.0, 0.0, 1.0], [0.6, 0.8, 0.1]]), 0.5),
-                 (np.array([0.0, 0.0, 1.0]), 1.5), (np.array([0.0, 0.0, 1.0, 0.0]), 0.5)]
+                 (np.array([0.0, 0.0, 1.0]), 1.5), (np.array([0.0, 0.0, 1.0, 0.0]), 0.5),
+                 # batches of no rows still check what they hold
+                 (np.zeros((0, 3)), 1.5), (np.array([[1.0, 1.0, 0.0]]), np.zeros(0))]
         for axis, tilt in cases:
             with pytest.raises(ValueError) as expected:
                 _rotate_reference(axis, tilt, 0.0)
