@@ -20,11 +20,7 @@ from .encoding import (
     outcome_density,
     parallel_tilde_delta,
 )
-from .legendre import (
-    BESSEL_J0_FIRST_ZERO,
-    legendre_largest_zero,
-    legendre_series,
-)
+from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
 from .qubit import (
     QubitKrausFamily,
     chain_dots_single,

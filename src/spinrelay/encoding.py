@@ -30,11 +30,7 @@ import math
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .legendre import (
-    BESSEL_J0_FIRST_ZERO,
-    legendre_largest_zero,
-    legendre_series,
-)
+from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
 from .qubit import fidelity_from_delta
 from .rng import as_generator
 from .sphere import observer_chain, row_dot, sample_cos_tilt, tilt_step
@@ -45,6 +41,10 @@ MODES = ("single_qubit", "nspin_parallel", "nspin_optimal", "parallel_start")
 #: cells of the tilt sampler's guide table; a power of two, so that q * M
 #: and c / M are exact
 _GUIDE_CELLS = 4096
+
+#: the inverse-CDF table is refined until its linear interpolation of the
+#: survival function is this close to the exact one at every midpoint
+_TABLE_TOL = 1e-4
 
 
 def _require_even(n_spins: int):
@@ -134,6 +134,83 @@ def fk_asymptotic(n_spins: int, k: int) -> float:
 # Outcome-tilt density of an encoding and trajectory simulation
 # ---------------------------------------------------------------------------
 
+def _legendre_square(a: np.ndarray) -> np.ndarray:
+    """The Legendre series of a(x)^2: npleg.legmul(a, a), bit for bit.
+
+    numpy's legmul runs a Clenshaw recursion over a whose state is two
+    series; it does so one coefficient at a time in Python.  Here each
+    series operation is one numpy pass over a zero-padded buffer of the
+    product's length, with the same operations in the same order, so
+    every coefficient rounds the same way.  Trailing zeros of a, which
+    legmul trims first, only add steps that leave the state at zero.
+    """
+    c = np.asarray(a, dtype=float)
+    n = c.size
+    size = 2 * n - 1
+    xs = np.zeros(size)
+    xs[:n] = c
+    m = np.arange(1.0, size)
+    odd_below, odd_above = 2.0 * m - 1.0, 2.0 * m + 1.0
+    up, down = np.zeros(size), np.zeros(size)
+
+    def mulx(s):
+        # legmulx: x P_i = ((i + 1) P_{i+1} + i P_{i-1}) / (2i + 1)
+        np.multiply(s[:-1], m, out=up[1:])
+        up[1:] /= odd_below
+        np.multiply(s[1:], m, out=down[:-1])
+        down[:-1] /= odd_above
+        return up + down
+
+    if n == 1:
+        c0, c1 = c[0] * xs, np.zeros(size)
+    else:
+        c0, c1 = c[-2] * xs, c[-1] * xs
+    for i in range(3, n + 1):
+        nd = n + 2 - i
+        shifted = c1 * float(nd - 1)
+        shifted /= nd
+        c1 = mulx(c1)
+        c1 *= float(2 * nd - 1)
+        c1 /= nd
+        c1 += c0
+        c0 = c[-i] * xs
+        c0 -= shifted
+    square = c0 + mulx(c1)
+    nonzero = np.flatnonzero(square)
+    # legmul returns the product without trailing zeros
+    return square[:nonzero[-1] + 1 if nonzero.size else 1]
+
+
+def _cosine_coefficients(series: np.ndarray) -> np.ndarray:
+    """b with sum_L series[L] P_L(cos t) = sum_m b[m] cos(m t).
+
+    The series is sampled at the K + 1 Chebyshev-Lobatto points cos(j pi /
+    K), K = series.size (above its degree, so the transform is exact up to
+    rounding), and a DCT-I through a real FFT of the even extension gives b.
+    """
+    k = series.size
+    values = npleg.legval(np.cos(np.arange(k + 1) * (np.pi / k)), series)
+    b = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / k
+    b[[0, -1]] /= 2.0
+    return b
+
+
+def _cosine_sums(b: np.ndarray, intervals: int, residue: int, grid: int) -> np.ndarray:
+    """sum_m b[m] cos(m theta) at theta = (residue + p step) pi / grid,
+    p = 0..2 intervals - 1, step = grid / intervals.
+
+    These are the points i pi / grid, i = residue mod step, of a uniform
+    grid of ``grid`` intervals, a multiple of ``intervals``.  They come
+    from one inverse real FFT of length 2 intervals of b modulated by
+    exp(i m residue pi / grid), which needs b.size <= intervals.
+    """
+    spectrum = b * np.exp((1j * np.pi * residue / grid) * np.arange(b.size))
+    # irfft halves every term but the constant one and divides by its length
+    spectrum *= intervals
+    spectrum[0] *= 2.0
+    return np.fft.irfft(spectrum, 2 * intervals)
+
+
 @dataclass(frozen=True)
 class OutcomeDensity:
     """Density of the tilt cosine between consecutive estimates.
@@ -154,13 +231,12 @@ class OutcomeDensity:
     encoding: EncodingSpec
     pdf_series: np.ndarray = field(repr=False)
     cdf_series: np.ndarray = field(repr=False)
-    table_tol: float = 1e-4
 
     def pdf(self, x):
-        return legendre_series(self.pdf_series, x)
+        return npleg.legval(x, self.pdf_series)
 
     def cdf(self, x):
-        return np.clip(legendre_series(self.cdf_series, x), 0.0, 1.0)
+        return np.clip(npleg.legval(x, self.cdf_series), 0.0, 1.0)
 
     def mean_tilt(self) -> float:
         """Exact mean of the tilt cosine, (2/3) times the P_1 coefficient."""
@@ -168,20 +244,20 @@ class OutcomeDensity:
             return 0.0
         return 2.0 * float(self.pdf_series[1]) / 3.0
 
-    def _survival(self, theta: np.ndarray) -> np.ndarray:
-        return 1.0 - legendre_series(self.cdf_series, np.cos(theta))
-
     @cached_property
     def _inverse_table(self):
         """(G, theta, slope, guide): the knots, G increasing, the
         sampler's per-interval slopes and its guide table.
 
         The knots are refined by interval halving until the tabulated G
-        is within table_tol of the exact one at every interval midpoint.
+        is within _TABLE_TOL of the exact one at every interval midpoint.
         The start grid resolves the N/2 oscillations of the amplitude
-        with 16 intervals each; the floor of 1024 intervals keeps the
-        sampler's mean bias below 1e-6 at small N, which table_tol alone
-        would not.
+        with L = 16 intervals each; the floor of L = 1024 keeps the
+        sampler's mean bias below 1e-6 at small N, which _TABLE_TOL alone
+        would not.  Every knot and midpoint is a point i pi / M of a
+        uniform grid of M = L 2^r intervals, so G there comes from the
+        cosine series of the CDF by length-2L inverse FFTs, one per
+        residue class of i mod 2^r (see :func:`_cosine_sums`).
 
         slope holds np.interp's slopes diff(theta) / diff(G), and a 0
         after the last knot.  guide[c] is the interval j, G[j] <= q <
@@ -190,15 +266,23 @@ class OutcomeDensity:
         where a knot splits the cell; its last entry is q = 1's interval.
         """
         intervals = max(1024, 16 * (self.encoding.n_spins // 2 + 2))
+        coeffs = _cosine_coefficients(self.cdf_series)
         theta = np.linspace(0.0, np.pi, intervals + 1)
-        exact = self._survival(theta)
+        exact = 1.0 - _cosine_sums(coeffs, intervals, 0, intervals)[:intervals + 1]
         exact[0], exact[-1] = 0.0, 1.0
         while True:
             mids = 0.5 * (theta[:-1] + theta[1:])
-            exact_mids = self._survival(mids)
+            # midpoint q is point 2q + 1 of the halved grid: its odd
+            # residue class s mod 2 * classes fills column (s - 1) / 2
+            classes = (theta.size - 1) // intervals
+            exact_mids = np.empty((intervals, classes))
+            for col in range(classes):
+                sums = _cosine_sums(coeffs, intervals, 2 * col + 1, 2 * (theta.size - 1))
+                np.subtract(1.0, sums[:intervals], out=exact_mids[:, col])
+            exact_mids = exact_mids.reshape(-1)
             knots = np.minimum(1.0, np.maximum.accumulate(exact))
             gap = np.abs(exact_mids - 0.5 * (knots[:-1] + knots[1:]))
-            if float(gap.max()) <= self.table_tol:
+            if float(gap.max()) <= _TABLE_TOL:
                 break
             if 2 * theta.size > 2 ** 21:
                 raise RuntimeError("inverse-CDF table refinement did not converge")
@@ -241,7 +325,7 @@ class OutcomeDensity:
         return q
 
 
-def outcome_density(encoding: EncodingSpec, table_tol: float = 1e-4) -> OutcomeDensity:
+def outcome_density(encoding: EncodingSpec) -> OutcomeDensity:
     """Build the tilt-cosine density of ``encoding``.
 
     The amplitude sum_J sqrt(2J+1) phi_J P_J is squared with a Legendre
@@ -250,10 +334,9 @@ def outcome_density(encoding: EncodingSpec, table_tol: float = 1e-4) -> OutcomeD
     phi = encoding.phi
     degrees = np.arange(phi.size, dtype=float)
     amplitude = np.sqrt(2.0 * degrees + 1.0) * phi
-    g = 0.5 * npleg.legmul(amplitude, amplitude)
+    g = 0.5 * _legendre_square(amplitude)
     return OutcomeDensity(encoding=encoding, pdf_series=g,
-                          cdf_series=npleg.legint(g, lbnd=-1),
-                          table_tol=table_tol)
+                          cdf_series=npleg.legint(g, lbnd=-1))
 
 
 def chain_laws(mode: str, n_spins: int, k: int,

@@ -1,16 +1,15 @@
-"""Legendre series evaluation, largest Legendre zeros, the leading Bessel zero.
+"""Largest Legendre zeros and the leading Bessel zero.
 
-Both routines here run the three-term recurrence
+The zero finder runs the three-term recurrence
 
     (n+1) P_{n+1}(x) = (2n+1) x P_n(x) - n P_{n-1}(x),
 
-which is numerically stable on [-1, 1].  ``legendre_series`` evaluates a
-series with reused buffers, the hot path of the inverse-CDF table builds.
-The largest zero of P_n controls the per-observer shrink factor of the
-optimal entangled encoding, so it is computed to near machine precision
-with a bracketed, bisection-safeguarded Newton iteration; unlike
-``numpy.polynomial.legendre.legroots`` it costs O(n) per Newton step, not O(n^3).
-Everything else uses ``numpy.polynomial.legendre`` directly.
+which is numerically stable on [-1, 1].  The largest zero of P_n controls
+the per-observer shrink factor of the optimal entangled encoding, so it is
+computed to near machine precision with a bracketed, bisection-safeguarded
+Newton iteration; unlike ``numpy.polynomial.legendre.legroots`` it costs
+O(n) per Newton step, not O(n^3).  Everything else uses
+``numpy.polynomial.legendre`` directly.
 """
 
 from __future__ import annotations
@@ -18,38 +17,9 @@ from __future__ import annotations
 from functools import lru_cache
 import math
 
-import numpy as np
-
 #: first positive zero of the Bessel function J0; verified against a
 #: power-series root-find in the test suite, embedded here as a constant.
 BESSEL_J0_FIRST_ZERO = 2.404825557695773
-
-
-def legendre_series(coeffs, x):
-    """Evaluate the Legendre series sum_L coeffs[L] * P_L(x).
-
-    Accumulates along the recurrence with reused buffers, so no
-    (degree x points) table is materialized.  ``x`` may be a scalar or
-    ndarray.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    x = np.asarray(x, dtype=float)
-    acc = np.full_like(x, c[0])
-    if c.size > 1:
-        p_prev = np.ones_like(x)
-        p = x.astype(float, copy=True)
-        acc += c[1] * p
-        t1 = np.empty_like(x)
-        t2 = np.empty_like(x)
-        for n in range(1, c.size - 1):
-            np.multiply(x, p, out=t1)
-            t1 *= (2.0 * n + 1.0) / (n + 1.0)
-            np.multiply(p_prev, n / (n + 1.0), out=t2)
-            t1 -= t2
-            p_prev, p, t1 = p, t1, p_prev
-            np.multiply(p, c[n + 1], out=t2)
-            acc += t2
-    return acc if acc.ndim else float(acc)
 
 
 def _pn_pair(n: int, x: float) -> tuple[float, float]:

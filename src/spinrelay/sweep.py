@@ -77,8 +77,11 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
-        if self.z_max <= 0:
-            raise ValueError("z_max must be positive")
+        if not self.z_max > 0:  # also rejects nan, which no |z| exceeds
+            raise ValueError(f"z_max must be positive, got {self.z_max}")
+        if not 0 <= self.seed < 2 ** 64:
+            # RandomStream keeps the low 64 bits, so other seeds alias
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

@@ -347,7 +347,8 @@ class TestOutcomeDensity:
 @pytest.fixture(scope="module")
 def optimal_densities():
     """Optimal-encoding densities with their inverse-CDF tables built."""
-    densities = {n: outcome_density(optimal_encoding(n)) for n in (2, 40, 280, 1000)}
+    densities = {n: outcome_density(optimal_encoding(n))
+                 for n in (2, 40, 280, 1000, 2000)}
     for density in densities.values():
         density._inverse_table
     return densities
@@ -395,7 +396,7 @@ class TestOutcomeSampling:
         theta = table_theta[:-1] + frac * np.diff(table_theta)
         exact = 1.0 - density.cdf(np.cos(theta))
         gap = np.abs(np.interp(theta, table_theta, table_g) - exact)
-        assert gap.max() <= density.table_tol
+        assert gap.max() <= encoding._TABLE_TOL
 
     @pytest.mark.parametrize("n_spins", [2, 40, 280, 1000])
     def test_sample_inverts_cdf_of_its_draw(self, optimal_densities, n_spins):
@@ -404,7 +405,7 @@ class TestOutcomeSampling:
         density = optimal_densities[n_spins]
         u = as_generator(RandomStream(7)).random(10_000)
         x = density.sample(RandomStream(7), 10_000)
-        assert np.max(np.abs(density.cdf(x) - u)) <= density.table_tol
+        assert np.max(np.abs(density.cdf(x) - u)) <= encoding._TABLE_TOL
 
     @pytest.mark.parametrize("n_spins", [2, 40, 280, 1000])
     def test_table_mean_is_largest_zero(self, optimal_densities, n_spins):
@@ -423,6 +424,81 @@ class TestOutcomeSampling:
         assert np.all((-1.0 <= x) & (x <= 1.0))
         mean, se = _mean_se(x)
         assert abs(mean - optimal_tilde_delta(1000)) < 4 * se
+
+
+def _series_inverse_table(density):
+    """Oracle: the table build that evaluates the CDF's Legendre series at
+    every knot and midpoint, point by point, on the same grid and with the
+    same refinement rule; returns (G, theta)."""
+    def survival(theta):
+        return 1.0 - npleg.legval(np.cos(theta), density.cdf_series)
+
+    intervals = max(1024, 16 * (density.encoding.n_spins // 2 + 2))
+    theta = np.linspace(0.0, np.pi, intervals + 1)
+    exact = survival(theta)
+    exact[0], exact[-1] = 0.0, 1.0
+    while True:
+        mids = 0.5 * (theta[:-1] + theta[1:])
+        exact_mids = survival(mids)
+        knots = np.minimum(1.0, np.maximum.accumulate(exact))
+        gap = np.abs(exact_mids - 0.5 * (knots[:-1] + knots[1:]))
+        if float(gap.max()) <= encoding._TABLE_TOL:
+            break
+        theta = np.insert(theta, np.arange(1, theta.size), mids)
+        exact = np.insert(exact, np.arange(1, exact.size), exact_mids)
+    keep = np.concatenate([[True], np.diff(knots) > 0.0])
+    return knots[keep], theta[keep]
+
+
+class TestInverseTableBuild:
+    """The FFT-evaluated table against the CDF's Legendre series."""
+
+    @pytest.mark.parametrize("n_spins", [2, 40, 280])
+    def test_matches_series_build(self, optimal_densities, n_spins):
+        density = optimal_densities[n_spins]
+        table_g, table_theta, *_ = density._inverse_table
+        oracle_g, oracle_theta = _series_inverse_table(density)
+        assert np.array_equal(table_theta, oracle_theta)
+        assert np.max(np.abs(table_g - oracle_g)) <= 1e-12
+
+    @pytest.mark.parametrize("n_spins", [2, 40, 280, 1000, 2000])
+    def test_knots_on_exact_survival(self, optimal_densities, n_spins):
+        density = optimal_densities[n_spins]
+        table_g, table_theta, *_ = density._inverse_table
+        exact = 1.0 - density.cdf(np.cos(table_theta))
+        assert np.max(np.abs(table_g - exact)) <= 1e-10
+
+
+class TestLegendreSquare:
+    """_legendre_square against numpy's legmul, bit for bit."""
+
+    @staticmethod
+    def _assert_is_legmul(a):
+        square = encoding._legendre_square(a)
+        oracle = npleg.legmul(a, a)
+        assert square.shape == oracle.shape
+        assert np.array_equal(square, oracle)
+
+    def test_optimal_amplitudes(self):
+        for n_spins in [*range(2, 401, 2), 1000, 2000]:
+            phi = optimal_encoding(n_spins).phi
+            self._assert_is_legmul(np.sqrt(2.0 * np.arange(phi.size) + 1.0) * phi)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 40])
+    @pytest.mark.parametrize("trailing_zeros", [0, 2])
+    def test_random_series(self, size, trailing_zeros):
+        gen = np.random.default_rng(size)
+        self._assert_is_legmul(np.concatenate([gen.normal(size=size),
+                                               np.zeros(trailing_zeros)]))
+
+    def test_density_series_unchanged(self):
+        # the stored series are what legmul and legint give, byte for byte
+        phi = optimal_encoding(280).phi
+        amplitude = np.sqrt(2.0 * np.arange(phi.size) + 1.0) * phi
+        g = 0.5 * npleg.legmul(amplitude, amplitude)
+        density = outcome_density(optimal_encoding(280))
+        assert density.pdf_series.tobytes() == g.tobytes()
+        assert density.cdf_series.tobytes() == npleg.legint(g, lbnd=-1).tobytes()
 
 
 class TestGuideTableOracle:

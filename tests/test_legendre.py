@@ -1,4 +1,4 @@
-"""Legendre series, tables, largest zeros, and the Bessel constant."""
+"""Legendre tables, largest zeros, and the Bessel constant."""
 
 import math
 
@@ -6,11 +6,7 @@ import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
-from spinrelay.legendre import (
-    BESSEL_J0_FIRST_ZERO,
-    legendre_largest_zero,
-    legendre_series,
-)
+from spinrelay.legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
 
 
 def j0_power_series(x: float) -> float:
@@ -48,28 +44,6 @@ def test_values_bounded_on_interval():
         table = npleg.legvander(x, 40)[0]
         assert table[0] == 1.0
         assert np.all(np.abs(table) <= 1.0 + 1e-12)
-
-
-def test_values_match_numpy_oracle():
-    # legendre_series on each single P_L, up to degree 40
-    xs = np.linspace(-1, 1, 17)
-    for degree in range(41):
-        coeffs = np.zeros(degree + 1)
-        coeffs[degree] = 1.0
-        np.testing.assert_allclose(legendre_series(coeffs, xs),
-                                   _legendre_p(degree, xs), atol=1e-13)
-
-
-def test_series_matches_numpy_oracle():
-    gen = np.random.default_rng(4)
-    xs = gen.uniform(-1, 1, 50)
-    for size in (1, 2, 7, 40):
-        coeffs = gen.normal(size=size)
-        np.testing.assert_allclose(legendre_series(coeffs, xs),
-                                   npleg.legval(xs, coeffs),
-                                   rtol=1e-12, atol=1e-12)
-    # scalar input returns a scalar
-    assert isinstance(legendre_series([0.5, 1.0], 0.3), float)
 
 
 class TestLargestZero:

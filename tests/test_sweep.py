@@ -142,6 +142,9 @@ class TestRunSweep:
             SweepConfig(mode="nspin_parallel", n_values=(2,), k_values=(0,)),
             SweepConfig(mode="single_qubit", n_values=(1,), k_values=(1,), trials=0),
             SweepConfig(mode="single_qubit", n_values=(1,), k_values=(1,), fmt="xml"),
+            SweepConfig(mode="single_qubit", n_values=(1,), k_values=(1,), z_max=math.nan),
+            SweepConfig(mode="single_qubit", n_values=(1,), k_values=(1,), seed=-1),
+            SweepConfig(mode="single_qubit", n_values=(1,), k_values=(1,), seed=2 ** 64),
         ):
             with pytest.raises(ValueError):
                 cfg.validate()
@@ -266,6 +269,34 @@ class TestCli:
                      "--out", str(tmp_path / "no" / "such" / "x.csv")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 4 and all(line.startswith("error: ") for line in err)
+
+    def test_nan_z_max_and_out_of_range_seeds_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a nan gate would pass every |z|, and seeds outside [0, 2^64)
+        # would alias other seeds' streams
+        import spinrelay.sweep as sweep_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("run_sweep called on a rejected config")
+
+        monkeypatch.setattr(sweep_mod, "run_sweep", fail)
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("mode = single_qubit\nk = 1\ntrials = 100\nz_max = nan\n")
+        cases = [["sweep", "--phi", "1.5707963267948966", "--trials", "100",
+                  "--z-max", "nan"],
+                 ["sweep", "--config", str(cfg)]]
+        for command in ("sweep", "mc"):
+            for seed in ("-1", str(2 ** 64), "18446744073709551617"):
+                cases.append([command, "--trials", "100", "--seed", seed])
+        for argv in cases:
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+        monkeypatch.undo()
+        # the largest seed still runs
+        for command in ("sweep", "mc"):
+            assert main([command, "--trials", "100", "--seed", str(2 ** 64 - 1)]) == 0
+            row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+            assert row["seed"] == str(2 ** 64 - 1)
 
     def test_unwritable_out_fails_before_any_cell(self, tmp_path, monkeypatch, capsys):
         import spinrelay.sweep as sweep_mod
