@@ -14,15 +14,14 @@ Two families are covered:
   phi_J proportional to sqrt(2J+1) P_J(x) (Golub-Welsch).
 
 Per-observer shrink factors multiply along a chain.  :func:`chain_laws`
-lists the steps of every chain the CLI names; :func:`analytic_delta`
-multiplies their factors, and :func:`chain_dots_nspin` samples batches of
+lists the steps of every chain the CLI names, as runs of equal steps;
+:func:`analytic_delta` multiplies their factors, and :func:`chain_dots_nspin` samples batches of
 the same chains through :func:`spinrelay.sphere.observer_chain` for
 cross-checking.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 import math
@@ -32,7 +31,7 @@ from numpy.polynomial import legendre as npleg
 
 from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
 from .qubit import fidelity_from_delta
-from .rng import as_generator
+from .rng import RandomStream, as_generator
 from .sphere import observer_chain, row_dot, sample_cos_tilt, tilt_step
 
 #: the observer chains; a sweep cell's random substream follows this order
@@ -340,8 +339,9 @@ def outcome_density(encoding: EncodingSpec) -> OutcomeDensity:
 
 
 def chain_laws(mode: str, n_spins: int, k: int,
-               phi: float = 0.0) -> list[tuple[str, float]]:
-    """The k observers of ``mode``'s chain as (tilt law, hand-on offset) pairs.
+               phi: float = 0.0) -> list[tuple[str, float, int]]:
+    """The k observers of ``mode``'s chain as runs (tilt law, hand-on
+    offset, count) of equal steps, at most two per chain.
 
     Each observer draws its estimate's tilt from the "parallel" law (N
     copies) or the "optimal" law (the optimal encoding's outcome density)
@@ -361,14 +361,15 @@ def chain_laws(mode: str, n_spins: int, k: int,
             raise ValueError(f"single_qubit mode runs at N = 1 only, got N = {n_spins}")
         if not 0.0 <= phi <= math.pi:
             raise ValueError(f"phi must lie in [0, pi], got {phi}")
-        return [("parallel", phi)] * k
+        return [("parallel", phi, k)]
     if mode == "nspin_parallel":
         if n_spins < 1:
             raise ValueError(f"parallel mode needs N >= 1, got N = {n_spins}")
-        return [("parallel", 0.0)] * k
+        return [("parallel", 0.0, k)]
     _require_even(n_spins)
-    first = "parallel" if mode == "parallel_start" else "optimal"
-    return [(first, 0.0)] + [("optimal", 0.0)] * (k - 1)
+    if mode == "nspin_optimal":
+        return [("optimal", 0.0, k)]
+    return [("parallel", 0.0, 1)] + ([("optimal", 0.0, k - 1)] if k > 1 else [])
 
 
 _LAW_MEANS = {"parallel": parallel_tilde_delta, "optimal": optimal_tilde_delta}
@@ -378,18 +379,18 @@ def analytic_delta(mode: str, n_spins: int, k: int, phi: float = 0.0) -> float:
     """Closed-form mean overlap with the truth of the state observer k hands on.
 
     The product over :func:`chain_laws` of each step's law mean, its
-    per-observer shrink factor, times the cosine of its offset.  Equal
-    steps are raised to their count, so a long chain costs one power per
-    distinct step and no density is built.
+    per-observer shrink factor, times the cosine of its offset.  Each run
+    is raised to its count, so any chain length costs at most two powers
+    and no density is built.
     """
-    steps = Counter(chain_laws(mode, n_spins, k, phi))
     return math.prod((_LAW_MEANS[law](n_spins) * math.cos(offset)) ** count
-                     for (law, offset), count in steps.items())
+                     for law, offset, count in chain_laws(mode, n_spins, k, phi))
 
 
 def chain_dots_nspin(n_spins: int, k: int, mode: str, rng,
                      trials: int) -> np.ndarray:
-    """Vectorized N-spin observer chains; overlaps of shape (trials, k).
+    """Vectorized N-spin observer chains from the RandomStream ``rng``;
+    overlaps of shape (trials, k), column-major.
 
     Every observer draws its tilt from its step's law in
     :func:`chain_laws` and hands on its estimate, re-encoded; the optimal
@@ -397,23 +398,26 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng,
     hand-on offsets are all zero here: single_qubit at N = 1 runs without
     one, and :func:`spinrelay.qubit.chain_dots_single` runs the offset.
     """
-    laws = [law for law, _ in chain_laws(mode, n_spins, k)]
+    runs = chain_laws(mode, n_spins, k)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not isinstance(rng, RandomStream):
+        raise TypeError(f"rng must be a RandomStream, got {type(rng).__name__}")
+    laws = [law for law, _, count in runs for _ in range(count)]
     samplers = {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size)}
     if "optimal" in laws:
         samplers["optimal"] = outcome_density(optimal_encoding(n_spins)).sample
 
     def observer(sample_tilt):
         def observe(state, gen):
-            est = tilt_step(state, sample_tilt(gen, trials), gen)
+            est = tilt_step(state, sample_tilt(gen, state.shape[0]), gen)
             return est, est
         return observe
 
     observers = [observer(samplers[law]) for law in laws]
-    dots = np.empty((trials, k))
-    for j, (true_dirs, est, _) in enumerate(observer_chain(observers, rng, trials)):
-        dots[:, j] = row_dot(est, true_dirs)
+    dots = np.empty((k, trials)).T
+    for rows, j, true_dirs, est, _ in observer_chain(observers, rng, trials):
+        dots[rows, j] = row_dot(est, true_dirs)
     return dots
 
 

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .rng import RandomStream
 from .sphere import (
     observer_chain,
     require_unit,
@@ -141,7 +142,8 @@ def _sg_estimates(state_dirs: np.ndarray, gen) -> np.ndarray:
 
 def chain_dots_single(k: int, kraus: QubitKrausFamily, scheme: str, rng,
                       trials: int, overlap: str = "estimate") -> np.ndarray:
-    """Vectorized observer chains; returns overlaps of shape (trials, k).
+    """Vectorized observer chains; returns overlaps of shape (trials, k),
+    column-major, from the RandomStream ``rng``.
 
     With ``overlap="estimate"`` column j holds n . m_{j+1}: how well
     observer j+1's guess matches the true direction (the estimation
@@ -160,15 +162,16 @@ def chain_dots_single(k: int, kraus: QubitKrausFamily, scheme: str, rng,
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not isinstance(rng, RandomStream):
+        raise TypeError(f"rng must be a RandomStream, got {type(rng).__name__}")
     measure = _covariant_estimates if scheme == "covariant" else _sg_estimates
 
     def observe(state, gen):
         est = measure(state, gen)
         return est, _prepare(est, kraus, gen)
 
-    dots = np.empty((trials, k))
-    steps = observer_chain([observe] * k, rng, trials)
-    for j, (true_dirs, est, prepared) in enumerate(steps):
+    dots = np.empty((k, trials)).T
+    for rows, j, true_dirs, est, prepared in observer_chain([observe] * k, rng, trials):
         tracked = est if overlap == "estimate" else prepared
-        dots[:, j] = row_dot(tracked, true_dirs)
+        dots[rows, j] = row_dot(tracked, true_dirs)
     return dots

@@ -12,6 +12,11 @@ Substream ids are derived with the SplitMix64 mixing function
 (Steele, Lea & Flood 2014), which makes any Monte Carlo partition
 reproducible regardless of how many workers consume it: a cell's stream
 depends only on its identity, never on scheduling order.
+
+Because Philox is counter-based, a block of rows can also read its own
+draws straight from their place in the stream: :meth:`RandomStream.rows`
+gives a batch of ``total`` rows in blocks whose draws are exactly the
+whole batch's.
 """
 
 from __future__ import annotations
@@ -54,8 +59,15 @@ class RandomStream:
         generator then advances as it is consumed.  The Philox key packs
         the seed in the low word and the stream id in the high word.
         """
+        return np.random.Generator(self._philox())
+
+    def _philox(self) -> np.random.Philox:
         key = (self.seed & _MASK64) | ((self.stream_id & _MASK64) << 64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Philox(key=key)
+
+    def rows(self, lo: int, hi: int, total: int) -> "StreamRows":
+        """Rows [lo, hi) of every ``total``-long fill of :meth:`generator`."""
+        return StreamRows(self, lo, hi, total)
 
     def child(self, index: int) -> "RandomStream":
         """Derive the ``index``-th independent substream of this stream."""
@@ -63,13 +75,50 @@ class RandomStream:
         return RandomStream(self.seed, mixed)
 
 
-def as_generator(rng) -> np.random.Generator:
+class StreamRows:
+    """Stands in for ``stream.generator()`` on rows [lo, hi) of a batch of
+    ``total`` rows that draws ``total`` doubles per fill.
+
+    Its j-th ``random`` or ``uniform`` fill, of size hi - lo, returns rows
+    [lo, hi) of the j-th ``total``-long fill of the generator.  Each double
+    takes one 64-bit Philox word, and counter c yields words 4c .. 4c + 3,
+    so that fill starts at word w = j total + lo: ``Philox.advance(w // 4)``,
+    then ``w % 4`` words discarded.  A fill of any other size raises
+    ``ValueError``, since the caller's layout would not be the batch's.
+    """
+
+    def __init__(self, stream: RandomStream, lo: int, hi: int, total: int):
+        if not 0 <= lo < hi <= total:
+            raise ValueError(f"need 0 <= lo < hi <= total, got {lo}, {hi}, {total}")
+        self.stream, self.lo, self.hi, self.total = stream, lo, hi, total
+        self._fills = 0
+
+    def _next_fill(self, size) -> np.random.Generator:
+        if size != self.hi - self.lo:
+            raise ValueError(f"rows [{self.lo}, {self.hi}) take fills of size "
+                             f"{self.hi - self.lo}, got {size!r}")
+        word = self._fills * self.total + self.lo
+        self._fills += 1
+        bits = self.stream._philox()
+        bits.advance(word // 4)
+        bits.random_raw(word % 4)
+        return np.random.Generator(bits)
+
+    def random(self, size) -> np.ndarray:
+        return self._next_fill(size).random(size)
+
+    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
+        return self._next_fill(size).uniform(low, high, size)
+
+
+def as_generator(rng):
     """Coerce a RandomStream, Generator, or integer seed to a Generator.
 
     A RandomStream or int restarts its sequence on every call; a Generator
-    is passed through and keeps whatever state it already has.
+    or a :class:`StreamRows` view is passed through and keeps whatever
+    state it already has.
     """
-    if isinstance(rng, np.random.Generator):
+    if isinstance(rng, (np.random.Generator, StreamRows)):
         return rng
     if isinstance(rng, RandomStream):
         return rng.generator()

@@ -3,8 +3,8 @@
 Directions are plain float ndarrays: shape ``(3,)`` for a single unit
 vector or ``(..., 3)`` for batches.  The geometric functions broadcast
 over leading axes.  Every observer chain runs through
-:func:`observer_chain` on a batch of shape (trials, 3), and every
-covariant step through :func:`tilt_step`.
+:func:`observer_chain`, in blocks of at most _CHAIN_ROWS trials of shape
+(rows, 3), and every covariant step through :func:`tilt_step`.
 
 The kernel works on the three component columns, in blocks of rows
 that stay in cache.  So the batches that :func:`sample_uniform_sphere`
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .rng import as_generator
+from .rng import RandomStream, as_generator
 
 #: tolerance of the unit-norm invariant guaranteed by constructors/rotations
 UNIT_TOL = 1e-12
@@ -31,6 +31,10 @@ _VALIDATE_TOL = 1e-9
 #: rows per block of rotate_towards, so that its ten scratch columns
 #: fit in a 2 MB L2 cache
 _BLOCK_ROWS = 2 ** 14
+
+#: trials per block of observer_chain, so that a chain step holds a few
+#: (rows, 3) arrays of this many rows however many trials run
+_CHAIN_ROWS = 2 ** 15
 
 
 def unit_vector(x: float, y: float, z: float) -> np.ndarray:
@@ -229,17 +233,23 @@ def tilt_step(dirs, cos_tilt, gen) -> np.ndarray:
     return rotate_towards(dirs, cos_tilt, az)
 
 
-def observer_chain(observers, rng, trials: int):
-    """Run ``trials`` chains of the given observers, one after another.
+def observer_chain(observers, stream: RandomStream, trials: int):
+    """Run ``trials`` chains of the given observers, one block of at most
+    _CHAIN_ROWS trials after another.
 
-    Draws the true directions, then applies each observer
-    ``(state, gen) -> (estimate, handed_on)`` to the state the previous
-    one handed on, and yields ``(true_dirs, estimate, handed_on)`` after
-    each step.
+    In each block it draws the true directions, then applies each
+    observer ``(state, gen) -> (estimate, handed_on)`` to the state the
+    previous one handed on, and yields ``(rows, step, true_dirs,
+    estimate, handed_on)`` after each step, with ``rows`` the block's
+    slice of the batch.  The block draws through ``stream.rows``, so its
+    rows get exactly the draws that one batch of ``trials`` rows would
+    give them, whatever the block size.
     """
-    gen = as_generator(rng)
-    true_dirs = sample_uniform_sphere(gen, trials)
-    state = true_dirs
-    for observe in observers:
-        estimate, state = observe(state, gen)
-        yield true_dirs, estimate, state
+    for lo in range(0, trials, _CHAIN_ROWS):
+        hi = min(lo + _CHAIN_ROWS, trials)
+        gen = stream.rows(lo, hi, trials)
+        true_dirs = sample_uniform_sphere(gen, hi - lo)
+        state = true_dirs
+        for step, observe in enumerate(observers):
+            estimate, state = observe(state, gen)
+            yield slice(lo, hi), step, true_dirs, estimate, state

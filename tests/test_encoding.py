@@ -1,5 +1,6 @@
 """N-spin encodings: matrix, closed-form encoding, densities, chains, thresholds."""
 
+from collections import Counter
 import json
 import math
 
@@ -257,11 +258,38 @@ class TestChainLaws:
             assert 0.0 < analytic_delta(mode, 40, 3) < 1.0
 
     def test_steps(self):
-        assert chain_laws("single_qubit", 1, 2, 0.7) == [("parallel", 0.7)] * 2
-        assert chain_laws("nspin_parallel", 3, 2, 0.7) == [("parallel", 0.0)] * 2
-        assert chain_laws("nspin_optimal", 4, 2) == [("optimal", 0.0)] * 2
+        assert chain_laws("single_qubit", 1, 2, 0.7) == [("parallel", 0.7, 2)]
+        assert chain_laws("nspin_parallel", 3, 2, 0.7) == [("parallel", 0.0, 2)]
+        assert chain_laws("nspin_optimal", 4, 2) == [("optimal", 0.0, 2)]
         assert chain_laws("parallel_start", 4, 3) == [
-            ("parallel", 0.0), ("optimal", 0.0), ("optimal", 0.0)]
+            ("parallel", 0.0, 1), ("optimal", 0.0, 2)]
+        assert chain_laws("parallel_start", 4, 1) == [("parallel", 0.0, 1)]
+
+    @pytest.mark.parametrize("mode, n_spins, phi", [
+        ("single_qubit", 1, 0.7), ("single_qubit", 1, math.pi), ("nspin_parallel", 5, 0.0),
+        ("nspin_optimal", 40, 0.0), ("parallel_start", 40, 0.0)])
+    def test_runs_give_the_step_list_product(self, mode, n_spins, phi):
+        # oracle: one (law, offset) step per observer, equal steps
+        # collected with Counter and raised to their count
+        for k in (1, 2, 3, 17, 1000):
+            first = "parallel" if mode != "nspin_optimal" else "optimal"
+            later = "optimal" if mode in ("nspin_optimal", "parallel_start") else "parallel"
+            offset = phi if mode == "single_qubit" else 0.0
+            steps = Counter([(first, offset)] + [(later, offset)] * (k - 1))
+            means = {"parallel": n_spins / (n_spins + 2.0),
+                     "optimal": optimal_tilde_delta(n_spins) if n_spins % 2 == 0 else None}
+            expected = math.prod((means[law] * math.cos(off)) ** count
+                                 for (law, off), count in steps.items())
+            assert analytic_delta(mode, n_spins, k, phi) == expected, f"k={k}"
+            assert [(law, off) for law, off, _ in chain_laws(mode, n_spins, k, phi)] == list(steps)
+
+    def test_long_chains_are_two_powers(self):
+        k = 10 ** 15
+        assert chain_laws("parallel_start", 10 ** 4, k) == [
+            ("parallel", 0.0, 1), ("optimal", 0.0, k - 1)]
+        x = optimal_tilde_delta(10 ** 4)
+        assert analytic_delta("nspin_optimal", 10 ** 4, 10 ** 7) == x ** (10 ** 7) > 0.1
+        assert analytic_delta("nspin_optimal", 2, k) == 0.0
 
 
 # ---------------------------------------------------------------------------

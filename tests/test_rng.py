@@ -68,3 +68,59 @@ def test_generator_restarts_but_passthrough_advances():
     gen = stream.generator()
     a, b = gen.random(4), gen.random(4)
     assert not np.array_equal(a, b)
+
+
+class TestStreamRows:
+    """A rows view reads the whole batch's draws at their Philox offsets."""
+
+    @staticmethod
+    def _fills(gen, sizes):
+        # random and uniform fills in turn, as a chain step draws them
+        return [gen.random(n) if j % 2 == 0 else gen.uniform(-1.0, 2.0, n)
+                for j, n in enumerate(sizes)]
+
+    @pytest.mark.parametrize("lo, hi, total", [
+        (lo, lo + 3, 13) for lo in range(10)] + [
+        (0, 13, 13), (12, 13, 13), (5, 6, 7), (0, 1, 1),
+        (65_536, 100_003, 100_003), (99_999, 100_000, 300_001)])
+    def test_fills_are_slices_of_the_batch_fills(self, lo, hi, total):
+        stream = RandomStream(42).child(3)
+        whole = self._fills(stream.generator(), [total] * 4)
+        rows = self._fills(stream.rows(lo, hi, total), [hi - lo] * 4)
+        for j in range(4):
+            assert np.array_equal(rows[j], whole[j][lo:hi]), f"fill {j}"
+
+    def test_offsets_past_two_to_the_64_counter_steps(self):
+        # fill j of rows [lo, hi) starts at word j * total + lo; with
+        # total = 2^65 the third fill's counter carries into its second word
+        stream, lo, total = RandomStream(7, 11), 6, 2 ** 65
+        view = stream.rows(lo, lo + 5, total)
+        for j in range(3):
+            word = j * total + lo
+            bits = stream.generator().bit_generator
+            state = bits.state
+            state["state"]["counter"] = np.array(
+                [(word // 4 >> (64 * i)) & (2 ** 64 - 1) for i in range(4)], dtype=np.uint64)
+            bits.state = state
+            bits.random_raw(word % 4)
+            expected = np.random.Generator(bits).random(5)
+            assert np.array_equal(view.random(5), expected), f"fill {j}"
+
+    def test_wrong_fill_size_raises(self):
+        view = RandomStream(1).rows(2, 5, 10)
+        for size in (10, 2, None, (3, 1)):
+            with pytest.raises(ValueError, match="fills of size 3"):
+                view.random(size)
+            with pytest.raises(ValueError, match="fills of size 3"):
+                view.uniform(0.0, 1.0, size)
+        # a rejected fill does not move the view on
+        assert np.array_equal(view.random(3), RandomStream(1).generator().random(10)[2:5])
+
+    @pytest.mark.parametrize("lo, hi, total", [(-1, 2, 5), (3, 3, 5), (4, 6, 5), (0, 1, 0)])
+    def test_bad_rows_raise(self, lo, hi, total):
+        with pytest.raises(ValueError, match="lo < hi <= total"):
+            RandomStream(1).rows(lo, hi, total)
+
+    def test_passes_through_as_generator(self):
+        view = RandomStream(1).rows(0, 3, 10)
+        assert as_generator(view) is view

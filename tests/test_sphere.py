@@ -309,3 +309,53 @@ class TestWholeChainOnReference:
         fast = chain_dots_nspin(6, 3, mode, RandomStream(31), 2000)
         monkeypatch.setattr(sphere, "rotate_towards", _rotate_reference)
         np.testing.assert_array_equal(fast, chain_dots_nspin(6, 3, mode, RandomStream(31), 2000))
+
+
+class TestChainBlocks:
+    """Chains run in blocks of _CHAIN_ROWS trials; every block reads the
+    draws that one whole-batch run gives its rows."""
+
+    SINGLE = [(scheme, overlap) for scheme in ("covariant", "stern_gerlach")
+              for overlap in ("estimate", "prepared")]
+    NSPIN = ["nspin_parallel", "nspin_optimal", "parallel_start"]
+
+    @staticmethod
+    def _chains(trials):
+        runs = [chain_dots_single(3, QubitKrausFamily(0.7), scheme, RandomStream(8), trials,
+                                  overlap=overlap)
+                for scheme, overlap in TestChainBlocks.SINGLE]
+        runs += [chain_dots_nspin(6, 3, mode, RandomStream(8), trials)
+                 for mode in TestChainBlocks.NSPIN]
+        return runs
+
+    @pytest.mark.parametrize("trials", [1, 6, 7, 8, 26])
+    def test_block_edges(self, monkeypatch, trials):
+        whole = self._chains(trials)
+        monkeypatch.setattr(sphere, "_CHAIN_ROWS", 7)
+        for one_block, blocked in zip(whole, self._chains(trials)):
+            assert blocked.shape == (trials, 3)
+            assert np.array_equal(blocked, one_block)
+
+    def test_dots_are_column_major(self):
+        for dots in self._chains(26):
+            assert all(dots[:, j].flags.c_contiguous for j in range(3))
+
+    @pytest.mark.parametrize("rng", [8, np.int64(8), RandomStream(8).generator(), None])
+    def test_rng_must_be_a_stream(self, rng):
+        with pytest.raises(TypeError, match="rng must be a RandomStream"):
+            chain_dots_single(2, QubitKrausFamily(0.7), "covariant", rng, 10)
+        with pytest.raises(TypeError, match="rng must be a RandomStream"):
+            chain_dots_nspin(6, 2, "nspin_optimal", rng, 10)
+
+    def test_peak_memory(self):
+        # a 300k-trial chain may hold its overlaps and block-sized arrays,
+        # not (trials, 3) arrays per step
+        tracemalloc.start()
+        try:
+            dots = chain_dots_single(6, QubitKrausFamily(np.pi / 2), "covariant",
+                                     RandomStream(3), 300_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dots.shape == (300_000, 6)
+        assert peak <= dots.nbytes + 8 * 2 ** 20
