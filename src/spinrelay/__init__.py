@@ -27,17 +27,10 @@ from .qubit import (
     disturbance_constant,
     eta_from_c,
     fidelity_from_delta,
-    single_qubit_fidelity,
 )
 from .records import McEstimate
-from .rng import RandomStream, as_generator
-from .sphere import (
-    inverse_cdf_cos_tilt,
-    rotate_towards,
-    sample_cos_tilt,
-    sample_uniform_sphere,
-    unit_vector,
-)
+from .rng import RandomStream
+from .sphere import sample_cos_tilt, sample_uniform_sphere
 from .sweep import SweepConfig, emit_encoding, mc_estimate_delta, run_sweep
 
 __version__ = "0.1.0"

@@ -31,8 +31,8 @@ from numpy.polynomial import legendre as npleg
 
 from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
 from .qubit import fidelity_from_delta
-from .rng import RandomStream, as_generator
-from .sphere import observer_chain, row_dot, sample_cos_tilt, tilt_step
+from .rng import as_generator
+from .sphere import observer_chain, sample_cos_tilt, tilt_step
 
 #: the observer chains; a sweep cell's random substream follows this order
 MODES = ("single_qubit", "nspin_parallel", "nspin_optimal", "parallel_start")
@@ -399,10 +399,6 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng,
     one, and :func:`spinrelay.qubit.chain_dots_single` runs the offset.
     """
     runs = chain_laws(mode, n_spins, k)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not isinstance(rng, RandomStream):
-        raise TypeError(f"rng must be a RandomStream, got {type(rng).__name__}")
     laws = [law for law, _, count in runs for _ in range(count)]
     samplers = {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size)}
     if "optimal" in laws:
@@ -415,10 +411,7 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng,
         return observe
 
     observers = [observer(samplers[law]) for law in laws]
-    dots = np.empty((k, trials)).T
-    for rows, j, true_dirs, est, _ in observer_chain(observers, rng, trials):
-        dots[rows, j] = row_dot(est, true_dirs)
-    return dots
+    return observer_chain(observers, rng, trials)
 
 
 def classical_threshold(k: int, target_fidelity: float, mode: str) -> int:

@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from .rng import RandomStream
 from .sphere import (
     observer_chain,
     require_unit,
@@ -160,18 +159,11 @@ def chain_dots_single(k: int, kraus: QubitKrausFamily, scheme: str, rng,
         raise TypeError("kraus must be a QubitKrausFamily")
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not isinstance(rng, RandomStream):
-        raise TypeError(f"rng must be a RandomStream, got {type(rng).__name__}")
     measure = _covariant_estimates if scheme == "covariant" else _sg_estimates
 
     def observe(state, gen):
         est = measure(state, gen)
-        return est, _prepare(est, kraus, gen)
+        prepared = _prepare(est, kraus, gen)
+        return (est if overlap == "estimate" else prepared), prepared
 
-    dots = np.empty((k, trials)).T
-    for rows, j, true_dirs, est, prepared in observer_chain([observe] * k, rng, trials):
-        tracked = est if overlap == "estimate" else prepared
-        dots[rows, j] = row_dot(tracked, true_dirs)
-    return dots
+    return observer_chain([observe] * k, rng, trials)

@@ -82,16 +82,20 @@ class StreamRows:
     Its j-th ``random`` or ``uniform`` fill, of size hi - lo, returns rows
     [lo, hi) of the j-th ``total``-long fill of the generator.  Each double
     takes one 64-bit Philox word, and counter c yields words 4c .. 4c + 3,
-    so that fill starts at word w = j total + lo: ``Philox.advance(w // 4)``,
-    then ``w % 4`` words discarded.  A fill of any other size raises
-    ``ValueError``, since the caller's layout would not be the batch's.
+    so that fill starts at word w = j total + lo: the view's one Philox is
+    reset to the stream's start, ``advance(w // 4)``, then ``w % 4`` words
+    discarded.  A fill of any other size raises ``ValueError``, since the
+    caller's layout would not be the batch's.
     """
 
     def __init__(self, stream: RandomStream, lo: int, hi: int, total: int):
         if not 0 <= lo < hi <= total:
             raise ValueError(f"need 0 <= lo < hi <= total, got {lo}, {hi}, {total}")
-        self.stream, self.lo, self.hi, self.total = stream, lo, hi, total
+        self.lo, self.hi, self.total = lo, hi, total
         self._fills = 0
+        self._bits = stream._philox()
+        self._start = self._bits.state
+        self._gen = np.random.Generator(self._bits)
 
     def _next_fill(self, size) -> np.random.Generator:
         if size != self.hi - self.lo:
@@ -99,10 +103,10 @@ class StreamRows:
                              f"{self.hi - self.lo}, got {size!r}")
         word = self._fills * self.total + self.lo
         self._fills += 1
-        bits = self.stream._philox()
-        bits.advance(word // 4)
-        bits.random_raw(word % 4)
-        return np.random.Generator(bits)
+        self._bits.state = self._start
+        self._bits.advance(word // 4)
+        self._bits.random_raw(word % 4)
+        return self._gen
 
     def random(self, size) -> np.ndarray:
         return self._next_fill(size).random(size)

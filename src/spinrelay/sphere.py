@@ -6,11 +6,12 @@ over leading axes.  Every observer chain runs through
 :func:`observer_chain`, in blocks of at most _CHAIN_ROWS trials of shape
 (rows, 3), and every covariant step through :func:`tilt_step`.
 
-The kernel works on the three component columns, in blocks of rows
-that stay in cache.  So the batches that :func:`sample_uniform_sphere`
-and :func:`rotate_towards` return are column-major ``(n, 3)`` views,
-each component contiguous: index the last axis, and do not assume C
-order.
+The kernel, :func:`rotate_towards`, works in place on the three
+component columns of the rows it is given; a chain block is small
+enough that its scratch columns stay in cache.  So the batches that
+:func:`sample_uniform_sphere` and :func:`rotate_towards` return are
+column-major ``(n, 3)`` views, each component contiguous: index the last
+axis, and do not assume C order.
 """
 
 from __future__ import annotations
@@ -28,13 +29,10 @@ UNIT_TOL = 1e-12
 #: UNIT_TOL so values that round-tripped through arithmetic still pass)
 _VALIDATE_TOL = 1e-9
 
-#: rows per block of rotate_towards, so that its ten scratch columns
-#: fit in a 2 MB L2 cache
-_BLOCK_ROWS = 2 ** 14
-
 #: trials per block of observer_chain, so that a chain step holds a few
-#: (rows, 3) arrays of this many rows however many trials run
-_CHAIN_ROWS = 2 ** 15
+#: (rows, 3) arrays of this many rows however many trials run, and the
+#: ten scratch columns of rotate_towards (1.3 MB) fit in a 2 MB L2 cache
+_CHAIN_ROWS = 2 ** 14
 
 
 def unit_vector(x: float, y: float, z: float) -> np.ndarray:
@@ -147,82 +145,77 @@ def rotate_towards(axis, cos_tilt, azimuth) -> np.ndarray:
     cos_tilt = np.asarray(cos_tilt, dtype=float)
     psi = np.asarray(azimuth, dtype=float)
     if axis.shape[-1] != 3 or 0 in axis.shape[:-1] + cos_tilt.shape + psi.shape:
-        # a malformed axis, or no rows for the checks in the loop to see
+        # a malformed axis, or no rows for the in-place checks to see
         _check_rotation(axis, cos_tilt)
 
-    # One flat batch of rows, worked through in blocks so that the
-    # scratch columns, allocated once per call, stay in cache.
+    # One flat batch of rows, worked on column by column in place.  The
+    # chains call this on blocks of _CHAIN_ROWS rows, so the ten scratch
+    # columns stay in cache.
     shape = np.broadcast_shapes(axis.shape[:-1], cos_tilt.shape, psi.shape)
     rows = math.prod(shape)
     a = np.broadcast_to(axis, shape + (3,)).reshape(-1, 3)
     x, psi = (np.broadcast_to(v, shape).reshape(-1) for v in (cos_tilt, psi))
     out = _columns((rows,))
-    scratch = np.empty((10, min(rows, _BLOCK_ROWS)))
-    flags = np.empty((2, scratch.shape[1]), dtype=bool)
-    for lo in range(0, rows, _BLOCK_ROWS):
-        ab, ob = a[lo:lo + _BLOCK_ROWS], out[lo:lo + _BLOCK_ROWS]
-        m = ab.shape[0]
-        xb, s, s_cos, s_sin, proj, e2, term, *e1 = scratch[:, :m]
-        near_x, far_x = flags[:, :m]
+    xb, s, s_cos, s_sin, proj, e2, term, *e1 = np.empty((10, rows))
+    near_x, far_x = np.empty((2, rows), dtype=bool)
 
-        # The input checks on this block's rows, by require_unit's rule:
-        # a failing block is reported from the whole batch, so the
-        # message names the worst row of the batch.
-        np.multiply(ab[:, 0], ab[:, 0], out=s)
-        for c in (1, 2):
-            np.multiply(ab[:, c], ab[:, c], out=term)
-            s += term
-        np.sqrt(s, out=s)
-        s -= 1.0
-        np.abs(s, out=s)
-        np.abs(x[lo:lo + m], out=term)
-        if (not np.all(np.less_equal(s, _VALIDATE_TOL, out=near_x))
-                or np.any(np.greater(term, 1.0 + UNIT_TOL, out=far_x))):
-            _check_rotation(axis, cos_tilt)
+    # The input checks, in place by require_unit's rule; a failure is
+    # reported by _check_rotation, so the message names the worst row.
+    np.multiply(a[:, 0], a[:, 0], out=s)
+    for c in (1, 2):
+        np.multiply(a[:, c], a[:, c], out=term)
+        s += term
+    np.sqrt(s, out=s)
+    s -= 1.0
+    np.abs(s, out=s)
+    np.abs(x, out=term)
+    if (not np.all(np.less_equal(s, _VALIDATE_TOL, out=near_x))
+            or np.any(np.greater(term, 1.0 + UNIT_TOL, out=far_x))):
+        _check_rotation(axis, cos_tilt)
 
-        # s = sqrt(1 - x^2) of the clipped tilt, times cos(psi) and sin(psi)
-        np.clip(x[lo:lo + m], -1.0, 1.0, out=xb)
-        np.multiply(xb, xb, out=s)
-        np.subtract(1.0, s, out=s)
-        np.maximum(0.0, s, out=s)
-        np.sqrt(s, out=s)
-        np.cos(psi[lo:lo + m], out=s_cos)
-        s_cos *= s
-        np.sin(psi[lo:lo + m], out=s_sin)
-        s_sin *= s
+    # s = sqrt(1 - x^2) of the clipped tilt, times cos(psi) and sin(psi)
+    np.clip(x, -1.0, 1.0, out=xb)
+    np.multiply(xb, xb, out=s)
+    np.subtract(1.0, s, out=s)
+    np.maximum(0.0, s, out=s)
+    np.sqrt(s, out=s)
+    np.cos(psi, out=s_cos)
+    s_cos *= s
+    np.sin(psi, out=s_sin)
+    s_sin *= s
 
-        # Gram-Schmidt of the reference axis against a; ref . a is exactly
-        # a_x (ref = x-hat) or a_y (ref = y-hat).
-        np.abs(ab[:, 0], out=term)
-        np.greater(term, 1.0 - 1e-6, out=near_x)
-        np.logical_not(near_x, out=far_x)
-        np.copyto(proj, ab[:, 0])
-        np.copyto(proj, ab[:, 1], where=near_x)
-        for c, ref in enumerate((far_x, near_x, False)):
-            np.multiply(proj, ab[:, c], out=e1[c])
-            np.subtract(ref, e1[c], out=e1[c])
-        # |e1|, summed in row_dot's order
-        norm = proj
-        np.multiply(e1[0], e1[0], out=norm)
-        for c in (1, 2):
-            np.multiply(e1[c], e1[c], out=term)
-            norm += term
-        np.sqrt(norm, out=norm)
-        for c in range(3):
-            e1[c] /= norm
+    # Gram-Schmidt of the reference axis against a; ref . a is exactly
+    # a_x (ref = x-hat) or a_y (ref = y-hat).
+    np.abs(a[:, 0], out=term)
+    np.greater(term, 1.0 - 1e-6, out=near_x)
+    np.logical_not(near_x, out=far_x)
+    np.copyto(proj, a[:, 0])
+    np.copyto(proj, a[:, 1], where=near_x)
+    for c, ref in enumerate((far_x, near_x, False)):
+        np.multiply(proj, a[:, c], out=e1[c])
+        np.subtract(ref, e1[c], out=e1[c])
+    # |e1|, summed in row_dot's order
+    norm = proj
+    np.multiply(e1[0], e1[0], out=norm)
+    for c in (1, 2):
+        np.multiply(e1[c], e1[c], out=term)
+        norm += term
+    np.sqrt(norm, out=norm)
+    for c in range(3):
+        e1[c] /= norm
 
-        # x a + s cos(psi) e1 + s sin(psi) e2 with e2 = a x e1, column by
-        # column into the block of the output
-        for c in range(3):
-            i, j = (c + 1) % 3, (c + 2) % 3
-            np.multiply(ab[:, i], e1[j], out=e2)
-            np.multiply(ab[:, j], e1[i], out=term)
-            e2 -= term
-            np.multiply(xb, ab[:, c], out=ob[:, c])
-            np.multiply(s_cos, e1[c], out=term)
-            ob[:, c] += term
-            np.multiply(s_sin, e2, out=term)
-            ob[:, c] += term
+    # x a + s cos(psi) e1 + s sin(psi) e2 with e2 = a x e1, column by
+    # column into the output
+    for c in range(3):
+        i, j = (c + 1) % 3, (c + 2) % 3
+        np.multiply(a[:, i], e1[j], out=e2)
+        np.multiply(a[:, j], e1[i], out=term)
+        e2 -= term
+        np.multiply(xb, a[:, c], out=out[:, c])
+        np.multiply(s_cos, e1[c], out=term)
+        out[:, c] += term
+        np.multiply(s_sin, e2, out=term)
+        out[:, c] += term
     return out.reshape(shape + (3,))
 
 
@@ -233,23 +226,30 @@ def tilt_step(dirs, cos_tilt, gen) -> np.ndarray:
     return rotate_towards(dirs, cos_tilt, az)
 
 
-def observer_chain(observers, stream: RandomStream, trials: int):
-    """Run ``trials`` chains of the given observers, one block of at most
-    _CHAIN_ROWS trials after another.
+def observer_chain(observers, rng: RandomStream, trials: int) -> np.ndarray:
+    """Run ``trials`` chains of the given observers from the RandomStream
+    ``rng``; returns their overlaps of shape (trials, len(observers)),
+    column-major.
 
+    The chains run one block of at most _CHAIN_ROWS trials after another.
     In each block it draws the true directions, then applies each
-    observer ``(state, gen) -> (estimate, handed_on)`` to the state the
-    previous one handed on, and yields ``(rows, step, true_dirs,
-    estimate, handed_on)`` after each step, with ``rows`` the block's
-    slice of the batch.  The block draws through ``stream.rows``, so its
-    rows get exactly the draws that one batch of ``trials`` rows would
-    give them, whatever the block size.
+    observer ``(state, gen) -> (tracked, handed_on)`` to the state the
+    previous one handed on; column j holds the overlap of observer j's
+    ``tracked`` direction with the true one.  The block draws through
+    ``rng.rows``, so its rows get exactly the draws that one batch of
+    ``trials`` rows would give them, whatever the block size.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not isinstance(rng, RandomStream):
+        raise TypeError(f"rng must be a RandomStream, got {type(rng).__name__}")
+    dots = np.empty((len(observers), trials)).T
     for lo in range(0, trials, _CHAIN_ROWS):
         hi = min(lo + _CHAIN_ROWS, trials)
-        gen = stream.rows(lo, hi, trials)
+        gen = rng.rows(lo, hi, trials)
         true_dirs = sample_uniform_sphere(gen, hi - lo)
         state = true_dirs
-        for step, observe in enumerate(observers):
-            estimate, state = observe(state, gen)
-            yield slice(lo, hi), step, true_dirs, estimate, state
+        for j, observe in enumerate(observers):
+            tracked, state = observe(state, gen)
+            dots[lo:hi, j] = row_dot(tracked, true_dirs)
+    return dots

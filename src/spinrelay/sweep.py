@@ -39,14 +39,20 @@ RECORD_FIELDS = ("mode", "N", "k", "phi", "analytic", "mc_mean", "mc_stderr",
 
 @lru_cache(maxsize=1)
 def build_id() -> str:
-    """git-describe-style provenance string; package version off-checkout."""
+    """git-describe-style provenance string of the work tree that tracks
+    this package's own files; ``spinrelay-<version>`` when none does, as
+    when the package sits untracked under another work tree."""
+    here = Path(__file__).resolve()
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--tags"],
-            cwd=Path(__file__).resolve().parent, capture_output=True,
-            text=True, timeout=5)
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
+        tracked = subprocess.run(
+            ["git", "ls-files", "--error-unmatch", here.name],
+            cwd=here.parent, capture_output=True, timeout=5)
+        if tracked.returncode == 0:
+            out = subprocess.run(
+                ["git", "describe", "--always", "--dirty", "--tags"],
+                cwd=here.parent, capture_output=True, text=True, timeout=5)
+            if out.returncode == 0 and out.stdout.strip():
+                return out.stdout.strip()
     except OSError:
         pass
     from . import __version__

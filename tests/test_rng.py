@@ -124,3 +124,18 @@ class TestStreamRows:
     def test_passes_through_as_generator(self):
         view = RandomStream(1).rows(0, 3, 10)
         assert as_generator(view) is view
+
+
+def test_rows_view_builds_one_philox(monkeypatch):
+    # each fill re-positions the view's Philox instead of building a new one
+    built = []
+    philox = RandomStream._philox
+    monkeypatch.setattr(RandomStream, "_philox",
+                        lambda self: built.append(self) or philox(self))
+    stream = RandomStream(4, 2)
+    view = stream.rows(5, 9, 20)
+    fills = [view.random(4), view.uniform(-1.0, 1.0, 4), view.random(4)]
+    assert len(built) == 1
+    gen = stream.generator()
+    expected = [gen.random(20)[5:9], gen.uniform(-1.0, 1.0, 20)[5:9], gen.random(20)[5:9]]
+    assert all(np.array_equal(f, e) for f, e in zip(fills, expected))

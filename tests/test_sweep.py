@@ -4,10 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+from pathlib import Path
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinrelay
 from spinrelay.cli import main, parse_config_file, parse_int_range
 from spinrelay.encoding import MODES, OutcomeDensity, analytic_delta
 from spinrelay.records import McEstimate
@@ -148,6 +154,48 @@ class TestRunSweep:
         ):
             with pytest.raises(ValueError):
                 cfg.validate()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestBuildId:
+    """build_id asks git only about a work tree that tracks the package."""
+
+    @staticmethod
+    def _git(repo, *args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+            env=TestBuildId._env(), capture_output=True, text=True, check=True).stdout
+
+    @staticmethod
+    def _env(**extra):
+        env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+        return {**env, "PYTHONDONTWRITEBYTECODE": "1", **extra}
+
+    @staticmethod
+    def _build_id_from(site):
+        out = subprocess.run(
+            [sys.executable, "-c", "from spinrelay.sweep import build_id; print(build_id())"],
+            cwd=site, env=TestBuildId._env(PYTHONPATH=str(site)), capture_output=True,
+            text=True, check=True)
+        return out.stdout.strip()
+
+    def test_untracked_copy_in_another_repository(self, tmp_path):
+        self._git(tmp_path, "init", "-q")
+        (tmp_path / ".gitignore").write_text(".venv/\n")
+        self._git(tmp_path, "add", ".gitignore")
+        self._git(tmp_path, "commit", "-q", "-m", "host")
+        package = Path(spinrelay.__file__).parent
+        ignore = shutil.ignore_patterns("__pycache__")
+        venv, tracked = tmp_path / ".venv", tmp_path / "lib"
+        shutil.copytree(package, venv / "spinrelay", ignore=ignore)
+        shutil.copytree(package, tracked / "spinrelay", ignore=ignore)
+        self._git(tmp_path, "add", "lib")
+        self._git(tmp_path, "commit", "-q", "-m", "vendored")
+
+        assert self._build_id_from(venv) == f"spinrelay-{spinrelay.__version__}"
+        # a copy the host repository does track reports the host's commit
+        described = self._git(tmp_path, "describe", "--always", "--dirty", "--tags").strip()
+        assert self._build_id_from(tracked) == described
 
 
 class TestEmitEncoding:
