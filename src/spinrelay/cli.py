@@ -14,7 +14,6 @@ written), 3 numerical failure (a routine that did not converge).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -27,6 +26,7 @@ from .sweep import (
     max_abs_z,
     records_to_bytes,
     write_encoding,
+    write_records,
 )
 from .qubit import fidelity_from_delta
 
@@ -138,6 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_ANALYTIC_FIELDS = ("mode", "N", "k", "phi", "delta", "fidelity")
+
+
 def cmd_analytic(args) -> int:
     k_values = parse_int_range(args.k)
     rows = []
@@ -151,17 +154,7 @@ def cmd_analytic(args) -> int:
     # opened only once every row is valid, so a rejected call leaves --out alone
     fh, close = _open_out(args.out)
     try:
-        if args.format == "csv":
-            import csv
-            writer = csv.writer(fh)
-            writer.writerow(["mode", "N", "k", "phi", "delta", "fidelity"])
-            for r in rows:
-                writer.writerow([r["mode"], r["N"], r["k"],
-                                 "" if r["phi"] is None else f"{r['phi']:.17g}",
-                                 f"{r['delta']:.17g}", f"{r['fidelity']:.17g}"])
-        else:
-            for r in rows:
-                fh.write(json.dumps(r) + "\n")
+        write_records(rows, args.format, fh, _ANALYTIC_FIELDS)
     finally:
         if close:
             fh.close()
@@ -174,7 +167,7 @@ def cmd_mc(args) -> int:
                       fmt=args.format)
     cfg.validate()
     _check_writable(args.out, "--out")
-    from .sweep import run_sweep, write_records
+    from .sweep import run_sweep
     records = run_sweep(cfg)
     fh, close = _open_out(args.out)
     try:

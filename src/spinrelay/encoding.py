@@ -23,7 +23,7 @@ cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 import math
 
 import numpy as np
@@ -394,15 +394,16 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng,
 
     Every observer draws its tilt from its step's law in
     :func:`chain_laws` and hands on its estimate, re-encoded; the optimal
-    density is built once per call, and only if a step uses it.  The
+    density is built once per call, on the first draw from it, so not
+    before :func:`observer_chain` has checked ``trials`` and ``rng``.  The
     hand-on offsets are all zero here: single_qubit at N = 1 runs without
     one, and :func:`spinrelay.qubit.chain_dots_single` runs the offset.
     """
     runs = chain_laws(mode, n_spins, k)
     laws = [law for law, _, count in runs for _ in range(count)]
-    samplers = {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size)}
-    if "optimal" in laws:
-        samplers["optimal"] = outcome_density(optimal_encoding(n_spins)).sample
+    density = cache(lambda: outcome_density(optimal_encoding(n_spins)))
+    samplers = {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size),
+                "optimal": lambda gen, size: density().sample(gen, size)}
 
     def observer(sample_tilt):
         def observe(state, gen):

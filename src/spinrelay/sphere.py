@@ -6,17 +6,15 @@ over leading axes.  Every observer chain runs through
 :func:`observer_chain`, in blocks of at most _CHAIN_ROWS trials of shape
 (rows, 3), and every covariant step through :func:`tilt_step`.
 
-The kernel, :func:`rotate_towards`, works in place on the three
-component columns of the rows it is given; a chain block is small
-enough that its scratch columns stay in cache.  So the batches that
-:func:`sample_uniform_sphere` and :func:`rotate_towards` return are
-column-major ``(n, 3)`` views, each component contiguous: index the last
-axis, and do not assume C order.
+The kernel, :func:`rotate_towards`, works one component column at a
+time, with numpy broadcasting the columns against the tilts and
+azimuths; a chain block is small enough that its temporaries stay in
+cache.  So the batches that :func:`sample_uniform_sphere` and
+:func:`rotate_towards` return are column-major ``(n, 3)`` views, each
+component contiguous: index the last axis, and do not assume C order.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -31,7 +29,7 @@ _VALIDATE_TOL = 1e-9
 
 #: trials per block of observer_chain, so that a chain step holds a few
 #: (rows, 3) arrays of this many rows however many trials run, and the
-#: ten scratch columns of rotate_towards (1.3 MB) fit in a 2 MB L2 cache
+#: 128 KB column temporaries of rotate_towards stay in a 2 MB L2 cache
 _CHAIN_ROWS = 2 ** 14
 
 
@@ -121,14 +119,6 @@ def sample_cos_tilt(rng, n_copies: int, size: int | None = None):
     return inverse_cdf_cos_tilt(u, n_copies)
 
 
-def _check_rotation(axis, cos_tilt):
-    """The input checks of :func:`rotate_towards` on the whole batch, in
-    order: a unit-norm axis, then a tilt cosine in [-1, 1]."""
-    require_unit(axis, "axis")
-    if np.any(np.abs(cos_tilt) > 1.0 + UNIT_TOL):
-        raise ValueError("cos_tilt must lie in [-1, 1]")
-
-
 def rotate_towards(axis, cos_tilt, azimuth) -> np.ndarray:
     """Direction at prescribed tilt cosine from ``axis``.
 
@@ -141,82 +131,32 @@ def rotate_towards(axis, cos_tilt, azimuth) -> np.ndarray:
 
     Broadcasts: axis (..., 3), cos_tilt (...), azimuth (...).
     """
-    axis = np.asarray(axis, dtype=float)
+    axis = require_unit(axis, "axis")
     cos_tilt = np.asarray(cos_tilt, dtype=float)
+    if np.any(np.abs(cos_tilt) > 1.0 + UNIT_TOL):
+        raise ValueError("cos_tilt must lie in [-1, 1]")
+    x = np.clip(cos_tilt, -1.0, 1.0)
     psi = np.asarray(azimuth, dtype=float)
-    if axis.shape[-1] != 3 or 0 in axis.shape[:-1] + cos_tilt.shape + psi.shape:
-        # a malformed axis, or no rows for the in-place checks to see
-        _check_rotation(axis, cos_tilt)
+    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    s_cos, s_sin = s * np.cos(psi), s * np.sin(psi)
 
-    # One flat batch of rows, worked on column by column in place.  The
-    # chains call this on blocks of _CHAIN_ROWS rows, so the ten scratch
-    # columns stay in cache.
-    shape = np.broadcast_shapes(axis.shape[:-1], cos_tilt.shape, psi.shape)
-    rows = math.prod(shape)
-    a = np.broadcast_to(axis, shape + (3,)).reshape(-1, 3)
-    x, psi = (np.broadcast_to(v, shape).reshape(-1) for v in (cos_tilt, psi))
-    out = _columns((rows,))
-    xb, s, s_cos, s_sin, proj, e2, term, *e1 = np.empty((10, rows))
-    near_x, far_x = np.empty((2, rows), dtype=bool)
+    # Gram-Schmidt of the reference axis against a, one component column
+    # at a time; ref . a is exactly a_x (ref = x-hat) or a_y (ref = y-hat).
+    # 0.0 - p keeps the zeros' sign that -p would flip.
+    a = [axis[..., c] for c in range(3)]
+    near_x = np.abs(a[0]) > 1.0 - 1e-6
+    proj = np.where(near_x, a[1], a[0])
+    e1 = [~near_x - proj * a[0], near_x - proj * a[1], 0.0 - proj * a[2]]
+    norm = np.sqrt(e1[0] * e1[0] + e1[1] * e1[1] + e1[2] * e1[2])  # row_dot's order
+    e1 = [e / norm for e in e1]
 
-    # The input checks, in place by require_unit's rule; a failure is
-    # reported by _check_rotation, so the message names the worst row.
-    np.multiply(a[:, 0], a[:, 0], out=s)
-    for c in (1, 2):
-        np.multiply(a[:, c], a[:, c], out=term)
-        s += term
-    np.sqrt(s, out=s)
-    s -= 1.0
-    np.abs(s, out=s)
-    np.abs(x, out=term)
-    if (not np.all(np.less_equal(s, _VALIDATE_TOL, out=near_x))
-            or np.any(np.greater(term, 1.0 + UNIT_TOL, out=far_x))):
-        _check_rotation(axis, cos_tilt)
-
-    # s = sqrt(1 - x^2) of the clipped tilt, times cos(psi) and sin(psi)
-    np.clip(x, -1.0, 1.0, out=xb)
-    np.multiply(xb, xb, out=s)
-    np.subtract(1.0, s, out=s)
-    np.maximum(0.0, s, out=s)
-    np.sqrt(s, out=s)
-    np.cos(psi, out=s_cos)
-    s_cos *= s
-    np.sin(psi, out=s_sin)
-    s_sin *= s
-
-    # Gram-Schmidt of the reference axis against a; ref . a is exactly
-    # a_x (ref = x-hat) or a_y (ref = y-hat).
-    np.abs(a[:, 0], out=term)
-    np.greater(term, 1.0 - 1e-6, out=near_x)
-    np.logical_not(near_x, out=far_x)
-    np.copyto(proj, a[:, 0])
-    np.copyto(proj, a[:, 1], where=near_x)
-    for c, ref in enumerate((far_x, near_x, False)):
-        np.multiply(proj, a[:, c], out=e1[c])
-        np.subtract(ref, e1[c], out=e1[c])
-    # |e1|, summed in row_dot's order
-    norm = proj
-    np.multiply(e1[0], e1[0], out=norm)
-    for c in (1, 2):
-        np.multiply(e1[c], e1[c], out=term)
-        norm += term
-    np.sqrt(norm, out=norm)
-    for c in range(3):
-        e1[c] /= norm
-
-    # x a + s cos(psi) e1 + s sin(psi) e2 with e2 = a x e1, column by
-    # column into the output
+    # x a + s cos(psi) e1 + s sin(psi) e2 with e2 = a x e1
+    out = _columns(np.broadcast_shapes(axis.shape[:-1], x.shape, psi.shape))
     for c in range(3):
         i, j = (c + 1) % 3, (c + 2) % 3
-        np.multiply(a[:, i], e1[j], out=e2)
-        np.multiply(a[:, j], e1[i], out=term)
-        e2 -= term
-        np.multiply(xb, a[:, c], out=out[:, c])
-        np.multiply(s_cos, e1[c], out=term)
-        out[:, c] += term
-        np.multiply(s_sin, e2, out=term)
-        out[:, c] += term
-    return out.reshape(shape + (3,))
+        e2 = a[i] * e1[j] - a[j] * e1[i]
+        out[..., c] = x * a[c] + s_cos * e1[c] + s_sin * e2
+    return out
 
 
 def tilt_step(dirs, cos_tilt, gen) -> np.ndarray:

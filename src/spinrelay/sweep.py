@@ -164,16 +164,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_records(records: list[dict], fmt: str, fh) -> None:
-    """Serialize records as RFC-4180 CSV (17 significant digits) or JSONL."""
+def write_records(records: list[dict], fmt: str, fh,
+                  fields: tuple[str, ...] = RECORD_FIELDS) -> None:
+    """Serialize the ``fields`` of records as RFC-4180 CSV (17 significant
+    digits) or JSONL."""
     if fmt == "csv":
         writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
+        writer.writerow(fields)
         for rec in records:
-            writer.writerow([_fmt(rec[f]) for f in RECORD_FIELDS])
+            writer.writerow([_fmt(rec[f]) for f in fields])
     elif fmt == "jsonl":
         for rec in records:
-            fh.write(json.dumps({f: rec[f] for f in RECORD_FIELDS}) + "\n")
+            fh.write(json.dumps({f: rec[f] for f in fields}) + "\n")
     else:
         raise ValueError(f"format must be one of {FORMATS}")
 

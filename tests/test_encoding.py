@@ -8,7 +8,7 @@ import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
-from spinrelay import encoding
+from spinrelay import encoding, sphere
 from spinrelay.cli import main
 from spinrelay.encoding import (
     EncodingSpec,
@@ -606,6 +606,26 @@ class TestNspinChains:
             se = math.sqrt(var_ratio)
             assert abs(ratio - step) < 3 * se, (
                 f"N={n_spins}, k={k}: ratio {ratio:.4f} vs step {step:.4f}")
+
+    def test_density_built_once_and_only_for_valid_calls(self, monkeypatch):
+        builds = []
+
+        def counted(enc):
+            builds.append(enc.n_spins)
+            return outcome_density(enc)
+
+        monkeypatch.setattr(encoding, "outcome_density", counted)
+        with pytest.raises(TypeError, match="rng must be a RandomStream"):
+            chain_dots_nspin(2000, 1, "nspin_optimal", 5, 10)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            chain_dots_nspin(2000, 1, "nspin_optimal", RandomStream(5), 0)
+        assert builds == []
+        # one build for every block and step of a call
+        monkeypatch.setattr(sphere, "_CHAIN_ROWS", 7)
+        chain_dots_nspin(6, 3, "nspin_optimal", RandomStream(5), 26)
+        chain_dots_nspin(6, 3, "parallel_start", RandomStream(5), 26)
+        chain_dots_nspin(6, 3, "nspin_parallel", RandomStream(5), 26)
+        assert builds == [6, 6]
 
     def test_chain_reproducible(self):
         a = chain_dots_nspin(2, 2, "nspin_optimal", RandomStream(45), 1000)

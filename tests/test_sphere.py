@@ -215,6 +215,12 @@ class TestKernelOracle:
             # one axis broadcast against per-row tilts
             np.testing.assert_array_equal(rotate_towards(axis, tilts[:7], azimuths[:7]),
                                           _rotate_reference(axis, tilts[:7], azimuths[:7]))
+            # one axis and one tilt against per-row azimuths
+            np.testing.assert_array_equal(rotate_towards(axis, 0.4, azimuths[:7]),
+                                          _rotate_reference(axis, 0.4, azimuths[:7]))
+        # per-row axes and tilts against one azimuth
+        np.testing.assert_array_equal(rotate_towards(axes[:7], tilts[:7], 1.1),
+                                      _rotate_reference(axes[:7], tilts[:7], 1.1))
         nested = axes[:10].reshape(2, 5, 3)
         for layout in (np.ascontiguousarray, _column_major):
             args = (layout(nested), tilts[:10].reshape(2, 5), azimuths[:10].reshape(2, 5))

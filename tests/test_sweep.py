@@ -263,6 +263,21 @@ class TestCli:
         np.testing.assert_allclose(deltas, [1 / 3, 1 / 9, 1 / 27, 1 / 81], rtol=1e-14)
         assert float(rows[0]["fidelity"]) == pytest.approx(2 / 3, rel=1e-14)
 
+    def test_analytic_bytes(self, tmp_path):
+        argv = ["analytic", "--mode", "single_qubit", "--k", "1..2", "--phi", "0.5"]
+        expected = {
+            "csv": b"mode,N,k,phi,delta,fidelity\r\n"
+                   b"single_qubit,1,1,0.5,0.29252752063012422,0.64626376031506205\r\n"
+                   b"single_qubit,1,2,0.5,0.085572350326007754,0.54278617516300387\r\n",
+            "jsonl": b'{"mode": "single_qubit", "N": 1, "k": 1, "phi": 0.5, '
+                     b'"delta": 0.2925275206301242, "fidelity": 0.646263760315062}\n'
+                     b'{"mode": "single_qubit", "N": 1, "k": 2, "phi": 0.5, '
+                     b'"delta": 0.08557235032600775, "fidelity": 0.5427861751630039}\n'}
+        for fmt, data in expected.items():
+            out = tmp_path / f"analytic.{fmt}"
+            assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+            assert out.read_bytes() == data
+
     def test_mc_cell(self, capsys):
         assert main(["mc", "--mode", "nspin_parallel", "--n", "4", "--k", "1",
                      "--trials", "2000", "--seed", "11"]) == 0
