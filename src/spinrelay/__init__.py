@@ -14,6 +14,7 @@ from .encoding import (
     chain_dots_nspin,
     chain_laws,
     classical_threshold,
+    fidelity_from_delta,
     fk_asymptotic,
     optimal_encoding,
     optimal_tilde_delta,
@@ -26,7 +27,6 @@ from .qubit import (
     chain_dots_single,
     disturbance_constant,
     eta_from_c,
-    fidelity_from_delta,
 )
 from .records import McEstimate
 from .rng import RandomStream

@@ -18,17 +18,16 @@ import os
 import sys
 from pathlib import Path
 
-from .encoding import MODES, analytic_delta
+from .encoding import MODES, analytic_delta, fidelity_from_delta
 from .sweep import (
     FORMATS,
+    RECORD_FIELDS,
     SweepConfig,
     emit_encoding,
     max_abs_z,
     records_to_bytes,
-    write_encoding,
     write_records,
 )
-from .qubit import fidelity_from_delta
 
 
 def parse_int_range(text: str) -> tuple[int, ...]:
@@ -62,10 +61,15 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _open_out(path: str | None):
+def _write_out(records: list[dict], fmt: str, path: str | None,
+               fields: tuple[str, ...] = RECORD_FIELDS) -> None:
+    """Write records with :func:`write_records` to ``path``, or to stdout
+    for None or '-'."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        write_records(records, fmt, sys.stdout, fields)
+        return
+    with open(path, "w", newline="") as fh:
+        write_records(records, fmt, fh, fields)
 
 
 def _check_writable(path: str | None, flag: str) -> None:
@@ -81,6 +85,12 @@ def _check_writable(path: str | None, flag: str) -> None:
         raise ValueError(f"{flag} {path}: directory {str(folder)!r} does not exist")
     if Path(path).is_dir() or not os.access(folder, os.W_OK | os.X_OK):
         raise ValueError(f"{flag} {path}: not a writable file path")
+
+
+#: the sweep's flags and config keys with their defaults
+_SWEEP_DEFAULTS = {"mode": "single_qubit", "n": "1", "k": "1", "phi": 0.0,
+                   "trials": 100_000, "seed": 42, "format": "csv", "z_max": 4.0,
+                   "workers": 1, "out": None}
 
 
 def _add_common(p: argparse.ArgumentParser, with_phi=True):
@@ -116,16 +126,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="analytic-vs-MC sweep over (N, k) grid")
     _add_common(p)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--z-max", type=float, default=4.0,
-                   help="exit nonzero when any |z| exceeds this")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--z-max", type=float, help="exit nonzero when any |z| exceeds this")
+    p.add_argument("--workers", type=int)
     p.add_argument("--config", default=None,
                    help="key=value file; explicit flags override it")
     p.add_argument("--plot-script", default=None,
                    help="also write a standalone plotting script referencing "
                         "the CSV written by --out")
+    # a flag left out reads None, so that --config or _SWEEP_DEFAULTS fills it in
+    p.set_defaults(**dict.fromkeys(_SWEEP_DEFAULTS))
 
     p = sub.add_parser("encode", help="emit the optimal encoding for one even N")
     p.add_argument("--n", type=int, required=True)
@@ -140,6 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 _ANALYTIC_FIELDS = ("mode", "N", "k", "phi", "delta", "fidelity")
 
+#: encode's fields: one JSONL record, or one CSV row per coefficient phi_J
+_ENCODING_FIELDS = {
+    "jsonl": ("N", "phi", "parallel_tilde_delta", "optimal_tilde_delta", "build"),
+    "csv": ("N", "J", "phi_J", "parallel_tilde_delta", "optimal_tilde_delta", "build"),
+}
+
 
 def cmd_analytic(args) -> int:
     k_values = parse_int_range(args.k)
@@ -152,12 +169,7 @@ def cmd_analytic(args) -> int:
                          "delta": delta,
                          "fidelity": fidelity_from_delta(max(-1.0, min(1.0, delta)))})
     # opened only once every row is valid, so a rejected call leaves --out alone
-    fh, close = _open_out(args.out)
-    try:
-        write_records(rows, args.format, fh, _ANALYTIC_FIELDS)
-    finally:
-        if close:
-            fh.close()
+    _write_out(rows, args.format, args.out, _ANALYTIC_FIELDS)
     return 0
 
 
@@ -168,32 +180,19 @@ def cmd_mc(args) -> int:
     cfg.validate()
     _check_writable(args.out, "--out")
     from .sweep import run_sweep
-    records = run_sweep(cfg)
-    fh, close = _open_out(args.out)
-    try:
-        write_records(records, args.format, fh)
-    finally:
-        if close:
-            fh.close()
+    _write_out(run_sweep(cfg), args.format, args.out)
     return 0
 
 
-_SWEEP_KEYS = ("mode", "n", "k", "phi", "trials", "seed", "format",
-               "z_max", "workers", "out")
-
-
 def _sweep_config(args) -> tuple[SweepConfig, str | None]:
-    base = {key: getattr(args, key) for key in _SWEEP_KEYS}
-    if args.config:
-        file_vals = parse_config_file(args.config)
-        unknown = set(file_vals) - set(base)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        defaults = build_parser().parse_args(["sweep"])
-        for key, val in file_vals.items():
-            # explicit flags win; flags left at their default defer to the file
-            if getattr(args, key) == getattr(defaults, key):
-                base[key] = val
+    file_vals = parse_config_file(args.config) if args.config else {}
+    unknown = set(file_vals) - set(_SWEEP_DEFAULTS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    given = {key: getattr(args, key) for key in _SWEEP_DEFAULTS
+             if getattr(args, key) is not None}
+    # flags given on the command line win over the file, the file over the defaults
+    base = {**_SWEEP_DEFAULTS, **file_vals, **given}
     cfg = SweepConfig(
         mode=str(base["mode"]),
         n_values=parse_int_range(str(base["n"])),
@@ -238,12 +237,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_encode(args) -> int:
     payload = emit_encoding(args.n)
-    fh, close = _open_out(args.out)
-    try:
-        write_encoding(payload, args.format, fh)
-    finally:
-        if close:
-            fh.close()
+    rows = [payload] if args.format == "jsonl" else [
+        {**payload, "J": j, "phi_J": coeff} for j, coeff in enumerate(payload["phi"])]
+    _write_out(rows, args.format, args.out, _ENCODING_FIELDS[args.format])
     return 0
 
 

@@ -15,9 +15,9 @@ Two families are covered:
 
 Per-observer shrink factors multiply along a chain.  :func:`chain_laws`
 lists the steps of every chain the CLI names, as runs of equal steps;
-:func:`analytic_delta` multiplies their factors, and :func:`chain_dots_nspin` samples batches of
-the same chains through :func:`spinrelay.sphere.observer_chain` for
-cross-checking.
+:func:`analytic_delta` multiplies their factors, and
+:func:`chain_observers` turns the same steps into the observers that
+:func:`spinrelay.sphere.observer_chain` runs for cross-checking.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
-from .qubit import fidelity_from_delta
 from .rng import as_generator
 from .sphere import observer_chain, sample_cos_tilt, tilt_step
 
@@ -102,6 +101,13 @@ def optimal_encoding(n_spins: int) -> EncodingSpec:
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
+
+def fidelity_from_delta(delta: float) -> float:
+    """Mean fidelity (1 + delta)/2 from a mean overlap delta in [-1, 1]."""
+    if abs(delta) > 1.0:
+        raise ValueError(f"delta must lie in [-1, 1], got {delta}")
+    return 0.5 * (1.0 + delta)
+
 
 def parallel_tilde_delta(n_spins: int) -> float:
     """Per-observer shrink factor N/(N+2) of the parallel encoding."""
@@ -387,32 +393,47 @@ def analytic_delta(mode: str, n_spins: int, k: int, phi: float = 0.0) -> float:
                      for law, offset, count in chain_laws(mode, n_spins, k, phi))
 
 
-def chain_dots_nspin(n_spins: int, k: int, mode: str, rng,
-                     trials: int) -> np.ndarray:
-    """Vectorized N-spin observer chains from the RandomStream ``rng``;
-    overlaps of shape (trials, k), column-major.
+def chain_observers(mode: str, n_spins: int, k: int, phi: float = 0.0,
+                    measure=None, overlap: str = "estimate") -> list:
+    """The k observers of :func:`chain_laws`' chain, as the
+    ``(state, gen) -> (tracked, handed_on)`` steps of
+    :func:`spinrelay.sphere.observer_chain`.
 
-    Every observer draws its tilt from its step's law in
-    :func:`chain_laws` and hands on its estimate, re-encoded; the optimal
-    density is built once per call, on the first draw from it, so not
-    before :func:`observer_chain` has checked ``trials`` and ``rng``.  The
-    hand-on offsets are all zero here: single_qubit at N = 1 runs without
-    one, and :func:`spinrelay.qubit.chain_dots_single` runs the offset.
+    Each observer estimates the direction by tilting the state by a draw
+    from its step's law, or by ``measure(state, gen)`` when given, and
+    hands on that estimate turned by its offset angle at a uniform
+    azimuth; a zero offset hands on the estimate itself and draws
+    nothing.  It tracks the estimate, or with ``overlap="prepared"`` the
+    state it hands on.  The optimal density is built once per list, on
+    the first draw from it, so not before :func:`observer_chain` has
+    checked ``trials`` and ``rng``.
     """
-    runs = chain_laws(mode, n_spins, k)
-    laws = [law for law, _, count in runs for _ in range(count)]
     density = cache(lambda: outcome_density(optimal_encoding(n_spins)))
     samplers = {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size),
                 "optimal": lambda gen, size: density().sample(gen, size)}
 
-    def observer(sample_tilt):
+    def observer(sample_tilt, offset):
         def observe(state, gen):
-            est = tilt_step(state, sample_tilt(gen, state.shape[0]), gen)
-            return est, est
+            if measure is None:
+                est = tilt_step(state, sample_tilt(gen, state.shape[0]), gen)
+            else:
+                est = measure(state, gen)
+            handed_on = est if offset == 0.0 else tilt_step(est, math.cos(offset), gen)
+            return (handed_on if overlap == "prepared" else est), handed_on
         return observe
 
-    observers = [observer(samplers[law]) for law in laws]
-    return observer_chain(observers, rng, trials)
+    observers = []
+    for law, offset, count in chain_laws(mode, n_spins, k, phi):
+        observers += [observer(samplers[law], offset)] * count
+    return observers
+
+
+def chain_dots_nspin(n_spins: int, k: int, mode: str, rng,
+                     trials: int) -> np.ndarray:
+    """Vectorized N-spin observer chains from the RandomStream ``rng``;
+    overlaps of shape (trials, k), column-major, of each observer's
+    estimate with the true direction (see :func:`chain_observers`)."""
+    return observer_chain(chain_observers(mode, n_spins, k), rng, trials)
 
 
 def classical_threshold(k: int, target_fidelity: float, mode: str) -> int:

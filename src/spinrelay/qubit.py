@@ -3,10 +3,11 @@
 A direction n encoded in one spin-1/2 is estimated in turn by k observers
 who cannot communicate.  Each observer applies the uniform-prior-optimal
 covariant POVM (or its Stern-Gerlach realization), guesses the outcome
-direction, and passes on a re-prepared pure state.  The mean overlap of
-observer k's guess with n obeys the closed form delta_k = eta^k with
-eta = cos(phi)/3 for the Kraus family parameterized below, equivalently a
-depolarizing channel applied k times to the Bloch vector.
+direction, and passes on a re-prepared pure state.  For the Kraus family
+parameterized below, the state observer k hands on has mean overlap
+eta^k with n, eta = cos(phi)/3, as if a depolarizing channel shrank the
+Bloch vector k times; observer k's guess has mean overlap
+(1/3) eta^(k-1), one covariant measurement of the state handed to it.
 """
 
 from __future__ import annotations
@@ -16,35 +17,10 @@ import math
 
 import numpy as np
 
-from .sphere import (
-    observer_chain,
-    require_unit,
-    row_dot,
-    sample_cos_tilt,
-    sample_uniform_sphere,
-    tilt_step,
-)
+from .encoding import chain_observers
+from .sphere import observer_chain, row_dot, sample_uniform_sphere
 
 SCHEMES = ("covariant", "stern_gerlach")
-
-
-@dataclass(frozen=True)
-class BlochState:
-    """Qubit state as a Bloch 3-vector, |r| <= 1; pure states have |r| = 1."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        if r.shape != (3,):
-            raise ValueError("Bloch vector must have shape (3,)")
-        if np.linalg.norm(r) > 1.0 + 1e-12:
-            raise ValueError("Bloch vector must have norm <= 1")
-        object.__setattr__(self, "r", r)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.r))
 
 
 @dataclass(frozen=True)
@@ -67,32 +43,6 @@ class QubitKrausFamily:
             raise ValueError("offset_angle must lie in [0, pi]")
 
 
-@dataclass(frozen=True)
-class DepolarizingChannel:
-    """Bloch-vector shrink r -> eta r; physical qubit realizations have
-    eta in [-1/3, 1/3]."""
-
-    eta: float
-
-    def __post_init__(self):
-        if abs(self.eta) > 1.0 / 3.0 + 1e-12:
-            raise ValueError("shrink factor must lie in [-1/3, 1/3]")
-
-
-def single_qubit_fidelity(m, n) -> float:
-    """Fidelity (1 + m.n)/2 between a guessed and a true direction."""
-    m = require_unit(m, "m")
-    n = require_unit(n, "n")
-    return float(np.clip(0.5 * (1.0 + float(m @ n)), 0.0, 1.0))
-
-
-def fidelity_from_delta(delta: float) -> float:
-    """Mean fidelity (1 + delta)/2 from a mean overlap delta in [-1, 1]."""
-    if abs(delta) > 1.0:
-        raise ValueError(f"delta must lie in [-1, 1], got {delta}")
-    return 0.5 * (1.0 + delta)
-
-
 def disturbance_constant(kraus: QubitKrausFamily) -> float:
     """Disturbance constant c = integral over outcomes of |tr A(m)|^2.
 
@@ -109,23 +59,6 @@ def eta_from_c(c: float) -> float:
     if not 0.0 <= c <= 2.0:
         raise ValueError(f"disturbance constant must lie in [0, 2], got {c}")
     return (c - 1.0) / 3.0
-
-
-def apply_depolarizing(state: BlochState, channel: DepolarizingChannel) -> BlochState:
-    """One pass through the channel: r -> eta r."""
-    return BlochState(channel.eta * state.r)
-
-
-def _prepare(estimates: np.ndarray, kraus: QubitKrausFamily, gen) -> np.ndarray:
-    """States handed to the next observer: estimates tilted by the offset angle."""
-    phi = kraus.offset_angle
-    if phi == 0.0:
-        return estimates
-    return tilt_step(estimates, math.cos(phi), gen)
-
-
-def _covariant_estimates(state_dirs: np.ndarray, gen) -> np.ndarray:
-    return tilt_step(state_dirs, sample_cos_tilt(gen, 1, state_dirs.shape[0]), gen)
 
 
 def _sg_estimates(state_dirs: np.ndarray, gen) -> np.ndarray:
@@ -153,17 +86,10 @@ def chain_dots_single(k: int, kraus: QubitKrausFamily, scheme: str, rng,
     """
     if overlap not in ("estimate", "prepared"):
         raise ValueError("overlap must be 'estimate' or 'prepared'")
-    if k < 1:
-        raise ValueError(f"chain length must be >= 1, got {k}")
     if not isinstance(kraus, QubitKrausFamily):
         raise TypeError("kraus must be a QubitKrausFamily")
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    measure = _covariant_estimates if scheme == "covariant" else _sg_estimates
-
-    def observe(state, gen):
-        est = measure(state, gen)
-        prepared = _prepare(est, kraus, gen)
-        return (est if overlap == "estimate" else prepared), prepared
-
-    return observer_chain([observe] * k, rng, trials)
+    measure = _sg_estimates if scheme == "stern_gerlach" else None
+    observers = chain_observers("single_qubit", 1, k, kraus.offset_angle, measure, overlap)
+    return observer_chain(observers, rng, trials)

@@ -238,21 +238,3 @@ def emit_encoding(n_spins: int) -> dict:
         "optimal_tilde_delta": optimal_tilde_delta(n_spins),
         "build": build_id(),
     }
-
-
-def write_encoding(payload: dict, fmt: str, fh) -> None:
-    """Encoding output: one JSON object, or CSV with one row per coefficient."""
-    if fmt == "jsonl":
-        fh.write(json.dumps(payload) + "\n")
-    elif fmt == "csv":
-        writer = csv.writer(fh)
-        writer.writerow(["N", "J", "phi_J",
-                         "parallel_tilde_delta", "optimal_tilde_delta", "build"])
-        for j, coeff in enumerate(payload["phi"]):
-            writer.writerow([
-                payload["N"], j, _fmt(coeff),
-                _fmt(payload["parallel_tilde_delta"]),
-                _fmt(payload["optimal_tilde_delta"]), payload["build"],
-            ])
-    else:
-        raise ValueError(f"format must be one of {FORMATS}")

@@ -16,6 +16,7 @@ from spinrelay.encoding import (
     chain_dots_nspin,
     chain_laws,
     classical_threshold,
+    fidelity_from_delta,
     fk_asymptotic,
     jacobi_matrix,
     optimal_encoding,
@@ -24,7 +25,7 @@ from spinrelay.encoding import (
     parallel_tilde_delta,
 )
 from spinrelay.legendre import legendre_largest_zero
-from spinrelay.qubit import QubitKrausFamily, chain_dots_single, fidelity_from_delta
+from spinrelay.qubit import QubitKrausFamily, chain_dots_single
 from spinrelay.rng import RandomStream, as_generator
 
 

@@ -6,21 +6,15 @@ import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
-from spinrelay.encoding import analytic_delta
+from spinrelay.encoding import analytic_delta, chain_observers, fidelity_from_delta
 from spinrelay.qubit import (
-    BlochState,
-    DepolarizingChannel,
     QubitKrausFamily,
-    apply_depolarizing,
     chain_dots_single,
     disturbance_constant,
     eta_from_c,
-    fidelity_from_delta,
-    single_qubit_fidelity,
 )
-from spinrelay.qubit import _covariant_estimates, _prepare, _sg_estimates
+from spinrelay.qubit import _sg_estimates
 from spinrelay.rng import RandomStream
-from spinrelay.sphere import unit_vector
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
@@ -42,15 +36,6 @@ def ket(v):
 # ---------------------------------------------------------------------------
 
 class TestFidelity:
-    def test_aligned(self):
-        assert single_qubit_fidelity(Z_HAT, Z_HAT) == 1.0
-
-    def test_opposite(self):
-        assert single_qubit_fidelity(Z_HAT, -Z_HAT) == 0.0
-
-    def test_orthogonal(self):
-        assert single_qubit_fidelity([1.0, 0.0, 0.0], Z_HAT) == 0.5
-
     def test_from_delta(self):
         assert fidelity_from_delta(1.0 / 3.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert fidelity_from_delta(0.0) == 0.5
@@ -103,27 +88,6 @@ class TestChannel:
             with pytest.raises(ValueError):
                 eta_from_c(bad)
 
-    def test_composition_equals_power(self):
-        channel = DepolarizingChannel(1.0 / 3.0)
-        state = BlochState(unit_vector(0.1, -0.7, 0.9))
-        stepped = state
-        for k in range(1, 6):
-            stepped = apply_depolarizing(stepped, channel)
-            direct = BlochState((1.0 / 3.0) ** k * state.r)
-            np.testing.assert_allclose(stepped.r, direct.r, rtol=1e-13)
-
-    def test_zero_eta_erases(self):
-        out = apply_depolarizing(BlochState(Z_HAT), DepolarizingChannel(0.0))
-        np.testing.assert_array_equal(out.r, np.zeros(3))
-
-    def test_negative_eta_flips(self):
-        out = apply_depolarizing(BlochState(Z_HAT), DepolarizingChannel(-1.0 / 3.0))
-        np.testing.assert_allclose(out.r, -Z_HAT / 3.0, atol=1e-15)
-
-    def test_invalid_shrink_rejected(self):
-        with pytest.raises(ValueError):
-            DepolarizingChannel(0.5)
-
     def test_analytic_fk(self):
         def fk(k):
             return fidelity_from_delta(analytic_delta("single_qubit", 1, k))
@@ -146,48 +110,42 @@ class TestKrausFamily:
 # Observers
 # ---------------------------------------------------------------------------
 
-def _observe_covariant(phi):
-    """(estimates, prepared) of one covariant observer on 100 +z states."""
-    gen = RandomStream(3).generator()
-    est = _covariant_estimates(np.tile(Z_HAT, (100, 1)), gen)
-    return est, _prepare(est, QubitKrausFamily(phi), gen)
+def _observe(phi=0.0, measure=None, rows=100, seed=3):
+    """(estimates, handed-on states) of the shared builder's single-qubit
+    observer on ``rows`` +z states."""
+    [observe] = chain_observers("single_qubit", 1, 1, phi, measure)
+    return observe(np.tile(Z_HAT, (rows, 1)), RandomStream(seed).generator())
 
 
 class TestObservers:
     def test_covariant_identity_prepare(self):
-        est, prep = _observe_covariant(0.0)
-        np.testing.assert_array_equal(est, prep)
+        est, prep = _observe(0.0)
+        assert prep is est
         np.testing.assert_allclose(np.linalg.norm(est, axis=1), 1.0, atol=1e-12)
 
     def test_covariant_worst_prepare_flips(self):
-        est, prep = _observe_covariant(math.pi)
+        est, prep = _observe(math.pi)
         np.testing.assert_allclose(prep, -est, atol=1e-12)
 
     def test_covariant_offset_tilt(self):
         phi = 1.1
-        est, prep = _observe_covariant(phi)
+        est, prep = _observe(phi)
         np.testing.assert_allclose(np.sum(est * prep, axis=1), math.cos(phi), atol=1e-12)
 
     def test_covariant_estimate_mean(self):
-        gen = RandomStream(12).generator()
-        states = np.tile(Z_HAT, (100_000, 1))
-        est = _covariant_estimates(states, gen)
+        est, _ = _observe(rows=100_000, seed=12)
         mean, se = _mean_se(est[:, 2])
         assert abs(mean - 1.0 / 3.0) < 3 * se
 
     def test_sg_estimate_mean(self):
-        gen = RandomStream(13).generator()
-        states = np.tile(Z_HAT, (100_000, 1))
-        est = _sg_estimates(states, gen)
+        est, _ = _observe(measure=_sg_estimates, rows=100_000, seed=13)
         mean, se = _mean_se(est[:, 2])
         assert abs(mean - 1.0 / 3.0) < 3 * se
 
-    def test_sg_prepared_mean_is_depolarized_state(self, monkeypatch):
+    def test_sg_prepared_mean_is_depolarized_state(self):
         # average posterior equals the shrunk Bloch vector (0, 0, 1/3)
-        gen = RandomStream(14).generator()
-        states = np.tile(Z_HAT, (100_000, 1))
-        est = _sg_estimates(states, gen)
-        target = apply_depolarizing(BlochState(Z_HAT), DepolarizingChannel(1.0 / 3.0)).r
+        est, _ = _observe(measure=_sg_estimates, rows=100_000, seed=14)
+        target = Z_HAT / 3.0
         for axis in range(3):
             mean, se = _mean_se(est[:, axis])
             band = max(3 * se, 1e-12)

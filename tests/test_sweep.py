@@ -27,7 +27,6 @@ from spinrelay.sweep import (
     mc_estimate_delta,
     records_to_bytes,
     run_sweep,
-    write_encoding,
 )
 
 
@@ -210,22 +209,35 @@ class TestEmitEncoding:
         assert emit_encoding(4)["optimal_tilde_delta"] == pytest.approx(0.7745966692,
                                                                         abs=1e-9)
 
-    def test_csv_round_trip_preserves_norm(self):
-        payload = emit_encoding(10)
-        buf = io.StringIO(newline="")
-        write_encoding(payload, "csv", buf)
-        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    def test_csv_round_trip_preserves_norm(self, tmp_path):
+        out = tmp_path / "enc.csv"
+        assert main(["encode", "--n", "10", "--format", "csv", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert list(rows[0]) == ["N", "J", "phi_J", "parallel_tilde_delta",
                                  "optimal_tilde_delta", "build"]
         coeffs = np.array([float(r["phi_J"]) for r in rows])
         assert abs(coeffs @ coeffs - 1.0) < 1e-10
         assert {int(r["J"]) for r in rows} == set(range(6))
 
-    def test_jsonl_round_trip_preserves_norm(self):
-        buf = io.StringIO()
-        write_encoding(emit_encoding(8), "jsonl", buf)
-        coeffs = np.array(json.loads(buf.getvalue())["phi"])
+    def test_jsonl_round_trip_preserves_norm(self, capsys):
+        assert main(["encode", "--n", "8"]) == 0
+        coeffs = np.array(json.loads(capsys.readouterr().out)["phi"])
         assert abs(coeffs @ coeffs - 1.0) < 1e-10
+
+    def test_encode_bytes(self, tmp_path, monkeypatch):
+        import spinrelay.sweep as sweep_mod
+        monkeypatch.setattr(sweep_mod, "build_id", lambda: "test-build")
+        expected = {
+            "csv": b"N,J,phi_J,parallel_tilde_delta,optimal_tilde_delta,build\r\n"
+                   b"2,0,0.70710678118654746,0.5,0.57735026918962595,test-build\r\n"
+                   b"2,1,0.70710678118654768,0.5,0.57735026918962595,test-build\r\n",
+            "jsonl": b'{"N": 2, "phi": [0.7071067811865475, 0.7071067811865477], '
+                     b'"parallel_tilde_delta": 0.5, "optimal_tilde_delta": 0.577350269189626, '
+                     b'"build": "test-build"}\n'}
+        for fmt, data in expected.items():
+            out = tmp_path / f"encode.{fmt}"
+            assert main(["encode", "--n", "2", "--format", fmt, "--out", str(out)]) == 0
+            assert out.read_bytes() == data
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +315,16 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg), "--trials", "900"]) == 0
         row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert row["trials"] == "900"
+        # also when the flag's value is its default
+        assert main(["sweep", "--config", str(cfg), "--seed", "42"]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert row["seed"] == "42" and row["trials"] == "800"
+        cfg.write_text(cfg.read_text() + "format = jsonl\n")
+        assert main(["sweep", "--config", str(cfg), "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("mode,N,k,")
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["seed"] == "3" and row["mode"] == "nspin_parallel"
 
     def test_sweep_plot_script(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
