@@ -8,7 +8,8 @@ JSON lines.
 
 Exit codes: 0 ok, 1 a z-gate or acceptance criterion failed, 2 usage
 error (including a config or output path that cannot be read or
-written), 3 numerical failure (a routine that did not converge).
+written, and a count too large to index or allocate), 3 numerical
+failure (a routine that did not converge).
 """
 
 from __future__ import annotations
@@ -269,8 +270,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        # a count too large to index or allocate is a usage error, not a failed z-gate
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         # a numerical routine failed to converge: not a z-gate failure

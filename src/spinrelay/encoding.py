@@ -27,6 +27,7 @@ from functools import cache, cached_property
 import math
 
 import numpy as np
+from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
 from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
@@ -139,81 +140,25 @@ def fk_asymptotic(n_spins: int, k: int) -> float:
 # Outcome-tilt density of an encoding and trajectory simulation
 # ---------------------------------------------------------------------------
 
-def _legendre_square(a: np.ndarray) -> np.ndarray:
-    """The Legendre series of a(x)^2: npleg.legmul(a, a), bit for bit.
+def _amplitude_at_angles(amplitude: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sum_J amplitude[J] P_J(cos theta).
 
-    numpy's legmul runs a Clenshaw recursion over a whose state is two
-    series; it does so one coefficient at a time in Python.  Here each
-    series operation is one numpy pass over a zero-padded buffer of the
-    product's length, with the same operations in the same order, so
-    every coefficient rounds the same way.  Trailing zeros of a, which
-    legmul trims first, only add steps that leave the state at zero.
+    npleg.legval would need x = cos theta, which rounds by up to an ulp
+    near x = 1, where a degree-n series changes ~n^2 times faster than x;
+    that moved the density's total mass by 3e-13 at N = 272 and 1e-10 at
+    N = 10^4.  Here the Legendre recurrence runs on s = 1 - x = 2
+    sin^2(theta / 2), accurate to rounding near x = 1, through the
+    differences d_J = P_J - P_{J-1}: (J+1) d_{J+1} = J d_J - (2J+1) s P_J.
     """
-    c = np.asarray(a, dtype=float)
-    n = c.size
-    size = 2 * n - 1
-    xs = np.zeros(size)
-    xs[:n] = c
-    m = np.arange(1.0, size)
-    odd_below, odd_above = 2.0 * m - 1.0, 2.0 * m + 1.0
-    up, down = np.zeros(size), np.zeros(size)
-
-    def mulx(s):
-        # legmulx: x P_i = ((i + 1) P_{i+1} + i P_{i-1}) / (2i + 1)
-        np.multiply(s[:-1], m, out=up[1:])
-        up[1:] /= odd_below
-        np.multiply(s[1:], m, out=down[:-1])
-        down[:-1] /= odd_above
-        return up + down
-
-    if n == 1:
-        c0, c1 = c[0] * xs, np.zeros(size)
-    else:
-        c0, c1 = c[-2] * xs, c[-1] * xs
-    for i in range(3, n + 1):
-        nd = n + 2 - i
-        shifted = c1 * float(nd - 1)
-        shifted /= nd
-        c1 = mulx(c1)
-        c1 *= float(2 * nd - 1)
-        c1 /= nd
-        c1 += c0
-        c0 = c[-i] * xs
-        c0 -= shifted
-    square = c0 + mulx(c1)
-    nonzero = np.flatnonzero(square)
-    # legmul returns the product without trailing zeros
-    return square[:nonzero[-1] + 1 if nonzero.size else 1]
-
-
-def _cosine_coefficients(series: np.ndarray) -> np.ndarray:
-    """b with sum_L series[L] P_L(cos t) = sum_m b[m] cos(m t).
-
-    The series is sampled at the K + 1 Chebyshev-Lobatto points cos(j pi /
-    K), K = series.size (above its degree, so the transform is exact up to
-    rounding), and a DCT-I through a real FFT of the even extension gives b.
-    """
-    k = series.size
-    values = npleg.legval(np.cos(np.arange(k + 1) * (np.pi / k)), series)
-    b = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / k
-    b[[0, -1]] /= 2.0
-    return b
-
-
-def _cosine_sums(b: np.ndarray, intervals: int, residue: int, grid: int) -> np.ndarray:
-    """sum_m b[m] cos(m theta) at theta = (residue + p step) pi / grid,
-    p = 0..2 intervals - 1, step = grid / intervals.
-
-    These are the points i pi / grid, i = residue mod step, of a uniform
-    grid of ``grid`` intervals, a multiple of ``intervals``.  They come
-    from one inverse real FFT of length 2 intervals of b modulated by
-    exp(i m residue pi / grid), which needs b.size <= intervals.
-    """
-    spectrum = b * np.exp((1j * np.pi * residue / grid) * np.arange(b.size))
-    # irfft halves every term but the constant one and divides by its length
-    spectrum *= intervals
-    spectrum[0] *= 2.0
-    return np.fft.irfft(spectrum, 2 * intervals)
+    s = 2.0 * np.sin(0.5 * theta) ** 2
+    p, d = np.ones_like(s), -s
+    total = amplitude[0] * p
+    for j in range(1, amplitude.size):
+        p += d
+        total += amplitude[j] * p
+        d *= j / (j + 1)
+        d -= ((2 * j + 1) / (j + 1)) * s * p
+    return total
 
 
 @dataclass(frozen=True)
@@ -221,33 +166,51 @@ class OutcomeDensity:
     """Density of the tilt cosine between consecutive estimates.
 
     For an encoding with coefficients phi the measurement-outcome density
-    is g(x) = (sum_J sqrt(2J+1) phi_J P_J(x))^2 / 2, stored as a Legendre
-    series together with its exactly integrated CDF.  Sampling inverts a
-    table of the survival function G(theta) = 1 - CDF(cos theta) on a
-    uniform grid in the tilt angle theta = arccos x: for the optimal
-    encoding g is concentrated within ~1/N^2 of x = 1, but in theta it
-    is smooth on a scale of ~1/N, so the grid follows from N.  A draw u
-    finds its table interval through a guide table over G, in O(1) for
-    most draws; the result is bit-identical to np.interp on the same
-    table.  The table is built lazily on first use and immutable
-    afterwards, so a density may be shared across threads.
+    is g(x) = a(x)^2 / 2, with the amplitude a = sum_J sqrt(2J+1) phi_J P_J
+    stored as its Legendre series.  The survival function G = 1 - CDF is
+    a Chebyshev series in x, so a cosine series in the tilt angle theta =
+    arccos x; :attr:`_survival` builds it exactly, up to rounding.
+    Sampling inverts a table of G on a uniform grid in theta: for the
+    optimal encoding g is concentrated within ~1/N^2 of x = 1, but in
+    theta it is smooth on a scale of ~1/N, so the grid follows from N.  A
+    draw u finds its table interval through a guide table over G, in O(1)
+    for most draws; the result is bit-identical to np.interp on the same
+    table.  The series and the table are built lazily on first use and
+    immutable afterwards, so a density may be shared across threads.
     """
 
     encoding: EncodingSpec
-    pdf_series: np.ndarray = field(repr=False)
-    cdf_series: np.ndarray = field(repr=False)
+    amplitude: np.ndarray = field(repr=False)
 
     def pdf(self, x):
-        return npleg.legval(x, self.pdf_series)
+        return 0.5 * npleg.legval(x, self.amplitude) ** 2
 
     def cdf(self, x):
-        return np.clip(npleg.legval(x, self.cdf_series), 0.0, 1.0)
+        return np.clip(1.0 - npcheb.chebval(x, self._survival), 0.0, 1.0)
 
     def mean_tilt(self) -> float:
-        """Exact mean of the tilt cosine, (2/3) times the P_1 coefficient."""
-        if self.pdf_series.size < 2:
-            return 0.0
-        return 2.0 * float(self.pdf_series[1]) / 3.0
+        """Exact mean of the tilt cosine, 1 - int CDF = int G - 1 over
+        [-1, 1], with int T_m = 2 / (1 - m^2) for even m and 0 for odd m."""
+        m = np.arange(0.0, self._survival.size, 2.0)
+        return float(self._survival[::2] @ (2.0 / (1.0 - m * m))) - 1.0
+
+    @cached_property
+    def _survival(self) -> np.ndarray:
+        """Chebyshev coefficients b of G, so G(cos theta) = sum_m b[m] cos(m theta).
+
+        g has degree N, so its values at the K + 1 Chebyshev-Lobatto
+        points cos(j pi / K), K = N + 2, fix it; a DCT-I through a real
+        FFT of the even extension gives its Chebyshev coefficients, and
+        chebint the CDF's.
+        """
+        k = 2 * self.amplitude.size
+        theta = np.arange(k + 1) * (np.pi / k)
+        values = 0.5 * _amplitude_at_angles(self.amplitude, theta) ** 2
+        g = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / k
+        g[[0, -1]] /= 2.0
+        b = -npcheb.chebint(g, lbnd=-1)
+        b[0] += 1.0
+        return b
 
     @cached_property
     def _inverse_table(self):
@@ -259,10 +222,10 @@ class OutcomeDensity:
         The start grid resolves the N/2 oscillations of the amplitude
         with L = 16 intervals each; the floor of L = 1024 keeps the
         sampler's mean bias below 1e-6 at small N, which _TABLE_TOL alone
-        would not.  Every knot and midpoint is a point i pi / M of a
-        uniform grid of M = L 2^r intervals, so G there comes from the
-        cosine series of the CDF by length-2L inverse FFTs, one per
-        residue class of i mod 2^r (see :func:`_cosine_sums`).
+        would not.  The knots i pi / m and the midpoints (i + 1/2) pi / m
+        of an m-interval grid are the points of the 2m-interval grid, so
+        each round reads G at all of them from one inverse real FFT of
+        the cosine series, of length 4m.
 
         slope holds np.interp's slopes diff(theta) / diff(G), and a 0
         after the last knot.  guide[c] is the interval j, G[j] <= q <
@@ -271,33 +234,23 @@ class OutcomeDensity:
         where a knot splits the cell; its last entry is q = 1's interval.
         """
         intervals = max(1024, 16 * (self.encoding.n_spins // 2 + 2))
-        coeffs = _cosine_coefficients(self.cdf_series)
-        theta = np.linspace(0.0, np.pi, intervals + 1)
-        exact = 1.0 - _cosine_sums(coeffs, intervals, 0, intervals)[:intervals + 1]
-        exact[0], exact[-1] = 0.0, 1.0
+        # irfft halves every term but the constant one and divides by its length
+        spectrum = 2.0 * self._survival
+        spectrum[0] *= 2.0
         while True:
-            mids = 0.5 * (theta[:-1] + theta[1:])
-            # midpoint q is point 2q + 1 of the halved grid: its odd
-            # residue class s mod 2 * classes fills column (s - 1) / 2
-            classes = (theta.size - 1) // intervals
-            exact_mids = np.empty((intervals, classes))
-            for col in range(classes):
-                sums = _cosine_sums(coeffs, intervals, 2 * col + 1, 2 * (theta.size - 1))
-                np.subtract(1.0, sums[:intervals], out=exact_mids[:, col])
-            exact_mids = exact_mids.reshape(-1)
-            knots = np.minimum(1.0, np.maximum.accumulate(exact))
-            gap = np.abs(exact_mids - 0.5 * (knots[:-1] + knots[1:]))
+            exact = np.fft.irfft(intervals * spectrum, 4 * intervals)[:2 * intervals + 1]
+            exact[0], exact[-1] = 0.0, 1.0
+            knots = np.minimum(1.0, np.maximum.accumulate(exact[::2]))
+            gap = np.abs(exact[1::2] - 0.5 * (knots[:-1] + knots[1:]))
             if float(gap.max()) <= _TABLE_TOL:
                 break
-            if 2 * theta.size > 2 ** 21:
+            if 2 * (intervals + 1) > 2 ** 21:
                 raise RuntimeError("inverse-CDF table refinement did not converge")
-            # the midpoints become knots of the halved grid
-            theta = np.insert(theta, np.arange(1, theta.size), mids)
-            exact = np.insert(exact, np.arange(1, exact.size), exact_mids)
+            intervals *= 2
         keep = np.empty(knots.size, dtype=bool)
         keep[0] = True
         keep[1:] = np.diff(knots) > 0.0
-        table_g, theta = knots[keep], theta[keep]
+        table_g, theta = knots[keep], np.linspace(0.0, np.pi, intervals + 1)[keep]
         slope = np.append(np.diff(theta) / np.diff(table_g), 0.0)
         edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
         guide = np.searchsorted(table_g, edges, side="right") - 1
@@ -331,17 +284,10 @@ class OutcomeDensity:
 
 
 def outcome_density(encoding: EncodingSpec) -> OutcomeDensity:
-    """Build the tilt-cosine density of ``encoding``.
-
-    The amplitude sum_J sqrt(2J+1) phi_J P_J is squared with a Legendre
-    series product, so the CDF is its exact Legendre antiderivative from -1.
-    """
-    phi = encoding.phi
-    degrees = np.arange(phi.size, dtype=float)
-    amplitude = np.sqrt(2.0 * degrees + 1.0) * phi
-    g = 0.5 * _legendre_square(amplitude)
-    return OutcomeDensity(encoding=encoding, pdf_series=g,
-                          cdf_series=npleg.legint(g, lbnd=-1))
+    """The tilt-cosine density of ``encoding``, from its amplitude
+    sum_J sqrt(2J+1) phi_J P_J."""
+    degrees = np.arange(encoding.phi.size, dtype=float)
+    return OutcomeDensity(encoding, np.sqrt(2.0 * degrees + 1.0) * encoding.phi)
 
 
 def chain_laws(mode: str, n_spins: int, k: int,

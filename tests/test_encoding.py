@@ -366,6 +366,24 @@ class TestOutcomeDensity:
         assert density.cdf(-1.0) == pytest.approx(0.0, abs=1e-12)
         assert density.cdf(1.0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_amplitude_at_angles_is_legval(self):
+        # the recurrence on s = 1 - cos theta against numpy's Clenshaw sum
+        gen = np.random.default_rng(4)
+        theta = np.linspace(0.0, np.pi, 101)
+        for size in (1, 2, 3, 40):
+            series = gen.normal(size=size)
+            np.testing.assert_allclose(
+                encoding._amplitude_at_angles(series, theta),
+                npleg.legval(np.cos(theta), series),
+                rtol=0.0, atol=1e-12 * np.abs(series).sum())
+
+    def test_survival_is_zero_at_x_one(self):
+        # G(x = 1) = 1 - total mass: with g sampled at the rounded
+        # abscissas cos(j pi / K) it was off by 2.7e-13, 3.0e-13 and 7.0e-13
+        for n_spins in (224, 272, 1000):
+            density = outcome_density(optimal_encoding(n_spins))
+            assert abs(float(density._survival.sum())) <= 1e-13, f"N={n_spins}"
+
     def test_mean_tilt_of_optimal_is_largest_zero(self):
         for n in (2, 4, 40):
             density = outcome_density(optimal_encoding(n))
@@ -446,37 +464,51 @@ class TestOutcomeSampling:
         assert mean == pytest.approx(optimal_tilde_delta(n_spins), abs=1e-6)
 
     def test_large_n_table_builds(self, optimal_densities):
-        # the mass lies within ~1e-5 of x = 1: a uniform grid in x would
-        # need more than 2^21 knots
-        density = optimal_densities[1000]
-        x = density.sample(RandomStream(99), 10_000)
-        assert np.all((-1.0 <= x) & (x <= 1.0))
-        mean, se = _mean_se(x)
-        assert abs(mean - optimal_tilde_delta(1000)) < 4 * se
+        # the mass lies within ~1e-5 (N = 1000) and ~1e-7 (N = 10^4) of
+        # x = 1: a uniform grid in x would need more than 2^21 knots.  Each
+        # table is within _TABLE_TOL of the exact CDF at one random angle
+        # per interval, and its draws' mean matches the largest zero
+        for n_spins in (1000, 10 ** 4):
+            density = optimal_densities.get(n_spins) or outcome_density(
+                optimal_encoding(n_spins))
+            table_g, table_theta, *_ = density._inverse_table
+            frac = np.random.default_rng(n_spins).random(table_theta.size - 1)
+            theta = table_theta[:-1] + frac * np.diff(table_theta)
+            # in chunks that stay in cache: N = 10^4 has 2e5 intervals
+            exact = np.concatenate([1.0 - density.cdf(np.cos(chunk))
+                                    for chunk in np.array_split(theta, 16)])
+            gap = np.abs(np.interp(theta, table_theta, table_g) - exact)
+            assert gap.max() <= encoding._TABLE_TOL, f"N={n_spins}"
+            x = density.sample(RandomStream(99), 10_000)
+            assert np.all((-1.0 <= x) & (x <= 1.0))
+            mean, se = _mean_se(x)
+            assert abs(mean - optimal_tilde_delta(n_spins)) < 4 * se, f"N={n_spins}"
+
+
+def _series_cdf(density):
+    """Oracle: the CDF's Legendre series, the exact antiderivative from -1
+    of the density's Legendre square."""
+    amp = density.amplitude
+    return npleg.legint(0.5 * npleg.legmul(amp, amp), lbnd=-1)
 
 
 def _series_inverse_table(density):
     """Oracle: the table build that evaluates the CDF's Legendre series at
-    every knot and midpoint, point by point, on the same grid and with the
+    every knot and midpoint, point by point, on the same grids and with the
     same refinement rule; returns (G, theta)."""
-    def survival(theta):
-        return 1.0 - npleg.legval(np.cos(theta), density.cdf_series)
-
+    cdf = _series_cdf(density)
     intervals = max(1024, 16 * (density.encoding.n_spins // 2 + 2))
-    theta = np.linspace(0.0, np.pi, intervals + 1)
-    exact = survival(theta)
-    exact[0], exact[-1] = 0.0, 1.0
     while True:
-        mids = 0.5 * (theta[:-1] + theta[1:])
-        exact_mids = survival(mids)
-        knots = np.minimum(1.0, np.maximum.accumulate(exact))
-        gap = np.abs(exact_mids - 0.5 * (knots[:-1] + knots[1:]))
+        # the knots (even points) and midpoints (odd points) of the grid
+        exact = 1.0 - npleg.legval(np.cos(np.linspace(0.0, np.pi, 2 * intervals + 1)), cdf)
+        exact[0], exact[-1] = 0.0, 1.0
+        knots = np.minimum(1.0, np.maximum.accumulate(exact[::2]))
+        gap = np.abs(exact[1::2] - 0.5 * (knots[:-1] + knots[1:]))
         if float(gap.max()) <= encoding._TABLE_TOL:
             break
-        theta = np.insert(theta, np.arange(1, theta.size), mids)
-        exact = np.insert(exact, np.arange(1, exact.size), exact_mids)
+        intervals *= 2
     keep = np.concatenate([[True], np.diff(knots) > 0.0])
-    return knots[keep], theta[keep]
+    return knots[keep], np.linspace(0.0, np.pi, intervals + 1)[keep]
 
 
 class TestInverseTableBuild:
@@ -494,40 +526,8 @@ class TestInverseTableBuild:
     def test_knots_on_exact_survival(self, optimal_densities, n_spins):
         density = optimal_densities[n_spins]
         table_g, table_theta, *_ = density._inverse_table
-        exact = 1.0 - density.cdf(np.cos(table_theta))
+        exact = 1.0 - npleg.legval(np.cos(table_theta), _series_cdf(density))
         assert np.max(np.abs(table_g - exact)) <= 1e-10
-
-
-class TestLegendreSquare:
-    """_legendre_square against numpy's legmul, bit for bit."""
-
-    @staticmethod
-    def _assert_is_legmul(a):
-        square = encoding._legendre_square(a)
-        oracle = npleg.legmul(a, a)
-        assert square.shape == oracle.shape
-        assert np.array_equal(square, oracle)
-
-    def test_optimal_amplitudes(self):
-        for n_spins in [*range(2, 401, 2), 1000, 2000]:
-            phi = optimal_encoding(n_spins).phi
-            self._assert_is_legmul(np.sqrt(2.0 * np.arange(phi.size) + 1.0) * phi)
-
-    @pytest.mark.parametrize("size", [1, 2, 3, 40])
-    @pytest.mark.parametrize("trailing_zeros", [0, 2])
-    def test_random_series(self, size, trailing_zeros):
-        gen = np.random.default_rng(size)
-        self._assert_is_legmul(np.concatenate([gen.normal(size=size),
-                                               np.zeros(trailing_zeros)]))
-
-    def test_density_series_unchanged(self):
-        # the stored series are what legmul and legint give, byte for byte
-        phi = optimal_encoding(280).phi
-        amplitude = np.sqrt(2.0 * np.arange(phi.size) + 1.0) * phi
-        g = 0.5 * npleg.legmul(amplitude, amplitude)
-        density = outcome_density(optimal_encoding(280))
-        assert density.pdf_series.tobytes() == g.tobytes()
-        assert density.cdf_series.tobytes() == npleg.legint(g, lbnd=-1).tobytes()
 
 
 class TestGuideTableOracle:

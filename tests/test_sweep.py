@@ -419,6 +419,29 @@ class TestCli:
         assert kept.read_text() == "earlier output\n"
         capsys.readouterr()
 
+    def test_oversized_counts_exit_2(self, monkeypatch, capsys):
+        # a count too large to index or allocate is a usage error, not a
+        # traceback whose exit 1 reads as a failed z-gate
+        import spinrelay.sweep as sweep_mod
+
+        def fail(*args, **kwargs):
+            # numpy raises a subclass with a message for this mc call; a
+            # failed allocation in Python itself raises one without
+            raise MemoryError()
+
+        cases = [["analytic", "--k", "1..100000000000000000000000"],
+                 ["sweep", "--mode", "nspin_parallel", "--n", "2",
+                  "--k", "100000000000000000000", "--trials", "10"],
+                 ["mc", "--mode", "nspin_parallel", "--n", "2", "--k", "1",
+                  "--trials", "10000000000000"]]
+        for argv in cases:
+            if argv[0] == "mc":
+                monkeypatch.setattr(sweep_mod, "run_sweep", fail)
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+        assert err == "error: MemoryError\n"
+
     def test_numerical_failure_exit_3(self, monkeypatch, capsys):
         def fail(self):
             raise RuntimeError("inverse-CDF table refinement did not converge")
