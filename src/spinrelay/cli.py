@@ -31,21 +31,25 @@ from .sweep import (
 )
 
 
-def parse_int_range(text: str) -> tuple[int, ...]:
-    """Parse '4', '2,4,10', or 'a..b[..step]' into a tuple of ints."""
+#: most values an --n or --k range may hold; 10^6 ints take about 36 MB
+MAX_RANGE_VALUES = 10 ** 6
+
+
+def parse_int_range(text: str, name: str = "range") -> tuple[int, ...]:
+    """Parse '4', '2,4,10', or 'a..b[..step]' into a tuple of ints.  A
+    range is counted before it is built; messages call it ``name``."""
     text = text.strip()
-    if ".." in text:
-        parts = text.split("..")
-        if len(parts) == 2:
-            start, stop, step = int(parts[0]), int(parts[1]), 1
-        elif len(parts) == 3:
-            start, stop, step = (int(p) for p in parts)
-        else:
-            raise ValueError(f"bad range syntax: {text!r}")
-        if step < 1 or stop < start:
-            raise ValueError(f"bad range bounds: {text!r}")
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(p) for p in text.split(","))
+    if ".." not in text:
+        return tuple(int(p) for p in text.split(","))
+    parts = [int(p) for p in text.split("..")]
+    if len(parts) not in (2, 3):
+        raise ValueError(f"bad range syntax: {text!r}")
+    start, stop, step = (parts + [1])[:3]
+    if step < 1 or stop < start:
+        raise ValueError(f"bad range bounds: {text!r}")
+    if (stop - start) // step >= MAX_RANGE_VALUES:
+        raise ValueError(f"{name} {text}: more than {MAX_RANGE_VALUES} values")
+    return tuple(range(start, stop + 1, step))
 
 
 def parse_config_file(path: str) -> dict:
@@ -160,9 +164,9 @@ _ENCODING_FIELDS = {
 
 
 def cmd_analytic(args) -> int:
-    k_values = parse_int_range(args.k)
+    k_values = parse_int_range(args.k, "--k")
     rows = []
-    for n in parse_int_range(args.n):
+    for n in parse_int_range(args.n, "--n"):
         for k in k_values:
             delta = analytic_delta(args.mode, n, k, args.phi)
             rows.append({"mode": args.mode, "N": n, "k": k,
@@ -196,8 +200,8 @@ def _sweep_config(args) -> tuple[SweepConfig, str | None]:
     base = {**_SWEEP_DEFAULTS, **file_vals, **given}
     cfg = SweepConfig(
         mode=str(base["mode"]),
-        n_values=parse_int_range(str(base["n"])),
-        k_values=parse_int_range(str(base["k"])),
+        n_values=parse_int_range(str(base["n"]), "--n" if "n" in given else "config key n"),
+        k_values=parse_int_range(str(base["k"]), "--k" if "k" in given else "config key k"),
         phi=float(base["phi"]),
         trials=int(base["trials"]),
         seed=int(base["seed"]),

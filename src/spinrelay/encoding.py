@@ -16,8 +16,8 @@ Two families are covered:
 Per-observer shrink factors multiply along a chain.  :func:`chain_laws`
 lists the steps of every chain the CLI names, as runs of equal steps;
 :func:`analytic_delta` multiplies their factors, and
-:func:`chain_observers` turns the same steps into the observers that
-:func:`spinrelay.sphere.observer_chain` runs for cross-checking.
+:func:`chain_observers` turns the same steps into the 3-D observers of
+:func:`spinrelay.sphere.observer_chain`, the oracle of :func:`chain_dots_nspin`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from numpy.polynomial import legendre as npleg
 
 from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
 from .rng import as_generator
-from .sphere import observer_chain, sample_cos_tilt, tilt_step
+from .sphere import chain_blocks, sample_cos_tilt, tilt_step
 
 #: the observer chains; a sweep cell's random substream follows this order
 MODES = ("single_qubit", "nspin_parallel", "nspin_optimal", "parallel_start")
@@ -339,6 +339,13 @@ def analytic_delta(mode: str, n_spins: int, k: int, phi: float = 0.0) -> float:
                      for law, offset, count in chain_laws(mode, n_spins, k, phi))
 
 
+def _tilt_samplers(n_spins: int) -> dict:
+    """Each tilt law's ``(gen, size)`` sampler; the density is built on first use."""
+    density = cache(lambda: outcome_density(optimal_encoding(n_spins)))
+    return {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size),
+            "optimal": lambda gen, size: density().sample(gen, size)}
+
+
 def chain_observers(mode: str, n_spins: int, k: int, phi: float = 0.0,
                     measure=None, overlap: str = "estimate") -> list:
     """The k observers of :func:`chain_laws`' chain, as the
@@ -350,13 +357,9 @@ def chain_observers(mode: str, n_spins: int, k: int, phi: float = 0.0,
     hands on that estimate turned by its offset angle at a uniform
     azimuth; a zero offset hands on the estimate itself and draws
     nothing.  It tracks the estimate, or with ``overlap="prepared"`` the
-    state it hands on.  The optimal density is built once per list, on
-    the first draw from it, so not before :func:`observer_chain` has
-    checked ``trials`` and ``rng``.
+    state it hands on.
     """
-    density = cache(lambda: outcome_density(optimal_encoding(n_spins)))
-    samplers = {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size),
-                "optimal": lambda gen, size: density().sample(gen, size)}
+    samplers = _tilt_samplers(n_spins)
 
     def observer(sample_tilt, offset):
         def observe(state, gen):
@@ -378,8 +381,29 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng,
                      trials: int) -> np.ndarray:
     """Vectorized N-spin observer chains from the RandomStream ``rng``;
     overlaps of shape (trials, k), column-major, of each observer's
-    estimate with the true direction (see :func:`chain_observers`)."""
-    return observer_chain(chain_observers(mode, n_spins, k), rng, trials)
+    estimate with the true direction.
+
+    The chains of :func:`chain_observers` are covariant, so the overlap
+    alone is a Markov chain: a step that tilts by x at azimuth psi takes c
+    to c x + sqrt((1 - c^2)(1 - x^2)) cos psi, from c = 1, so column 1 is
+    x.  Each block of :func:`spinrelay.sphere.chain_blocks` draws the 3-D
+    chain's fills: two for the true directions, unused here but kept so
+    that every k = 1 overlap is the 3-D chain's up to rounding, then per
+    observer its tilt x and its azimuth psi on [0, 2 pi)."""
+    samplers, laws = _tilt_samplers(n_spins), chain_laws(mode, n_spins, k)
+    dots, blocks = chain_blocks(rng, trials, k)
+    for block, gen in blocks:
+        rows = block.shape[0]
+        # the true directions' two fills: unused, but kept for the k = 1 records
+        gen.random(rows), gen.random(rows)
+        c = 1.0
+        for j, law in enumerate(name for name, _, count in laws for _ in range(count)):
+            x = samplers[law](gen, rows)
+            cos_psi = np.cos(gen.uniform(0.0, 2.0 * np.pi, rows))
+            s = (1.0 - c * c) * (1.0 - x * x)
+            c = np.multiply(c, x, out=block[:, j])
+            c += np.sqrt(np.maximum(s, 0.0, out=s), out=s) * cos_psi
+    return dots
 
 
 def classical_threshold(k: int, target_fidelity: float, mode: str) -> int:

@@ -2,9 +2,10 @@
 
 Directions are plain float ndarrays: shape ``(3,)`` for a single unit
 vector or ``(..., 3)`` for batches.  The geometric functions broadcast
-over leading axes.  Every observer chain runs through
-:func:`observer_chain`, in blocks of at most _CHAIN_ROWS trials of shape
-(rows, 3), and every covariant step through :func:`tilt_step`.
+over leading axes.  Every chain runs in the blocks of :func:`chain_blocks`:
+the 3-D ones through :func:`observer_chain`, each covariant step a
+:func:`tilt_step`, and the N-spin overlaps alone in
+:func:`spinrelay.encoding.chain_dots_nspin`.
 
 The kernel, :func:`rotate_towards`, works one component column at a
 time, with numpy broadcasting the columns against the tilts and
@@ -27,7 +28,7 @@ UNIT_TOL = 1e-12
 #: UNIT_TOL so values that round-tripped through arithmetic still pass)
 _VALIDATE_TOL = 1e-9
 
-#: trials per block of observer_chain, so that a chain step holds a few
+#: trials per block of chain_blocks, so that a chain step holds a few
 #: (rows, 3) arrays of this many rows however many trials run, and the
 #: 128 KB column temporaries of rotate_towards stay in a 2 MB L2 cache
 _CHAIN_ROWS = 2 ** 14
@@ -166,30 +167,31 @@ def tilt_step(dirs, cos_tilt, gen) -> np.ndarray:
     return rotate_towards(dirs, cos_tilt, az)
 
 
-def observer_chain(observers, rng: RandomStream, trials: int) -> np.ndarray:
-    """Run ``trials`` chains of the given observers from the RandomStream
-    ``rng``; returns their overlaps of shape (trials, len(observers)),
-    column-major.
-
-    The chains run one block of at most _CHAIN_ROWS trials after another.
-    In each block it draws the true directions, then applies each
-    observer ``(state, gen) -> (tracked, handed_on)`` to the state the
-    previous one handed on; column j holds the overlap of observer j's
-    ``tracked`` direction with the true one.  The block draws through
-    ``rng.rows``, so its rows get exactly the draws that one batch of
-    ``trials`` rows would give them, whatever the block size.
-    """
+def chain_blocks(rng: RandomStream, trials: int, k: int):
+    """Check ``trials`` and the RandomStream ``rng``, then allocate a
+    chain's column-major (trials, k) overlaps; returns them and an iterator
+    over their blocks of at most _CHAIN_ROWS rows, each with the ``rng.rows``
+    view that gives its rows the draws of one batch of ``trials`` rows."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not isinstance(rng, RandomStream):
         raise TypeError(f"rng must be a RandomStream, got {type(rng).__name__}")
-    dots = np.empty((len(observers), trials)).T
-    for lo in range(0, trials, _CHAIN_ROWS):
-        hi = min(lo + _CHAIN_ROWS, trials)
-        gen = rng.rows(lo, hi, trials)
-        true_dirs = sample_uniform_sphere(gen, hi - lo)
-        state = true_dirs
+    dots = np.empty((k, trials)).T
+    bounds = ((lo, min(lo + _CHAIN_ROWS, trials)) for lo in range(0, trials, _CHAIN_ROWS))
+    return dots, ((dots[lo:hi], rng.rows(lo, hi, trials)) for lo, hi in bounds)
+
+
+def observer_chain(observers, rng: RandomStream, trials: int) -> np.ndarray:
+    """Run ``trials`` chains of the given observers from the RandomStream
+    ``rng`` in the blocks of :func:`chain_blocks`; returns their (trials,
+    len(observers)) column-major overlaps.  Each block draws the true
+    directions, then applies each observer ``(state, gen) -> (tracked,
+    handed_on)`` to the state the previous one handed on; column j holds
+    the overlap of observer j's ``tracked`` direction with the true one."""
+    dots, blocks = chain_blocks(rng, trials, len(observers))
+    for block, gen in blocks:
+        state = true_dirs = sample_uniform_sphere(gen, block.shape[0])
         for j, observe in enumerate(observers):
             tracked, state = observe(state, gen)
-            dots[lo:hi, j] = row_dot(tracked, true_dirs)
+            block[:, j] = row_dot(tracked, true_dirs)
     return dots

@@ -15,6 +15,7 @@ from spinrelay.encoding import (
     analytic_delta,
     chain_dots_nspin,
     chain_laws,
+    chain_observers,
     classical_threshold,
     fidelity_from_delta,
     fk_asymptotic,
@@ -27,6 +28,7 @@ from spinrelay.encoding import (
 from spinrelay.legendre import legendre_largest_zero
 from spinrelay.qubit import QubitKrausFamily, chain_dots_single
 from spinrelay.rng import RandomStream, as_generator
+from spinrelay.sphere import observer_chain
 
 
 def _mean_se(samples):
@@ -634,11 +636,44 @@ class TestNspinChains:
         np.testing.assert_array_equal(a, b)
 
 
+class TestScalarChainOracle:
+    """The overlap recurrence of chain_dots_nspin against the 3-D chain of
+    chain_observers, its oracle."""
+
+    MODES = ["nspin_parallel", "nspin_optimal", "parallel_start"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n_spins", [2, 10, 40])
+    def test_first_column_on_the_same_stream(self, mode, n_spins):
+        # 40000 trials run as three blocks; the later observers draw
+        # after column 1's fills, so they leave it alone
+        scalar = chain_dots_nspin(n_spins, 3, mode, RandomStream(13), 40_000)
+        spatial = observer_chain(chain_observers(mode, n_spins, 1), RandomStream(13), 40_000)
+        assert np.max(np.abs(scalar[:, 0] - spatial[:, 0])) <= 1e-13
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n_spins", [2, 10, 40])
+    def test_law_on_independent_streams(self, mode, n_spins):
+        # two-sample z of the means of P_1(c) and P_2(c) at every step
+        trials = 400_000
+        stream = RandomStream(14).child(self.MODES.index(mode)).child(n_spins)
+        scalar = chain_dots_nspin(n_spins, 3, mode, stream.child(0), trials)
+        spatial = observer_chain(chain_observers(mode, n_spins, 3), stream.child(1), trials)
+        for j in range(3):
+            for degree in (1, 2):
+                (m1, s1), (m2, s2) = (_mean_se(npleg.legval(dots[:, j], [0] * degree + [1]))
+                                      for dots in (scalar, spatial))
+                z = (m1 - m2) / math.hypot(s1, s2)
+                assert abs(z) <= 4.0, (j + 1, degree, z)
+
+
 class TestDrawLayout:
     """Pins the order of the Philox draws along a chain: the true
     directions, then per observer its tilt, its azimuth and any
     re-preparation azimuth.  Any change to that order changes every
-    seeded sweep record, so these values may only change on purpose."""
+    seeded sweep record, so these values may only change on purpose.
+    The N-spin chain follows the overlap alone, so from k = 2 on its
+    values are not the 3-D chain's."""
 
     SINGLE = {
         ("covariant", "estimate"): [
@@ -656,14 +691,14 @@ class TestDrawLayout:
     }
     NSPIN = {
         "nspin_parallel": [
-            [0.9198370507758005, 0.7134679813787183, 0.684032342967723],
-            [0.7013846193821514, 0.6172471445366913, 0.6711852073592608]],
+            [0.9198370507758005, 0.7566677158815733, 0.8336595977131052],
+            [0.7013846193821514, 0.6979241058571227, 0.6911162598661115]],
         "nspin_optimal": [
-            [0.814183527251182, 0.8849210643113955, 0.3051321980393089],
-            [0.9437383298997482, 0.4239964202085886, 0.4863820637345403]],
+            [0.814183527251182, 0.8978084131209966, 0.838485989915627],
+            [0.9437383298997482, 0.6355967055948138, 0.5790650582940305]],
         "parallel_start": [
-            [0.9198370507758005, 0.9562205905484715, 0.4131795410817771],
-            [0.7013846193821514, 0.16809528685104552, 0.25242770884047266]],
+            [0.9198370507758005, 0.9673632758111002, 0.7732189265309937],
+            [0.7013846193821514, 0.49568682807679154, 0.47675824247863186]],
     }
 
     @pytest.mark.parametrize("scheme, overlap", sorted(SINGLE))
@@ -681,7 +716,7 @@ class TestDrawLayout:
         # both draw the N = 1 tilt law with the same draws in the same order
         s = RandomStream(9)
         np.testing.assert_array_equal(
-            chain_dots_nspin(1, 3, "nspin_parallel", s, 1000),
+            observer_chain(chain_observers("nspin_parallel", 1, 3), s, 1000),
             chain_dots_single(3, QubitKrausFamily(0.0), "covariant", s, 1000))
 
 

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from spinrelay import sphere
-from spinrelay.encoding import chain_dots_nspin
+from spinrelay.encoding import chain_dots_nspin, chain_observers
 from spinrelay.qubit import QubitKrausFamily, chain_dots_single
 from spinrelay.rng import RandomStream
 from spinrelay.sphere import (
     UNIT_TOL,
     inverse_cdf_cos_tilt,
+    observer_chain,
     require_unit,
     rotate_towards,
     row_dot,
@@ -297,9 +298,12 @@ class TestWholeChainOnReference:
 
     @pytest.mark.parametrize("mode", ["nspin_parallel", "nspin_optimal", "parallel_start"])
     def test_nspin(self, monkeypatch, mode):
-        fast = chain_dots_nspin(6, 3, mode, RandomStream(31), 2000)
+        # the 3-D chain that tests chain_dots_nspin's overlap recurrence
+        def run():
+            return observer_chain(chain_observers(mode, 6, 3), RandomStream(31), 2000)
+        fast = run()
         monkeypatch.setattr(sphere, "rotate_towards", _rotate_reference)
-        np.testing.assert_array_equal(fast, chain_dots_nspin(6, 3, mode, RandomStream(31), 2000))
+        np.testing.assert_array_equal(fast, run())
 
 
 class TestChainBlocks:

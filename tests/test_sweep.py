@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spinrelay
-from spinrelay.cli import main, parse_config_file, parse_int_range
+from spinrelay.cli import MAX_RANGE_VALUES, main, parse_config_file, parse_int_range
 from spinrelay.encoding import MODES, OutcomeDensity, analytic_delta
 from spinrelay.records import McEstimate
 from spinrelay.rng import RandomStream
@@ -441,6 +441,19 @@ class TestCli:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
         assert err == "error: MemoryError\n"
+
+    def test_huge_range_names_its_flag_and_the_limit(self, tmp_path, capsys):
+        # counted, not built: a tuple of 2e18 ints would end in a bare MemoryError
+        huge = "1..2000000000000000000"
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"mode = nspin_parallel\nn = {huge}\n")
+        cases = [(["analytic", "--k", huge], "--k"), (["sweep", "--k", huge], "--k"),
+                 (["sweep", "--config", str(config)], "config key n")]
+        for argv, name in cases:
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {name} {huge}: more than 1000000 values\n"
+        assert parse_int_range("1..1000000", "--k")[-1] == MAX_RANGE_VALUES
 
     def test_numerical_failure_exit_3(self, monkeypatch, capsys):
         def fail(self):
