@@ -72,7 +72,7 @@ def criterion_2() -> CriterionResult:
 
 
 def criterion_3() -> CriterionResult:
-    """Stern-Gerlach and covariant schemes give compatible shrink factors."""
+    """The 3-D Stern-Gerlach chain and the scalar covariant one agree."""
     kraus = QubitKrausFamily(0.0)
     cov = chain_dots_single(3, kraus, "covariant", RandomStream(42).child(101), 10 ** 5)
     sg = chain_dots_single(3, kraus, "stern_gerlach", RandomStream(42).child(202), 10 ** 5)

@@ -182,7 +182,7 @@ def cmd_mc(args) -> int:
     cfg = SweepConfig(mode=args.mode, n_values=(args.n,), k_values=(args.k,),
                       phi=args.phi, trials=args.trials, seed=args.seed,
                       fmt=args.format)
-    cfg.validate()
+    cfg.validate("--k", "--trials")
     _check_writable(args.out, "--out")
     from .sweep import run_sweep
     _write_out(run_sweep(cfg), args.format, args.out)
@@ -190,6 +190,7 @@ def cmd_mc(args) -> int:
 
 
 def _sweep_config(args) -> tuple[SweepConfig, str | None]:
+    """The validated config and output path: defaults, then --config, then flags."""
     file_vals = parse_config_file(args.config) if args.config else {}
     unknown = set(file_vals) - set(_SWEEP_DEFAULTS)
     if unknown:
@@ -198,10 +199,11 @@ def _sweep_config(args) -> tuple[SweepConfig, str | None]:
              if getattr(args, key) is not None}
     # flags given on the command line win over the file, the file over the defaults
     base = {**_SWEEP_DEFAULTS, **file_vals, **given}
+    name = {key: f"--{key}" if key in given else f"config key {key}" for key in base}
     cfg = SweepConfig(
         mode=str(base["mode"]),
-        n_values=parse_int_range(str(base["n"]), "--n" if "n" in given else "config key n"),
-        k_values=parse_int_range(str(base["k"]), "--k" if "k" in given else "config key k"),
+        n_values=parse_int_range(str(base["n"]), name["n"]),
+        k_values=parse_int_range(str(base["k"]), name["k"]),
         phi=float(base["phi"]),
         trials=int(base["trials"]),
         seed=int(base["seed"]),
@@ -209,13 +211,13 @@ def _sweep_config(args) -> tuple[SweepConfig, str | None]:
         z_max=float(base["z_max"]),
         workers=int(base["workers"]),
     )
+    cfg.validate(name["k"], name["trials"])
     return cfg, (base["out"] if base["out"] not in (None, "") else None)
 
 
 def cmd_sweep(args) -> int:
     try:
         cfg, out = _sweep_config(args)
-        cfg.validate()
         if args.plot_script and (cfg.fmt != "csv" or out in (None, "-")):
             raise ValueError("--plot-script needs --format csv and --out FILE")
         _check_writable(out, "--out")

@@ -15,9 +15,10 @@ Two families are covered:
 
 Per-observer shrink factors multiply along a chain.  :func:`chain_laws`
 lists the steps of every chain the CLI names, as runs of equal steps;
-:func:`analytic_delta` multiplies their factors, and
-:func:`chain_observers` turns the same steps into the 3-D observers of
-:func:`spinrelay.sphere.observer_chain`, the oracle of :func:`chain_dots_nspin`.
+:func:`analytic_delta` multiplies their factors, :func:`chain_dots_nspin`
+runs them as the scalar overlap chain of every covariant mode, and
+:func:`chain_observers` turns them into the 3-D observers of
+:func:`spinrelay.sphere.observer_chain`: the Stern-Gerlach path and the oracle.
 """
 
 from __future__ import annotations
@@ -377,32 +378,46 @@ def chain_observers(mode: str, n_spins: int, k: int, phi: float = 0.0,
     return observers
 
 
-def chain_dots_nspin(n_spins: int, k: int, mode: str, rng,
-                     trials: int) -> np.ndarray:
-    """Vectorized N-spin observer chains from the RandomStream ``rng``;
-    overlaps of shape (trials, k), column-major, of each observer's
-    estimate with the true direction.
+def _turn(c, x, gen, out: np.ndarray) -> np.ndarray:
+    """c x + sqrt((1 - c^2)(1 - x^2)) cos psi into ``out``, with psi drawn
+    uniform on [0, 2 pi): the overlap of a direction at overlap c, tilted by x."""
+    cos_psi = np.cos(gen.uniform(0.0, 2.0 * np.pi, out.shape[0]))
+    s = (1.0 - c * c) * (1.0 - x * x)
+    np.multiply(c, x, out=out)
+    out += np.sqrt(np.maximum(s, 0.0, out=s), out=s) * cos_psi
+    return out
 
-    The chains of :func:`chain_observers` are covariant, so the overlap
-    alone is a Markov chain: a step that tilts by x at azimuth psi takes c
-    to c x + sqrt((1 - c^2)(1 - x^2)) cos psi, from c = 1, so column 1 is
-    x.  Each block of :func:`spinrelay.sphere.chain_blocks` draws the 3-D
-    chain's fills: two for the true directions, unused here but kept so
-    that every k = 1 overlap is the 3-D chain's up to rounding, then per
-    observer its tilt x and its azimuth psi on [0, 2 pi)."""
-    samplers, laws = _tilt_samplers(n_spins), chain_laws(mode, n_spins, k)
+
+def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int,
+                     phi: float = 0.0, overlap: str = "estimate") -> np.ndarray:
+    """Vectorized covariant observer chains of any mode from the
+    RandomStream ``rng``; (trials, k) column-major overlaps with the true
+    direction of each observer's estimate, or with ``overlap="prepared"``
+    of the state it hands on.
+
+    The overlap alone is a Markov chain: a tilt by x at azimuth psi takes
+    c to c x + sqrt((1 - c^2)(1 - x^2)) cos psi, from c = 1, and a nonzero
+    hand-on offset is one more such step, with x = cos(offset).  Each block
+    of :func:`spinrelay.sphere.chain_blocks` draws the 3-D chain's fills:
+    the true directions' two, unused but kept so that every k = 1 estimate
+    is the 3-D chain's to rounding, then per observer its tilt, its
+    azimuth and any re-preparation azimuth."""
+    samplers, laws = _tilt_samplers(n_spins), chain_laws(mode, n_spins, k, phi)
     dots, blocks = chain_blocks(rng, trials, k)
+    # listed after the allocation, which rejects a k too large to index
+    steps = [(law, offset) for law, offset, count in laws for _ in range(count)]
+    prepared = overlap == "prepared"
     for block, gen in blocks:
         rows = block.shape[0]
         # the true directions' two fills: unused, but kept for the k = 1 records
         gen.random(rows), gen.random(rows)
         c = 1.0
-        for j, law in enumerate(name for name, _, count in laws for _ in range(count)):
-            x = samplers[law](gen, rows)
-            cos_psi = np.cos(gen.uniform(0.0, 2.0 * np.pi, rows))
-            s = (1.0 - c * c) * (1.0 - x * x)
-            c = np.multiply(c, x, out=block[:, j])
-            c += np.sqrt(np.maximum(s, 0.0, out=s), out=s) * cos_psi
+        for j, (law, offset) in enumerate(steps):
+            tracked = block[:, j]
+            est = _turn(c, samplers[law](gen, rows), gen,
+                        np.empty(rows) if offset and prepared else tracked)
+            c = est if offset == 0.0 else _turn(est, math.cos(offset), gen,
+                                                tracked if prepared else np.empty(rows))
     return dots
 
 

@@ -8,6 +8,9 @@ parameterized below, the state observer k hands on has mean overlap
 eta^k with n, eta = cos(phi)/3, as if a depolarizing channel shrank the
 Bloch vector k times; observer k's guess has mean overlap
 (1/3) eta^(k-1), one covariant measurement of the state handed to it.
+The covariant chain runs as the scalar overlap recurrence of
+:func:`spinrelay.encoding.chain_dots_nspin`; the Stern-Gerlach chain runs
+in 3-D on :func:`spinrelay.sphere.observer_chain`, the covariant one's oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 
 import numpy as np
 
-from .encoding import chain_observers
+from .encoding import chain_dots_nspin, chain_observers
 from .sphere import observer_chain, row_dot, sample_uniform_sphere
 
 SCHEMES = ("covariant", "stern_gerlach")
@@ -90,6 +93,7 @@ def chain_dots_single(k: int, kraus: QubitKrausFamily, scheme: str, rng,
         raise TypeError("kraus must be a QubitKrausFamily")
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    measure = _sg_estimates if scheme == "stern_gerlach" else None
-    observers = chain_observers("single_qubit", 1, k, kraus.offset_angle, measure, overlap)
+    if scheme == "covariant":
+        return chain_dots_nspin(1, k, "single_qubit", rng, trials, kraus.offset_angle, overlap)
+    observers = chain_observers("single_qubit", 1, k, kraus.offset_angle, _sg_estimates, overlap)
     return observer_chain(observers, rng, trials)

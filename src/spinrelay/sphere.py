@@ -3,9 +3,9 @@
 Directions are plain float ndarrays: shape ``(3,)`` for a single unit
 vector or ``(..., 3)`` for batches.  The geometric functions broadcast
 over leading axes.  Every chain runs in the blocks of :func:`chain_blocks`:
-the 3-D ones through :func:`observer_chain`, each covariant step a
-:func:`tilt_step`, and the N-spin overlaps alone in
-:func:`spinrelay.encoding.chain_dots_nspin`.
+the covariant chains' overlaps alone in
+:func:`spinrelay.encoding.chain_dots_nspin`, and through
+:func:`observer_chain` the 3-D Stern-Gerlach chain and the test oracles.
 
 The kernel, :func:`rotate_towards`, works one component column at a
 time, with numpy broadcasting the columns against the tilts and

@@ -73,7 +73,8 @@ class SweepConfig:
     z_max: float = 4.0
     workers: int = 1
 
-    def validate(self):
+    def validate(self, k_name: str = "k", trials_name: str = "trials"):
+        """Reject a config no sweep can run, naming k and trials as given."""
         if not self.n_values or not self.k_values:
             raise ValueError("N and k ranges must be non-empty")
         for n in self.n_values:
@@ -81,6 +82,9 @@ class SweepConfig:
                 chain_laws(self.mode, n, k, self.phi)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if max(self.k_values) * self.trials > sys.maxsize // 8:
+            raise ValueError(f"{k_name} {max(self.k_values)} with {trials_name} {self.trials}: "
+                             f"more overlaps than a float64 array can index")
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
         if not self.z_max > 0:  # also rejects nan, which no |z| exceeds

@@ -641,6 +641,17 @@ class TestScalarChainOracle:
     chain_observers, its oracle."""
 
     MODES = ["nspin_parallel", "nspin_optimal", "parallel_start"]
+    PHIS = [0.0, 0.7, math.pi / 2, math.pi]
+
+    @staticmethod
+    def _assert_same_law(scalar, spatial):
+        # two-sample z of the means of P_1(c) and P_2(c) at every step
+        for j in range(scalar.shape[1]):
+            for degree in (1, 2):
+                (m1, s1), (m2, s2) = (_mean_se(npleg.legval(dots[:, j], [0] * degree + [1]))
+                                      for dots in (scalar, spatial))
+                z = (m1 - m2) / math.hypot(s1, s2)
+                assert abs(z) <= 4.0, (j + 1, degree, z)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n_spins", [2, 10, 40])
@@ -654,17 +665,30 @@ class TestScalarChainOracle:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n_spins", [2, 10, 40])
     def test_law_on_independent_streams(self, mode, n_spins):
-        # two-sample z of the means of P_1(c) and P_2(c) at every step
         trials = 400_000
         stream = RandomStream(14).child(self.MODES.index(mode)).child(n_spins)
         scalar = chain_dots_nspin(n_spins, 3, mode, stream.child(0), trials)
         spatial = observer_chain(chain_observers(mode, n_spins, 3), stream.child(1), trials)
-        for j in range(3):
-            for degree in (1, 2):
-                (m1, s1), (m2, s2) = (_mean_se(npleg.legval(dots[:, j], [0] * degree + [1]))
-                                      for dots in (scalar, spatial))
-                z = (m1 - m2) / math.hypot(s1, s2)
-                assert abs(z) <= 4.0, (j + 1, degree, z)
+        self._assert_same_law(scalar, spatial)
+
+    @pytest.mark.parametrize("phi", PHIS)
+    def test_single_qubit_first_column_on_the_same_stream(self, phi):
+        scalar = chain_dots_single(3, QubitKrausFamily(phi), "covariant", RandomStream(13),
+                                   40_000)
+        spatial = observer_chain(chain_observers("single_qubit", 1, 1, phi), RandomStream(13),
+                                 40_000)
+        assert np.max(np.abs(scalar[:, 0] - spatial[:, 0])) <= 1e-13
+
+    @pytest.mark.parametrize("phi", PHIS)
+    @pytest.mark.parametrize("overlap", ["estimate", "prepared"])
+    def test_single_qubit_law_on_independent_streams(self, phi, overlap):
+        trials = 400_000
+        stream = RandomStream(15).child(self.PHIS.index(phi)).child(int(overlap == "prepared"))
+        scalar = chain_dots_single(3, QubitKrausFamily(phi), "covariant", stream.child(0),
+                                   trials, overlap=overlap)
+        spatial = observer_chain(chain_observers("single_qubit", 1, 3, phi, overlap=overlap),
+                                 stream.child(1), trials)
+        self._assert_same_law(scalar, spatial)
 
 
 class TestDrawLayout:
@@ -672,16 +696,16 @@ class TestDrawLayout:
     directions, then per observer its tilt, its azimuth and any
     re-preparation azimuth.  Any change to that order changes every
     seeded sweep record, so these values may only change on purpose.
-    The N-spin chain follows the overlap alone, so from k = 2 on its
-    values are not the 3-D chain's."""
+    The covariant chains follow the overlap alone, so apart from the
+    k = 1 estimate their values are not the 3-D chain's."""
 
     SINGLE = {
         ("covariant", "estimate"): [
-            [0.7332064707291475, 0.4214495541916068, 0.057239718511916504],
-            [0.13562192680539104, 0.15400883649038558, 0.9147055706838665]],
+            [0.7332064707291475, 0.9719586678853365, 0.11816796330167878],
+            [0.13562192680539104, 0.1447758478359669, -0.7098324222164488]],
         ("covariant", "prepared"): [
-            [0.2573598031954813, -0.1269192530936256, -0.31072394760989064],
-            [-0.35483562185257456, -0.11684552105444335, 0.44076563803728597]],
+            [0.8137021931846677, 0.8601532843706645, 0.5291509581451963],
+            [0.6980207314096682, 0.21025451479449686, -0.09280033054785725]],
         ("stern_gerlach", "estimate"): [
             [0.9801968986293141, 0.5817967277037516, -0.2273023046775164],
             [-0.36178692957970626, -0.0561207878206795, 0.06621784990867986]],
@@ -713,10 +737,10 @@ class TestDrawLayout:
         np.testing.assert_allclose(dots, self.NSPIN[mode], rtol=1e-12)
 
     def test_single_spin_parallel_is_single_qubit_chain(self):
-        # both draw the N = 1 tilt law with the same draws in the same order
+        # one kernel drawing the N = 1 tilt law with the same draws in the same order
         s = RandomStream(9)
         np.testing.assert_array_equal(
-            observer_chain(chain_observers("nspin_parallel", 1, 3), s, 1000),
+            chain_dots_nspin(1, 3, "nspin_parallel", s, 1000),
             chain_dots_single(3, QubitKrausFamily(0.0), "covariant", s, 1000))
 
 

@@ -172,8 +172,10 @@ class TestChainStructure:
         np.testing.assert_array_equal(a, b)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            chain_dots_single(0, QubitKrausFamily(0.0), "covariant", RandomStream(1), 100)
+        # the chain length is chain_laws' to check, for either scheme
+        for scheme in ("covariant", "stern_gerlach"):
+            with pytest.raises(ValueError, match="chain length must be >= 1"):
+                chain_dots_single(0, QubitKrausFamily(0.0), scheme, RandomStream(1), 100)
         with pytest.raises(ValueError):
             chain_dots_single(1, QubitKrausFamily(0.0), "projective", RandomStream(1), 100)
         with pytest.raises(ValueError):
@@ -194,12 +196,16 @@ class TestChainStatistics:
         mean, se = _mean_se(dots[:, 2])
         assert abs(mean - 1.0 / 27.0) < 3 * se
 
-    def test_worst_case_estimate_overlap(self):
-        # the estimate of observer 2 anti-correlates: (1/3) * (-1/3)
-        dots = chain_dots_single(2, QubitKrausFamily(math.pi), "covariant",
-                                 RandomStream(23), 200_000)
-        mean, se = _mean_se(dots[:, 1])
-        assert abs(mean - (-1.0 / 9.0)) < 3 * se
+    def test_estimate_overlap_on_phi_grid(self):
+        # observer k measures the state handed on k - 1 times: (1/3) (cos(phi)/3)^(k-1);
+        # at phi = pi the estimate of observer 2 anti-correlates, (1/3) (-1/3)
+        for i, phi in enumerate((math.pi / 4, math.pi / 2, math.pi)):
+            dots = chain_dots_single(3, QubitKrausFamily(phi), "covariant",
+                                     RandomStream(23).child(i), 200_000)
+            for k in range(1, 4):
+                mean, se = _mean_se(dots[:, k - 1])
+                ref = (math.cos(phi) / 3.0) ** (k - 1) / 3.0
+                assert abs(mean - ref) < 3 * se, f"phi={phi:.3f}, k={k}"
 
     def test_worst_case_channel_overlap(self):
         # the state handed on after two observers has shrunk by (-1/3)^2 = +1/9

@@ -289,7 +289,11 @@ class TestWholeChainOnReference:
     @pytest.mark.parametrize("scheme", ["covariant", "stern_gerlach"])
     @pytest.mark.parametrize("overlap", ["estimate", "prepared"])
     def test_single_qubit(self, monkeypatch, scheme, overlap):
+        # the covariant one is the 3-D chain that tests the overlap recurrence
         def run():
+            if scheme == "covariant":
+                observers = chain_observers("single_qubit", 1, 3, 0.7, overlap=overlap)
+                return observer_chain(observers, RandomStream(31), 2000)
             return chain_dots_single(3, QubitKrausFamily(0.7), scheme, RandomStream(31),
                                      2000, overlap=overlap)
         fast = run()

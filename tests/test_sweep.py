@@ -455,6 +455,35 @@ class TestCli:
             assert out == "" and err == f"error: {name} {huge}: more than 1000000 values\n"
         assert parse_int_range("1..1000000", "--k")[-1] == MAX_RANGE_VALUES
 
+    def test_huge_k_names_k_and_trials_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # a single --k is not a range, so k * trials is bounded by the
+        # (k, trials) float64 array's index, checked before any cell runs
+        import spinrelay.sweep as sweep_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a cell ran on a rejected config")
+
+        monkeypatch.setattr(sweep_mod, "mc_estimate_delta", fail)
+        huge = "100000000000000000000"
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"mode = nspin_optimal\nn = 2\nk = {huge}\ntrials = 10\n")
+        cases = [(["sweep", "--mode", "nspin_optimal", "--n", "2", "--k", huge,
+                   "--trials", "10"], "--k", "--trials"),
+                 (["mc", "--mode", "single_qubit", "--k", huge, "--trials", "10"],
+                  "--k", "--trials"),
+                 (["sweep", "--config", str(config)], "config key k", "config key trials"),
+                 (["sweep", "--config", str(config), "--trials", "10"], "config key k",
+                  "--trials")]
+        for argv, k_name, trials_name in cases:
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err == (f"error: {k_name} {huge} with {trials_name} 10: "
+                                         "more overlaps than a float64 array can index\n")
+        # at the bound: 2^60 - 1 overlaps take 2^63 - 8 bytes, 2^60 do not fit
+        SweepConfig("nspin_parallel", (2,), (2 ** 60 - 1,), trials=1).validate()
+        with pytest.raises(ValueError, match="^k 1152921504606846976 with trials 1: "):
+            SweepConfig("nspin_parallel", (2,), (2 ** 60,), trials=1).validate()
+
     def test_numerical_failure_exit_3(self, monkeypatch, capsys):
         def fail(self):
             raise RuntimeError("inverse-CDF table refinement did not converge")
