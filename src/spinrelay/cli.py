@@ -22,6 +22,7 @@ from pathlib import Path
 from .encoding import MODES, analytic_delta, fidelity_from_delta
 from .sweep import (
     FORMATS,
+    MAX_RANGE_VALUES,
     RECORD_FIELDS,
     SweepConfig,
     emit_encoding,
@@ -29,10 +30,6 @@ from .sweep import (
     records_to_bytes,
     write_records,
 )
-
-
-#: most values an --n or --k range may hold; 10^6 ints take about 36 MB
-MAX_RANGE_VALUES = 10 ** 6
 
 
 def parse_int_range(text: str, name: str = "range") -> tuple[int, ...]:
@@ -211,7 +208,7 @@ def _sweep_config(args) -> tuple[SweepConfig, str | None]:
         z_max=float(base["z_max"]),
         workers=int(base["workers"]),
     )
-    cfg.validate(name["k"], name["trials"])
+    cfg.validate(name["k"], name["trials"], name["n"])
     return cfg, (base["out"] if base["out"] not in (None, "") else None)
 
 

@@ -42,6 +42,11 @@ MODES = ("single_qubit", "nspin_parallel", "nspin_optimal", "parallel_start")
 #: and c / M are exact
 _GUIDE_CELLS = 4096
 
+#: cells of the azimuth cosine's table, which holds cos and sin at
+#: 2 pi j / M for j = 0..M; a power of two, so that u * M is exact
+_AZIMUTH_CELLS = 4096
+_AZIMUTH_STEP = 2.0 * np.pi / _AZIMUTH_CELLS
+
 #: the inverse-CDF table is refined until its linear interpolation of the
 #: survival function is this close to the exact one at every midpoint
 _TABLE_TOL = 1e-4
@@ -378,10 +383,56 @@ def chain_observers(mode: str, n_spins: int, k: int, phi: float = 0.0,
     return observers
 
 
+def _azimuth_table() -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin at 2 pi j / M, j = 0..M, from the first quadrant by
+    symmetry: there j * step rounds by at most 1.1e-16, against 4.4e-16
+    near 2 pi, so every entry is within 2e-16 of exact."""
+    n = _AZIMUTH_CELLS // 4
+    angle = np.arange(n + 1) * _AZIMUTH_STEP
+    c, s = np.cos(angle), np.sin(angle)
+    return (np.concatenate([c[:n], -s[:n], -c[:n], s]),
+            np.concatenate([s[:n], c[:n], -s[:n], -c]))
+
+
+_AZIMUTH_COS, _AZIMUTH_SIN = _azimuth_table()
+
+
+def _cos_2pi(u: np.ndarray) -> np.ndarray:
+    """cos(2 pi u) for u in [0, 1], overwriting u, with no libm call.
+
+    The table gives cos a and sin a at the nearest a = 2 pi j / M, and
+    h = 2 pi u - a, |h| <= pi / M, turns them by the angle-addition formula
+    with two Taylor terms each for cos h and sin h:
+    cos(a + h) = cos a - [cos a (h^2/2 - h^4/24) + sin a (h - h^3/6)].
+    The remainders are below 3e-18, so the error is the rounding of the
+    table and of the last subtraction.  At u = j / M it is the table entry.
+    """
+    u *= _AZIMUTH_CELLS
+    j = np.rint(u)
+    u -= j  # exact, as u * M was
+    u *= _AZIMUTH_STEP
+    idx = j.astype(np.intp)
+    cos_a, sin_a = _AZIMUTH_COS.take(idx), _AZIMUTH_SIN.take(idx)
+    h2 = np.multiply(u, u, out=j)
+    sin_a *= u
+    np.multiply(h2, -1.0 / 6.0, out=u)
+    u += 1.0
+    sin_a *= u
+    np.multiply(h2, -1.0 / 24.0, out=u)
+    u += 0.5
+    u *= h2
+    u *= cos_a
+    u += sin_a
+    return np.subtract(cos_a, u, out=cos_a)
+
+
 def _turn(c, x, gen, out: np.ndarray) -> np.ndarray:
-    """c x + sqrt((1 - c^2)(1 - x^2)) cos psi into ``out``, with psi drawn
-    uniform on [0, 2 pi): the overlap of a direction at overlap c, tilted by x."""
-    cos_psi = np.cos(gen.uniform(0.0, 2.0 * np.pi, out.shape[0]))
+    """c x + sqrt((1 - c^2)(1 - x^2)) cos psi into ``out``, with psi = 2 pi u
+    for a ``gen.random`` draw u: the overlap of a direction at overlap c,
+    tilted by x at a uniform azimuth.  cos psi comes from the table of
+    :func:`_cos_2pi`, and u takes the same Philox words that
+    ``gen.uniform(0, 2 pi)`` would."""
+    cos_psi = _cos_2pi(gen.random(out.shape[0]))
     s = (1.0 - c * c) * (1.0 - x * x)
     np.multiply(c, x, out=out)
     out += np.sqrt(np.maximum(s, 0.0, out=s), out=s) * cos_psi
@@ -397,11 +448,14 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int,
 
     The overlap alone is a Markov chain: a tilt by x at azimuth psi takes
     c to c x + sqrt((1 - c^2)(1 - x^2)) cos psi, from c = 1, and a nonzero
-    hand-on offset is one more such step, with x = cos(offset).  Each block
-    of :func:`spinrelay.sphere.chain_blocks` draws the 3-D chain's fills:
-    the true directions' two, unused but kept so that every k = 1 estimate
-    is the 3-D chain's to rounding, then per observer its tilt, its
-    azimuth and any re-preparation azimuth."""
+    hand-on offset is one more such step, with x = cos(offset), and each
+    step takes cos psi from the table of :func:`_cos_2pi`, with no libm call.
+    Each block of :func:`spinrelay.sphere.chain_blocks` reads the 3-D
+    chain's fills: it skips the true directions' two, which the overlap
+    does not use, by counter, so that every later fill keeps its Philox
+    words and every k = 1 estimate is the 3-D chain's to rounding; then
+    per observer it draws its tilt, its azimuth and any re-preparation
+    azimuth."""
     samplers, laws = _tilt_samplers(n_spins), chain_laws(mode, n_spins, k, phi)
     dots, blocks = chain_blocks(rng, trials, k)
     # listed after the allocation, which rejects a k too large to index
@@ -409,8 +463,7 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int,
     prepared = overlap == "prepared"
     for block, gen in blocks:
         rows = block.shape[0]
-        # the true directions' two fills: unused, but kept for the k = 1 records
-        gen.random(rows), gen.random(rows)
+        gen.skip(2)  # the true directions' fills
         c = 1.0
         for j, (law, offset) in enumerate(steps):
             tracked = block[:, j]

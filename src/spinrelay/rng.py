@@ -108,6 +108,13 @@ class StreamRows:
         self._bits.random_raw(word % 4)
         return self._gen
 
+    def skip(self, fills: int):
+        """Pass over the next ``fills`` fills without generating them; the
+        fills after them keep their words, as each is placed by its count."""
+        if fills < 0:
+            raise ValueError(f"cannot skip a negative number of fills, got {fills}")
+        self._fills += fills
+
     def random(self, size) -> np.ndarray:
         return self._next_fill(size).random(size)
 

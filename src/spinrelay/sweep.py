@@ -59,6 +59,11 @@ def build_id() -> str:
     return f"spinrelay-{__version__}"
 
 
+#: most values an --n or --k range may hold, and most cells a sweep grid
+#: may hold; 10^6 ints take about 36 MB
+MAX_RANGE_VALUES = 10 ** 6
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: a mode crossed with N and k ranges at fixed trial count."""
@@ -73,10 +78,14 @@ class SweepConfig:
     z_max: float = 4.0
     workers: int = 1
 
-    def validate(self, k_name: str = "k", trials_name: str = "trials"):
-        """Reject a config no sweep can run, naming k and trials as given."""
+    def validate(self, k_name: str = "k", trials_name: str = "trials", n_name: str = "n"):
+        """Reject a config no sweep can run, naming N, k and trials as given."""
         if not self.n_values or not self.k_values:
             raise ValueError("N and k ranges must be non-empty")
+        cells = len(self.n_values) * len(self.k_values)
+        if cells > MAX_RANGE_VALUES:
+            raise ValueError(f"{n_name} and {k_name}: {cells} cells, "
+                             f"more than {MAX_RANGE_VALUES}")
         for n in self.n_values:
             for k in self.k_values:
                 chain_laws(self.mode, n, k, self.phi)

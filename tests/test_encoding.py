@@ -27,7 +27,7 @@ from spinrelay.encoding import (
 )
 from spinrelay.legendre import legendre_largest_zero
 from spinrelay.qubit import QubitKrausFamily, chain_dots_single
-from spinrelay.rng import RandomStream, as_generator
+from spinrelay.rng import RandomStream, StreamRows, as_generator
 from spinrelay.sphere import observer_chain
 
 
@@ -630,10 +630,54 @@ class TestNspinChains:
         chain_dots_nspin(6, 3, "nspin_parallel", RandomStream(5), 26)
         assert builds == [6, 6]
 
+    def test_true_directions_are_skipped_not_drawn(self, monkeypatch):
+        # per block, one tilt and one azimuth fill per observer are drawn;
+        # the true directions' two fills are passed over by counter
+        drawn, fill = [], StreamRows._next_fill
+        monkeypatch.setattr(StreamRows, "_next_fill",
+                            lambda self, size: drawn.append(self._fills) or fill(self, size))
+        monkeypatch.setattr(sphere, "_CHAIN_ROWS", 7)
+        chain_dots_nspin(6, 3, "nspin_optimal", RandomStream(5), 26)
+        assert drawn == [2, 3, 4, 5, 6, 7] * 4
+
     def test_chain_reproducible(self):
         a = chain_dots_nspin(2, 2, "nspin_optimal", RandomStream(45), 1000)
         b = chain_dots_nspin(2, 2, "nspin_optimal", RandomStream(45), 1000)
         np.testing.assert_array_equal(a, b)
+
+
+class TestAzimuthCosine:
+    """The table cosine of the scalar chain step against libm and a
+    long-double oracle; the 3-D tilt_step keeps libm's cos and sin."""
+
+    @staticmethod
+    def _draws():
+        # a million Philox draws, the cell edges and midpoints, where |h| is
+        # largest, and both ends of [0, 1]
+        edges = np.arange(encoding._AZIMUTH_CELLS + 1) / encoding._AZIMUTH_CELLS
+        mids = (np.arange(encoding._AZIMUTH_CELLS) + 0.5) / encoding._AZIMUTH_CELLS
+        return np.concatenate([RandomStream(16).generator().random(10 ** 6), edges, mids,
+                               np.nextafter(mids, 0.0), [1.0 - 2.0 ** -53]])
+
+    def test_matches_libm(self):
+        u = self._draws()
+        assert np.max(np.abs(encoding._cos_2pi(u.copy()) - np.cos(2.0 * np.pi * u))) <= 1e-15
+
+    def test_matches_long_double_oracle(self):
+        u = self._draws()
+        two_pi = 2 * np.arccos(np.longdouble(-1.0))
+        exact = np.cos(two_pi * u.astype(np.longdouble))
+        err = np.abs(encoding._cos_2pi(u.copy()).astype(np.longdouble) - exact)
+        # where long double is wider than double, the table beats libm's
+        # 4.4e-16, which rounds 2 pi u first
+        wider = np.finfo(np.longdouble).eps < np.finfo(float).eps
+        assert float(err.max()) <= (3e-16 if wider else 1e-15)
+
+    def test_cell_edges_are_the_table(self):
+        u = np.arange(encoding._AZIMUTH_CELLS + 1) / encoding._AZIMUTH_CELLS
+        np.testing.assert_array_equal(encoding._cos_2pi(u), encoding._AZIMUTH_COS)
+        assert encoding._cos_2pi(np.zeros(1))[0] == 1.0
+        assert encoding._AZIMUTH_COS[encoding._AZIMUTH_CELLS // 2] == -1.0
 
 
 class TestScalarChainOracle:

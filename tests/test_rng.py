@@ -116,6 +116,28 @@ class TestStreamRows:
         # a rejected fill does not move the view on
         assert np.array_equal(view.random(3), RandomStream(1).generator().random(10)[2:5])
 
+    @pytest.mark.parametrize("skipped", [0, 1, 2, 5])
+    def test_skip_is_discarded_fills(self, skipped):
+        # counted, not generated: the fill after a skip is the one after
+        # as many discarded fills, for a view on any rows of the batch
+        stream = RandomStream(42).child(5)
+        for lo, hi in [(0, 13), (3, 7), (12, 13)]:
+            drawn, passed = stream.rows(lo, hi, 13), stream.rows(lo, hi, 13)
+            drawn.random(hi - lo)
+            passed.random(hi - lo)
+            self._fills(drawn, [hi - lo] * skipped)
+            passed.skip(skipped)
+            assert np.array_equal(passed.uniform(0.0, 2.0, hi - lo),
+                                  drawn.uniform(0.0, 2.0, hi - lo)), (lo, hi)
+            assert np.array_equal(passed.random(hi - lo), drawn.random(hi - lo)), (lo, hi)
+
+    def test_negative_skip_raises(self):
+        view = RandomStream(1).rows(2, 5, 10)
+        with pytest.raises(ValueError, match="negative number of fills, got -1"):
+            view.skip(-1)
+        # a rejected skip does not move the view on
+        assert np.array_equal(view.random(3), RandomStream(1).generator().random(10)[2:5])
+
     @pytest.mark.parametrize("lo, hi, total", [(-1, 2, 5), (3, 3, 5), (4, 6, 5), (0, 1, 0)])
     def test_bad_rows_raise(self, lo, hi, total):
         with pytest.raises(ValueError, match="lo < hi <= total"):

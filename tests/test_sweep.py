@@ -484,6 +484,40 @@ class TestCli:
         with pytest.raises(ValueError, match="^k 1152921504606846976 with trials 1: "):
             SweepConfig("nspin_parallel", (2,), (2 ** 60,), trials=1).validate()
 
+    def test_huge_grid_names_n_and_k_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # each range is within its own bound, but their product of cells is
+        # counted before validate lists each cell's chain
+        import spinrelay.sweep as sweep_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a cell was listed or ran on a rejected config")
+
+        monkeypatch.setattr(sweep_mod, "mc_estimate_delta", fail)
+        monkeypatch.setattr(sweep_mod, "chain_laws", fail)
+        full = "1..1000000"
+        config = tmp_path / "grid.cfg"
+        config.write_text(f"mode = nspin_parallel\nn = {full}\nk = {full}\ntrials = 1\n")
+        out_file = tmp_path / "x.csv"
+        cases = [(["sweep", "--mode", "nspin_parallel", "--n", full, "--k", full,
+                   "--trials", "1", "--out", str(out_file)], "--n and --k", 10 ** 12),
+                 (["sweep", "--config", str(config)], "config key n and config key k", 10 ** 12),
+                 (["sweep", "--config", str(config), "--k", "1,2"], "config key n and --k",
+                  2 * 10 ** 6)]
+        for argv, names, cells in cases:
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err == (f"error: {names}: {cells} cells, "
+                                         "more than 1000000\n")
+        assert not out_file.exists()
+        # at the bound every cell's chain is listed; one more N is rejected
+        listed = []
+        monkeypatch.setattr(sweep_mod, "chain_laws", lambda *args: listed.append(args))
+        thousand = tuple(range(1, 1001))
+        SweepConfig("nspin_parallel", thousand, thousand, trials=1).validate()
+        assert len(listed) == MAX_RANGE_VALUES
+        with pytest.raises(ValueError, match="^n and k: 1001000 cells, more than 1000000$"):
+            SweepConfig("nspin_parallel", thousand + (1001,), thousand, trials=1).validate()
+
     def test_numerical_failure_exit_3(self, monkeypatch, capsys):
         def fail(self):
             raise RuntimeError("inverse-CDF table refinement did not converge")
