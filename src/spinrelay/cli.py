@@ -95,13 +95,12 @@ _SWEEP_DEFAULTS = {"mode": "single_qubit", "n": "1", "k": "1", "phi": 0.0,
                    "workers": 1, "out": None}
 
 
-def _add_common(p: argparse.ArgumentParser, with_phi=True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--mode", choices=MODES, default="single_qubit")
     p.add_argument("--n", default="1", help="N values: '4', '2,4,10', or '2..10..2'")
     p.add_argument("--k", default="1", help="k values, same syntax as --n")
-    if with_phi:
-        p.add_argument("--phi", type=float, default=0.0,
-                       help="Kraus offset angle in radians (single_qubit only)")
+    p.add_argument("--phi", type=float, default=0.0,
+                   help="Kraus offset angle in radians (single_qubit only)")
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--out", default=None, help="output path ('-' = stdout)")
 

@@ -17,8 +17,8 @@ Per-observer shrink factors multiply along a chain.  :func:`chain_laws`
 lists the steps of every chain the CLI names, as runs of equal steps;
 :func:`analytic_delta` multiplies their factors, :func:`chain_dots_nspin`
 runs them as the scalar overlap chain of every covariant mode, and
-:func:`chain_observers` turns them into the 3-D observers of
-:func:`spinrelay.sphere.observer_chain`: the Stern-Gerlach path and the oracle.
+:func:`chain_dots_3d` as the 3-D chain of directions, with the same
+signature, blocks and draws: the Stern-Gerlach path and the oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from numpy.polynomial import legendre as npleg
 
 from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
 from .rng import as_generator
-from .sphere import chain_blocks, sample_cos_tilt, tilt_step
+from .sphere import chain_blocks, sample_cos_tilt, sample_uniform_sphere, tilt_step
 
 #: the observer chains; a sweep cell's random substream follows this order
 MODES = ("single_qubit", "nspin_parallel", "nspin_optimal", "parallel_start")
@@ -345,42 +345,16 @@ def analytic_delta(mode: str, n_spins: int, k: int, phi: float = 0.0) -> float:
                      for law, offset, count in chain_laws(mode, n_spins, k, phi))
 
 
+def _require_overlap(overlap: str):
+    if overlap not in ("estimate", "prepared"):
+        raise ValueError("overlap must be 'estimate' or 'prepared'")
+
+
 def _tilt_samplers(n_spins: int) -> dict:
     """Each tilt law's ``(gen, size)`` sampler; the density is built on first use."""
     density = cache(lambda: outcome_density(optimal_encoding(n_spins)))
     return {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size),
             "optimal": lambda gen, size: density().sample(gen, size)}
-
-
-def chain_observers(mode: str, n_spins: int, k: int, phi: float = 0.0,
-                    measure=None, overlap: str = "estimate") -> list:
-    """The k observers of :func:`chain_laws`' chain, as the
-    ``(state, gen) -> (tracked, handed_on)`` steps of
-    :func:`spinrelay.sphere.observer_chain`.
-
-    Each observer estimates the direction by tilting the state by a draw
-    from its step's law, or by ``measure(state, gen)`` when given, and
-    hands on that estimate turned by its offset angle at a uniform
-    azimuth; a zero offset hands on the estimate itself and draws
-    nothing.  It tracks the estimate, or with ``overlap="prepared"`` the
-    state it hands on.
-    """
-    samplers = _tilt_samplers(n_spins)
-
-    def observer(sample_tilt, offset):
-        def observe(state, gen):
-            if measure is None:
-                est = tilt_step(state, sample_tilt(gen, state.shape[0]), gen)
-            else:
-                est = measure(state, gen)
-            handed_on = est if offset == 0.0 else tilt_step(est, math.cos(offset), gen)
-            return (handed_on if overlap == "prepared" else est), handed_on
-        return observe
-
-    observers = []
-    for law, offset, count in chain_laws(mode, n_spins, k, phi):
-        observers += [observer(samplers[law], offset)] * count
-    return observers
 
 
 def _azimuth_table() -> tuple[np.ndarray, np.ndarray]:
@@ -456,6 +430,7 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int,
     words and every k = 1 estimate is the 3-D chain's to rounding; then
     per observer it draws its tilt, its azimuth and any re-preparation
     azimuth."""
+    _require_overlap(overlap)
     samplers, laws = _tilt_samplers(n_spins), chain_laws(mode, n_spins, k, phi)
     dots, blocks = chain_blocks(rng, trials, k)
     # listed after the allocation, which rejects a k too large to index
@@ -471,6 +446,38 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int,
                         np.empty(rows) if offset and prepared else tracked)
             c = est if offset == 0.0 else _turn(est, math.cos(offset), gen,
                                                 tracked if prepared else np.empty(rows))
+    return dots
+
+
+def chain_dots_3d(n_spins: int, k: int, mode: str, rng, trials: int, phi: float = 0.0,
+                  overlap: str = "estimate", measure=None) -> np.ndarray:
+    """The 3-D twin of :func:`chain_dots_nspin`, with its arguments and
+    output, plus ``measure``: each observer estimates the direction by tilting the state it
+    is handed by a draw from its step's law at a uniform azimuth, or by
+    ``measure(state, gen)`` when given, and hands on that estimate turned
+    by its offset angle at a uniform azimuth; a zero offset hands on the
+    estimate itself and draws nothing.
+
+    It runs the same :func:`chain_laws` steps in the same blocks and makes
+    the same fills in the same order: the true directions, then per
+    observer its tilt draw (or the measurement's), its azimuth and any
+    re-preparation azimuth.  It runs the Stern-Gerlach scheme, and it is
+    the test oracle of the scalar chain."""
+    _require_overlap(overlap)
+    samplers, laws = _tilt_samplers(n_spins), chain_laws(mode, n_spins, k, phi)
+    dots, blocks = chain_blocks(rng, trials, k)
+    steps = [(law, offset) for law, offset, count in laws for _ in range(count)]
+    prepared = overlap == "prepared"
+    for block, gen in blocks:
+        rows = block.shape[0]
+        state = true_dirs = sample_uniform_sphere(gen, rows)
+        for j, (law, offset) in enumerate(steps):
+            if measure is None:
+                est = tilt_step(state, samplers[law](gen, rows), gen)
+            else:
+                est = measure(state, gen)
+            state = est if offset == 0.0 else tilt_step(est, math.cos(offset), gen)
+            block[:, j] = np.sum((state if prepared else est) * true_dirs, axis=-1)
     return dots
 
 

@@ -10,7 +10,8 @@ Bloch vector k times; observer k's guess has mean overlap
 (1/3) eta^(k-1), one covariant measurement of the state handed to it.
 The covariant chain runs as the scalar overlap recurrence of
 :func:`spinrelay.encoding.chain_dots_nspin`; the Stern-Gerlach chain runs
-in 3-D on :func:`spinrelay.sphere.observer_chain`, the covariant one's oracle.
+in 3-D on its twin :func:`spinrelay.encoding.chain_dots_3d`, the covariant
+one's oracle.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import math
 
 import numpy as np
 
-from .encoding import chain_dots_nspin, chain_observers
-from .sphere import observer_chain, row_dot, sample_uniform_sphere
+from .encoding import chain_dots_3d, chain_dots_nspin
+from .sphere import sample_uniform_sphere
 
 SCHEMES = ("covariant", "stern_gerlach")
 
@@ -70,7 +71,7 @@ def _sg_estimates(state_dirs: np.ndarray, gen) -> np.ndarray:
     Marginally this reproduces the covariant observer."""
     n = state_dirs.shape[0]
     axes = sample_uniform_sphere(gen, n)
-    p_plus = 0.5 * (1.0 + row_dot(axes, state_dirs))
+    p_plus = 0.5 * (1.0 + np.sum(axes * state_dirs, axis=-1))
     axes *= np.where(gen.random(n) < p_plus, 1.0, -1.0)[:, None]
     return axes
 
@@ -87,13 +88,11 @@ def chain_dots_single(k: int, kraus: QubitKrausFamily, scheme: str, rng,
     composition of the depolarizing channel, (cos(phi)/3)^(j+1).  The two
     coincide for offset angle 0, where prepared = estimate.
     """
-    if overlap not in ("estimate", "prepared"):
-        raise ValueError("overlap must be 'estimate' or 'prepared'")
     if not isinstance(kraus, QubitKrausFamily):
         raise TypeError("kraus must be a QubitKrausFamily")
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if scheme == "covariant":
         return chain_dots_nspin(1, k, "single_qubit", rng, trials, kraus.offset_angle, overlap)
-    observers = chain_observers("single_qubit", 1, k, kraus.offset_angle, _sg_estimates, overlap)
-    return observer_chain(observers, rng, trials)
+    return chain_dots_3d(1, k, "single_qubit", rng, trials, kraus.offset_angle, overlap,
+                         _sg_estimates)

@@ -18,17 +18,16 @@ class McEstimate:
     mean: float
     stderr: float | None
     trials: int
-    seed: int
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray, seed: int) -> "McEstimate":
+    def from_samples(cls, samples: np.ndarray) -> "McEstimate":
         samples = np.asarray(samples, dtype=float)
         n = samples.size
         if n < 1:
             raise ValueError("need at least one sample")
         mean = float(samples.mean())
         stderr = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else None
-        return cls(mean=mean, stderr=stderr, trials=n, seed=seed)
+        return cls(mean=mean, stderr=stderr, trials=n)
 
     def z_score(self, reference: float) -> float | None:
         """(mean - reference) / stderr, or None when stderr is undefined."""

@@ -112,7 +112,7 @@ def mc_estimate_delta(mode: str, n_spins: int, k: int, phi: float,
         dots = chain_dots_single(k, QubitKrausFamily(phi), "covariant", rng, trials)
     else:
         dots = chain_dots_nspin(n_spins, k, mode, rng, trials)
-    return McEstimate.from_samples(dots[:, k - 1], seed=rng.seed)
+    return McEstimate.from_samples(dots[:, k - 1])
 
 
 def _cell_stream(cfg: SweepConfig, n_spins: int, k: int) -> RandomStream:

@@ -13,9 +13,9 @@ from spinrelay.cli import main
 from spinrelay.encoding import (
     EncodingSpec,
     analytic_delta,
+    chain_dots_3d,
     chain_dots_nspin,
     chain_laws,
-    chain_observers,
     classical_threshold,
     fidelity_from_delta,
     fk_asymptotic,
@@ -28,7 +28,6 @@ from spinrelay.encoding import (
 from spinrelay.legendre import legendre_largest_zero
 from spinrelay.qubit import QubitKrausFamily, chain_dots_single
 from spinrelay.rng import RandomStream, StreamRows, as_generator
-from spinrelay.sphere import observer_chain
 
 
 def _mean_se(samples):
@@ -630,6 +629,21 @@ class TestNspinChains:
         chain_dots_nspin(6, 3, "nspin_parallel", RandomStream(5), 26)
         assert builds == [6, 6]
 
+    @pytest.mark.parametrize("chain", [chain_dots_nspin, chain_dots_3d])
+    @pytest.mark.parametrize("mode, n_spins", [("single_qubit", 1), ("nspin_parallel", 6),
+                                               ("nspin_optimal", 6), ("parallel_start", 6)])
+    def test_overlap_checked_before_any_draw_or_build(self, monkeypatch, chain, mode, n_spins):
+        # density builds and generated fills
+        work, fill = [], StreamRows._next_fill
+        monkeypatch.setattr(encoding, "outcome_density",
+                            lambda enc: work.append(enc.n_spins) or outcome_density(enc))
+        monkeypatch.setattr(StreamRows, "_next_fill",
+                            lambda self, size: work.append("fill") or fill(self, size))
+        for bad in ("Prepared", "both", None):
+            with pytest.raises(ValueError, match="overlap must be 'estimate' or 'prepared'"):
+                chain(n_spins, 2, mode, RandomStream(1), 10, phi=0.7, overlap=bad)
+        assert work == []
+
     def test_true_directions_are_skipped_not_drawn(self, monkeypatch):
         # per block, one tilt and one azimuth fill per observer are drawn;
         # the true directions' two fills are passed over by counter
@@ -682,7 +696,7 @@ class TestAzimuthCosine:
 
 class TestScalarChainOracle:
     """The overlap recurrence of chain_dots_nspin against the 3-D chain of
-    chain_observers, its oracle."""
+    chain_dots_3d, its oracle."""
 
     MODES = ["nspin_parallel", "nspin_optimal", "parallel_start"]
     PHIS = [0.0, 0.7, math.pi / 2, math.pi]
@@ -703,7 +717,7 @@ class TestScalarChainOracle:
         # 40000 trials run as three blocks; the later observers draw
         # after column 1's fills, so they leave it alone
         scalar = chain_dots_nspin(n_spins, 3, mode, RandomStream(13), 40_000)
-        spatial = observer_chain(chain_observers(mode, n_spins, 1), RandomStream(13), 40_000)
+        spatial = chain_dots_3d(n_spins, 1, mode, RandomStream(13), 40_000)
         assert np.max(np.abs(scalar[:, 0] - spatial[:, 0])) <= 1e-13
 
     @pytest.mark.parametrize("mode", MODES)
@@ -712,15 +726,14 @@ class TestScalarChainOracle:
         trials = 400_000
         stream = RandomStream(14).child(self.MODES.index(mode)).child(n_spins)
         scalar = chain_dots_nspin(n_spins, 3, mode, stream.child(0), trials)
-        spatial = observer_chain(chain_observers(mode, n_spins, 3), stream.child(1), trials)
+        spatial = chain_dots_3d(n_spins, 3, mode, stream.child(1), trials)
         self._assert_same_law(scalar, spatial)
 
     @pytest.mark.parametrize("phi", PHIS)
     def test_single_qubit_first_column_on_the_same_stream(self, phi):
         scalar = chain_dots_single(3, QubitKrausFamily(phi), "covariant", RandomStream(13),
                                    40_000)
-        spatial = observer_chain(chain_observers("single_qubit", 1, 1, phi), RandomStream(13),
-                                 40_000)
+        spatial = chain_dots_3d(1, 1, "single_qubit", RandomStream(13), 40_000, phi)
         assert np.max(np.abs(scalar[:, 0] - spatial[:, 0])) <= 1e-13
 
     @pytest.mark.parametrize("phi", PHIS)
@@ -730,8 +743,7 @@ class TestScalarChainOracle:
         stream = RandomStream(15).child(self.PHIS.index(phi)).child(int(overlap == "prepared"))
         scalar = chain_dots_single(3, QubitKrausFamily(phi), "covariant", stream.child(0),
                                    trials, overlap=overlap)
-        spatial = observer_chain(chain_observers("single_qubit", 1, 3, phi, overlap=overlap),
-                                 stream.child(1), trials)
+        spatial = chain_dots_3d(1, 3, "single_qubit", stream.child(1), trials, phi, overlap)
         self._assert_same_law(scalar, spatial)
 
 

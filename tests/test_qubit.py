@@ -6,7 +6,7 @@ import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
-from spinrelay.encoding import analytic_delta, chain_observers, fidelity_from_delta
+from spinrelay.encoding import analytic_delta, chain_dots_3d, chain_dots_nspin, fidelity_from_delta
 from spinrelay.qubit import (
     QubitKrausFamily,
     chain_dots_single,
@@ -110,41 +110,56 @@ class TestKrausFamily:
 # Observers
 # ---------------------------------------------------------------------------
 
-def _observe(phi=0.0, measure=None, rows=100, seed=3):
-    """(estimates, handed-on states) of the shared builder's single-qubit
-    observer on ``rows`` +z states."""
-    [observe] = chain_observers("single_qubit", 1, 1, phi, measure)
-    return observe(np.tile(Z_HAT, (rows, 1)), RandomStream(seed).generator())
+def _sg_on_z(rows, seed):
+    """Stern-Gerlach estimates of ``rows`` +z states."""
+    return _sg_estimates(np.tile(Z_HAT, (rows, 1)), RandomStream(seed).generator())
 
 
 class TestObservers:
+    """One observer's estimate and hand-on, seen through the chains'
+    overlaps, and the Stern-Gerlach measurement on its own."""
+
+    @staticmethod
+    def _both(chain, phi, k=1, trials=1000, seed=3):
+        return [chain(1, k, "single_qubit", RandomStream(seed), trials, phi, overlap)
+                for overlap in ("estimate", "prepared")]
+
     def test_covariant_identity_prepare(self):
-        est, prep = _observe(0.0)
-        assert prep is est
-        np.testing.assert_allclose(np.linalg.norm(est, axis=1), 1.0, atol=1e-12)
+        # a zero offset hands on the estimate itself and draws nothing more
+        for chain in (chain_dots_3d, chain_dots_nspin):
+            est, prep = self._both(chain, 0.0, k=3)
+            np.testing.assert_array_equal(prep, est)
+        est, prep = (chain_dots_single(3, QubitKrausFamily(0.0), "stern_gerlach",
+                                       RandomStream(3), 1000, overlap)
+                     for overlap in ("estimate", "prepared"))
+        np.testing.assert_array_equal(prep, est)
 
     def test_covariant_worst_prepare_flips(self):
-        est, prep = _observe(math.pi)
-        np.testing.assert_allclose(prep, -est, atol=1e-12)
+        for chain in (chain_dots_3d, chain_dots_nspin):
+            est, prep = self._both(chain, math.pi)
+            np.testing.assert_allclose(prep, -est, rtol=0, atol=1e-12)
 
     def test_covariant_offset_tilt(self):
+        # the handed-on state sits at angle phi from the estimate, so its
+        # overlap is c cos(phi) + sqrt(1 - c^2) sin(phi) cos(psi)
         phi = 1.1
-        est, prep = _observe(phi)
-        np.testing.assert_allclose(np.sum(est * prep, axis=1), math.cos(phi), atol=1e-12)
+        est, prep = self._both(chain_dots_3d, phi)
+        assert np.all(np.abs(prep - est * math.cos(phi))
+                      <= math.sin(phi) * np.sqrt(np.maximum(0.0, 1.0 - est * est)) + 1e-12)
 
     def test_covariant_estimate_mean(self):
-        est, _ = _observe(rows=100_000, seed=12)
-        mean, se = _mean_se(est[:, 2])
+        dots = chain_dots_3d(1, 1, "single_qubit", RandomStream(12), 100_000)
+        mean, se = _mean_se(dots[:, 0])
         assert abs(mean - 1.0 / 3.0) < 3 * se
 
     def test_sg_estimate_mean(self):
-        est, _ = _observe(measure=_sg_estimates, rows=100_000, seed=13)
+        est = _sg_on_z(100_000, 13)
         mean, se = _mean_se(est[:, 2])
         assert abs(mean - 1.0 / 3.0) < 3 * se
 
     def test_sg_prepared_mean_is_depolarized_state(self):
         # average posterior equals the shrunk Bloch vector (0, 0, 1/3)
-        est, _ = _observe(measure=_sg_estimates, rows=100_000, seed=14)
+        est = _sg_on_z(100_000, 14)
         target = Z_HAT / 3.0
         for axis in range(3):
             mean, se = _mean_se(est[:, axis])

@@ -7,30 +7,23 @@ import numpy as np
 import pytest
 
 from spinrelay import sphere
-from spinrelay.encoding import chain_dots_nspin, chain_observers
+from spinrelay.encoding import chain_dots_nspin
 from spinrelay.qubit import QubitKrausFamily, chain_dots_single
 from spinrelay.rng import RandomStream
 from spinrelay.sphere import (
-    UNIT_TOL,
     inverse_cdf_cos_tilt,
-    observer_chain,
     require_unit,
     rotate_towards,
-    row_dot,
     sample_cos_tilt,
     sample_uniform_sphere,
-    unit_vector,
 )
 
 # one-sample Kolmogorov-Smirnov critical value at the 1% level
 KS_CRIT_1PCT = 1.62762
 
 
-def test_unit_vector_normalizes():
-    v = unit_vector(3.0, 0.0, 4.0)
-    np.testing.assert_allclose(v, [0.6, 0.0, 0.8], atol=1e-15)
-    with pytest.raises(ValueError):
-        unit_vector(0.0, 0.0, 0.0)
+def _unit(*v):
+    return np.array(v) / np.linalg.norm(v)
 
 
 def test_require_unit_rejects():
@@ -93,13 +86,31 @@ class TestCosTilt:
         assert ks < KS_CRIT_1PCT / np.sqrt(n), f"KS={ks:.5f} beyond 1% critical value"
 
 
+def _near_x_rows():
+    """Unit rows whose |a_x| sits just above and just below 1 - 1e-6,
+    where rotate_towards switches its reference axis."""
+    rows = []
+    for ax in (1.0 - 1e-6 + 1e-9, 1.0 - 1e-6 - 1e-9, 1.0 - 1e-6 + 1e-12, 1.0 - 1e-6 - 1e-12):
+        for sign in (1.0, -1.0):
+            rest = np.sqrt(1.0 - ax * ax)
+            rows.append(_unit(sign * ax, 0.6 * rest, -0.8 * rest))
+    return np.array(rows)
+
+
 class TestRotateTowards:
+    @staticmethod
+    def _assert_contract(out, axes, tilts):
+        # |r| = 1 and r . a = x, row by row
+        np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.sum(out * axes, axis=-1),
+                                   np.broadcast_to(tilts, out.shape[:-1]), rtol=0, atol=1e-12)
+
     def test_tilt_one_returns_axis(self):
-        axis = unit_vector(0.3, -0.5, 0.7)
+        axis = _unit(0.3, -0.5, 0.7)
         np.testing.assert_allclose(rotate_towards(axis, 1.0, 2.1), axis, atol=1e-12)
 
     def test_tilt_minus_one_flips(self):
-        axis = unit_vector(0.3, -0.5, 0.7)
+        axis = _unit(0.3, -0.5, 0.7)
         np.testing.assert_allclose(rotate_towards(axis, -1.0, 0.4), -axis, atol=1e-12)
 
     def test_equator(self):
@@ -122,60 +133,82 @@ class TestRotateTowards:
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
             assert abs(out @ np.array(axis) - 0.25) < 1e-12
 
+    def test_broadcast_nested_and_empty_batches(self):
+        gen = RandomStream(2024).generator()
+        axes = sample_uniform_sphere(gen, 10)
+        tilts, azimuths = gen.uniform(-1.0, 1.0, 10), gen.uniform(0.0, 2 * np.pi, 10)
+        for axis in (axes[0], np.array([1.0, 0.0, 0.0]), np.array([0.0, -1.0, 0.0])):
+            out = rotate_towards(axis, 0.4, 1.1)
+            assert out.shape == (3,)
+            self._assert_contract(out, axis, 0.4)
+            # one axis against per-row tilts, and one tilt against per-row azimuths
+            self._assert_contract(rotate_towards(axis, tilts, azimuths), axis, tilts)
+            self._assert_contract(rotate_towards(axis, 0.4, azimuths), axis, 0.4)
+        # per-row axes and tilts against one azimuth
+        self._assert_contract(rotate_towards(axes, tilts, 1.1), axes, tilts)
+        nested = (axes.reshape(2, 5, 3), tilts.reshape(2, 5), azimuths.reshape(2, 5))
+        out = rotate_towards(*nested)
+        assert out.shape == (2, 5, 3)
+        self._assert_contract(out, nested[0], nested[1])
+        # tilts with more axes than the azimuths and the axis
+        out = rotate_towards(axes[:5], tilts.reshape(2, 5), azimuths[:5])
+        assert out.shape == (2, 5, 3)
+        self._assert_contract(out, axes[:5], tilts.reshape(2, 5))
+        for tilt in (0.3, np.zeros(0)):
+            assert rotate_towards(np.zeros((0, 3)), tilt, 0.0).shape == (0, 3)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             rotate_towards(np.array([1.0, 1.0, 0.0]), 0.5, 0.0)
         with pytest.raises(ValueError):
             rotate_towards(np.array([0.0, 0.0, 1.0]), 1.5, 0.0)
 
+    @pytest.mark.parametrize("axis, tilt, message", [
+        (np.array([1.0, 1.0, 0.0]), 0.5, "axis is not unit-norm (max |norm-1| = 4.142e-01)"),
+        (np.array([[0.0, 0.0, 1.0], [0.6, 0.8, 0.1]]), 0.5,
+         "axis is not unit-norm (max |norm-1| = 4.988e-03)"),
+        (np.array([0.0, 0.0, 1.0]), 1.5, "cos_tilt must lie in [-1, 1]"),
+        (np.array([0.0, 0.0, 1.0, 0.0]), 0.5, "axis must have 3 components, got shape (4,)"),
+        # batches of no rows still check what they hold
+        (np.zeros((0, 3)), 1.5, "cos_tilt must lie in [-1, 1]"),
+        (np.array([[1.0, 1.0, 0.0]]), np.zeros(0),
+         "axis is not unit-norm (max |norm-1| = 4.142e-01)"),
+    ], ids=["axis", "axis-rows", "tilt", "axis-shape", "no-rows-tilt", "no-tilts-axis"])
+    def test_bad_input_messages(self, axis, tilt, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            rotate_towards(axis, tilt, 0.0)
 
-def _rotate_reference(axis, cos_tilt, azimuth):
-    """The (..., 3) formula the column-wise kernel replaced: the oracle
-    that kernel must match bit for bit."""
-    a = np.asarray(axis, dtype=float)
-    if a.shape[-1] != 3:
-        raise ValueError(f"axis must have 3 components, got shape {a.shape}")
-    norms = np.linalg.norm(a, axis=-1)
-    if not np.all(np.abs(norms - 1.0) <= 1e-9):
-        worst = float(np.max(np.abs(norms - 1.0)))
-        raise ValueError(f"axis is not unit-norm (max |norm-1| = {worst:.3e})")
-    x = np.asarray(cos_tilt, dtype=float)
-    if np.any(np.abs(x) > 1.0 + UNIT_TOL):
-        raise ValueError("cos_tilt must lie in [-1, 1]")
-    x = np.clip(x, -1.0, 1.0)
-    psi = np.asarray(azimuth, dtype=float)
-
-    near_x = np.abs(a[..., 0]) > 1.0 - 1e-6
-    ref = np.where(near_x[..., None],
-                   np.array([0.0, 1.0, 0.0]),
-                   np.array([1.0, 0.0, 0.0]))
-    e1 = ref - np.sum(ref * a, axis=-1, keepdims=True) * a
-    e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
-    e2 = np.cross(a, e1)
-
-    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    return (x[..., None] * a
-            + (s * np.cos(psi))[..., None] * e1
-            + (s * np.sin(psi))[..., None] * e2)
+    @pytest.mark.parametrize("axis_excess, bad_tilts, message", [
+        ({24: 1e-7, 2: 5e-6}, (), "axis is not unit-norm (max |norm-1| = 5.000e-06)"),
+        ({24: 5e-6}, (), "axis is not unit-norm (max |norm-1| = 5.000e-06)"),
+        ({}, (24,), "cos_tilt must lie in [-1, 1]"),
+        ({24: 5e-6}, (3,), "axis is not unit-norm (max |norm-1| = 5.000e-06)"),
+        ({24: 1.05e-9}, (), "axis is not unit-norm (max |norm-1| = 1.050e-09)"),
+    ], ids=["worst-axis-row", "late-axis-row", "late-tilt-row", "axis-before-tilt",
+            "just-over-tolerance"])
+    def test_bad_rows_anywhere_in_the_batch(self, axis_excess, bad_tilts, message):
+        # the message is the whole batch's: the worst axis row, and an
+        # axis fault before a tilt fault, wherever in the batch each sits;
+        # row 7's excess of 0.95e-9 is within the tolerance
+        gen = RandomStream(2024).generator()
+        axes = sample_uniform_sphere(gen, 26)
+        tilts, azimuths = gen.uniform(-1.0, 1.0, 26), gen.uniform(0.0, 2 * np.pi, 26)
+        axes[7] *= 1.0 + 0.95e-9
+        for row, excess in axis_excess.items():
+            axes[row] *= 1.0 + excess
+        tilts[list(bad_tilts)] = 1.5
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            rotate_towards(axes, tilts, azimuths)
 
 
 def _column_major(v):
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(v, -1, 0)), 0, -1)
 
 
-def _near_x_rows():
-    """Unit rows whose |a_x| sits just above and just below 1 - 1e-6,
-    where the kernel switches its reference axis."""
-    rows = []
-    for ax in (1.0 - 1e-6 + 1e-9, 1.0 - 1e-6 - 1e-9, 1.0 - 1e-6 + 1e-12, 1.0 - 1e-6 - 1e-12):
-        for sign in (1.0, -1.0):
-            rest = np.sqrt(1.0 - ax * ax)
-            rows.append(unit_vector(sign * ax, 0.6 * rest, -0.8 * rest))
-    return np.array(rows)
-
-
 class TestKernelOracle:
-    """The column-wise rotate_towards against the (..., 3) formula."""
+    """rotate_towards, the 3-D chain's one kernel, on C-ordered and
+    column-major rows: the same bits on either layout and from any prefix
+    of a batch, and the documented frame within 1e-12."""
 
     @pytest.fixture(scope="class")
     def batch(self):
@@ -185,129 +218,61 @@ class TestKernelOracle:
         axes = v / np.linalg.norm(v, axis=-1, keepdims=True)
         return axes, gen.uniform(-1.0, 1.0, n), gen.uniform(0.0, 2 * np.pi, n)
 
+    @staticmethod
+    def _assert_frame(out, axes, tilts, azimuths):
+        # r = x a + s cos(psi) e1 + s sin(psi) e2, where e1 is x-hat (y-hat
+        # within 1e-6 of +-x-hat) made orthogonal to a, and e2 = a x e1
+        near_x = np.abs(axes[..., :1]) > 1.0 - 1e-6
+        e1 = np.where(near_x, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+        e1 = e1 - np.sum(e1 * axes, axis=-1, keepdims=True) * axes
+        e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
+        x = np.broadcast_to(tilts, out.shape[:-1])
+        psi = np.broadcast_to(azimuths, out.shape[:-1])
+        s = np.sqrt(1.0 - x * x)
+        for direction, want in ((axes, x), (e1, s * np.cos(psi)),
+                                (np.cross(axes, e1), s * np.sin(psi))):
+            np.testing.assert_allclose(np.sum(out * direction, axis=-1), want,
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, _column_major])
     def test_random_rows(self, batch, layout):
         axes, tilts, azimuths = batch
-        axes = layout(axes)
-        out = rotate_towards(axes, tilts, azimuths)
-        assert out.shape == axes.shape
-        assert all(out[:, c].flags.c_contiguous for c in range(3))
-        np.testing.assert_array_equal(out, _rotate_reference(axes, tilts, azimuths))
-        np.testing.assert_array_equal(rotate_towards(axes, 0.3, azimuths),
-                                      _rotate_reference(axes, 0.3, azimuths))
+        for tilt in (tilts, 0.3):
+            out = rotate_towards(layout(axes), tilt, azimuths)
+            assert out.shape == axes.shape
+            np.testing.assert_array_equal(out, rotate_towards(axes, tilt, azimuths))
+            self._assert_frame(out, axes, tilt, azimuths)
 
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, _column_major])
     def test_edge_rows(self, layout):
+        # the rows at the frame switch and the six axes, with scalar and
+        # per-row tilts and azimuths
         eye = np.eye(3)
-        axes = layout(np.concatenate([_near_x_rows(), eye, -eye]))
+        axes = np.concatenate([_near_x_rows(), eye, -eye])
         n = axes.shape[0]
-        azimuths = np.linspace(0.0, 2 * np.pi, n)
-        per_row = np.linspace(-1.0, 1.0, n)
-        for tilt in (1.0, -1.0, 0.25, per_row):
-            np.testing.assert_array_equal(rotate_towards(axes, tilt, azimuths),
-                                          _rotate_reference(axes, tilt, azimuths))
-
-    def test_single_vector_and_nested_batch(self, batch):
-        axes, tilts, azimuths = batch
-        for axis in (axes[0], np.array([1.0, 0.0, 0.0]), np.array([0.0, -1.0, 0.0])):
-            out = rotate_towards(axis, 0.4, 1.1)
-            assert out.shape == (3,)
-            np.testing.assert_array_equal(out, _rotate_reference(axis, 0.4, 1.1))
-            # one axis broadcast against per-row tilts
-            np.testing.assert_array_equal(rotate_towards(axis, tilts[:7], azimuths[:7]),
-                                          _rotate_reference(axis, tilts[:7], azimuths[:7]))
-            # one axis and one tilt against per-row azimuths
-            np.testing.assert_array_equal(rotate_towards(axis, 0.4, azimuths[:7]),
-                                          _rotate_reference(axis, 0.4, azimuths[:7]))
-        # per-row axes and tilts against one azimuth
-        np.testing.assert_array_equal(rotate_towards(axes[:7], tilts[:7], 1.1),
-                                      _rotate_reference(axes[:7], tilts[:7], 1.1))
-        nested = axes[:10].reshape(2, 5, 3)
-        for layout in (np.ascontiguousarray, _column_major):
-            args = (layout(nested), tilts[:10].reshape(2, 5), azimuths[:10].reshape(2, 5))
-            out = rotate_towards(*args)
-            assert out.shape == (2, 5, 3)
-            np.testing.assert_array_equal(out, _rotate_reference(*args))
-        # tilts with more axes than the azimuths and the axis
-        args = (axes[:5], tilts[:10].reshape(2, 5), azimuths[:5])
-        np.testing.assert_array_equal(rotate_towards(*args), _rotate_reference(*args))
-
-    def test_row_dot_is_numpy_sum(self, batch):
-        axes, _, _ = batch
-        other = np.roll(axes, 1, axis=0)
-        for u, v in ((axes, other), (_column_major(axes), other),
-                     (_column_major(axes), _column_major(other))):
-            np.testing.assert_array_equal(row_dot(u, v), np.sum(u * v, axis=-1))
-            np.testing.assert_array_equal(np.sqrt(row_dot(u, u)),
-                                          np.linalg.norm(u, axis=-1))
+        for tilt in (1.0, -1.0, 0.25, np.linspace(-1.0, 1.0, n)):
+            for azimuth in (np.linspace(0.0, 2 * np.pi, n), 1.1):
+                out = rotate_towards(layout(axes), tilt, azimuth)
+                assert out.shape == (n, 3)
+                np.testing.assert_array_equal(out, rotate_towards(axes, tilt, azimuth))
+                self._assert_frame(out, axes, tilt, azimuth)
 
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, _column_major])
     @pytest.mark.parametrize("rows", [0, 1, 6, 7, 8, 3 * 7 + 5])
     def test_block_edges(self, batch, layout, rows):
+        # a chain block's rows get the bits that the whole batch gives
+        # them; near-x rows at rows 5..12, and row 3 is just within the
+        # unit-norm tolerance
         axes, tilts, azimuths = batch
-        # near-x rows at rows 5..12; row 3 is just within the unit-norm
-        # tolerance
-        axes = np.concatenate([axes[:5], _near_x_rows(), axes[5:]])[:rows]
-        axes[3:4] *= 1.0 - 0.95e-9
-        axes = layout(axes)
-        for tilt in (tilts[:rows], 0.3):
-            out = rotate_towards(axes, tilt, azimuths[:rows])
+        whole = np.concatenate([axes[:5], _near_x_rows(), axes[5:26 - 8]])
+        whole[3:4] *= 1.0 - 0.95e-9
+        for tilt in (tilts[:26], 0.3):
+            expected = rotate_towards(whole, tilt, azimuths[:26])[:rows]
+            tilt = tilt[:rows] if np.ndim(tilt) else tilt
+            out = rotate_towards(layout(whole[:rows]), tilt, azimuths[:rows])
             assert out.shape == (rows, 3)
-            assert np.array_equal(out, _rotate_reference(axes, tilt, azimuths[:rows]))
-
-    @pytest.mark.parametrize("axis_excess,bad_tilts", [
-        ({24: 1e-7, 2: 5e-6}, ()), ({24: 5e-6}, ()), ({}, (24,)), ({24: 5e-6}, (3,)),
-        ({24: 1.05e-9}, ())])
-    def test_bad_rows_in_late_blocks(self, batch, axis_excess, bad_tilts):
-        # the message is the whole batch's: the worst axis row, and an
-        # axis fault before a tilt fault, wherever in the batch each sits
-        axes, tilts, azimuths = (v[:26].copy() for v in batch)
-        for row, excess in axis_excess.items():
-            axes[row] *= 1.0 + excess
-        tilts[list(bad_tilts)] = 1.5
-        with pytest.raises(ValueError) as expected:
-            _rotate_reference(axes, tilts, azimuths)
-        with pytest.raises(ValueError, match=re.escape(str(expected.value)) + "$"):
-            rotate_towards(axes, tilts, azimuths)
-
-    def test_bad_input_messages_unchanged(self):
-        cases = [(np.array([1.0, 1.0, 0.0]), 0.5), (np.array([[0.0, 0.0, 1.0], [0.6, 0.8, 0.1]]), 0.5),
-                 (np.array([0.0, 0.0, 1.0]), 1.5), (np.array([0.0, 0.0, 1.0, 0.0]), 0.5),
-                 # batches of no rows still check what they hold
-                 (np.zeros((0, 3)), 1.5), (np.array([[1.0, 1.0, 0.0]]), np.zeros(0))]
-        for axis, tilt in cases:
-            with pytest.raises(ValueError) as expected:
-                _rotate_reference(axis, tilt, 0.0)
-            with pytest.raises(ValueError, match=re.escape(str(expected.value)) + "$"):
-                rotate_towards(axis, tilt, 0.0)
-
-
-class TestWholeChainOnReference:
-    """Every chain gives the same overlaps with the (..., 3) formula
-    patched in for the kernel, on the same stream."""
-
-    @pytest.mark.parametrize("scheme", ["covariant", "stern_gerlach"])
-    @pytest.mark.parametrize("overlap", ["estimate", "prepared"])
-    def test_single_qubit(self, monkeypatch, scheme, overlap):
-        # the covariant one is the 3-D chain that tests the overlap recurrence
-        def run():
-            if scheme == "covariant":
-                observers = chain_observers("single_qubit", 1, 3, 0.7, overlap=overlap)
-                return observer_chain(observers, RandomStream(31), 2000)
-            return chain_dots_single(3, QubitKrausFamily(0.7), scheme, RandomStream(31),
-                                     2000, overlap=overlap)
-        fast = run()
-        monkeypatch.setattr(sphere, "rotate_towards", _rotate_reference)
-        np.testing.assert_array_equal(fast, run())
-
-    @pytest.mark.parametrize("mode", ["nspin_parallel", "nspin_optimal", "parallel_start"])
-    def test_nspin(self, monkeypatch, mode):
-        # the 3-D chain that tests chain_dots_nspin's overlap recurrence
-        def run():
-            return observer_chain(chain_observers(mode, 6, 3), RandomStream(31), 2000)
-        fast = run()
-        monkeypatch.setattr(sphere, "rotate_towards", _rotate_reference)
-        np.testing.assert_array_equal(fast, run())
+            assert np.array_equal(out, expected)
 
 
 class TestChainBlocks:

@@ -55,14 +55,14 @@ class TestAnalyticColumn:
 class TestMcEstimate:
     def test_from_samples(self):
         samples = np.array([0.5, 0.1, -0.2, 0.4])
-        est = McEstimate.from_samples(samples, seed=7)
+        est = McEstimate.from_samples(samples)
         assert est.mean == pytest.approx(samples.mean())
         assert est.stderr == pytest.approx(samples.std(ddof=1) / 2.0)
-        assert est.trials == 4 and est.seed == 7
+        assert est.trials == 4
         assert est.z_score(0.0) == pytest.approx(est.mean / est.stderr)
 
     def test_single_trial_has_no_stderr(self):
-        est = McEstimate.from_samples(np.array([0.3]), seed=1)
+        est = McEstimate.from_samples(np.array([0.3]))
         assert est.stderr is None
         assert est.z_score(0.0) is None
 
