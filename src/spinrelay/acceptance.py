@@ -23,6 +23,7 @@ from .encoding import (
 )
 from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
 from .qubit import QubitKrausFamily, chain_dots_single
+from .records import McEstimate
 from .rng import RandomStream
 from .sweep import SweepConfig, records_to_bytes, run_sweep
 
@@ -35,19 +36,12 @@ class CriterionResult:
     detail: str
 
 
-def _mean_se(samples: np.ndarray) -> tuple[float, float]:
-    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(samples.size))
-
-
 def criterion_1() -> CriterionResult:
     """Single-qubit law: MC shrink factors match 3^-k for k = 1..4."""
     start = time.perf_counter()
     dots = chain_dots_single(4, QubitKrausFamily(0.0), "covariant",
                              RandomStream(42), 10 ** 6)
-    zs = []
-    for k in range(1, 5):
-        mean, se = _mean_se(dots[:, k - 1])
-        zs.append((mean - 3.0 ** -k) / se)
+    zs = [McEstimate.from_samples(dots[:, k - 1]).z_score(3.0 ** -k) for k in range(1, 5)]
     elapsed = time.perf_counter() - start
     within3 = sum(abs(z) <= 3.0 for z in zs)
     passed = all(abs(z) <= 4.0 for z in zs) and within3 >= 3 and elapsed < 10.0
@@ -64,8 +58,7 @@ def criterion_2() -> CriterionResult:
         dots = chain_dots_single(2, QubitKrausFamily(phi), "covariant",
                                  RandomStream(42).child(i), 10 ** 5,
                                  overlap="prepared")
-        mean, se = _mean_se(dots[:, 1])
-        zs.append((mean - eta ** 2) / se)
+        zs.append(McEstimate.from_samples(dots[:, 1]).z_score(eta ** 2))
     passed = all(abs(z) <= 3.0 for z in zs)
     detail = f"z = {', '.join(f'{z:+.2f}' for z in zs)} for phi in {{0..pi}} (1e5 trials)"
     return CriterionResult(2, "Kraus-family channel composition", passed, detail)
@@ -78,9 +71,8 @@ def criterion_3() -> CriterionResult:
     sg = chain_dots_single(3, kraus, "stern_gerlach", RandomStream(42).child(202), 10 ** 5)
     zs = []
     for k in range(1, 4):
-        m1, s1 = _mean_se(cov[:, k - 1])
-        m2, s2 = _mean_se(sg[:, k - 1])
-        zs.append((m1 - m2) / math.hypot(s1, s2))
+        a, b = McEstimate.from_samples(cov[:, k - 1]), McEstimate.from_samples(sg[:, k - 1])
+        zs.append((a.mean - b.mean) / math.hypot(a.stderr, b.stderr))
     passed = all(abs(z) <= 3.0 for z in zs)
     detail = f"combined z = {', '.join(f'{z:+.2f}' for z in zs)} for k=1..3"
     return CriterionResult(3, "scheme equivalence (SG vs covariant)", passed, detail)
@@ -91,10 +83,8 @@ def criterion_4() -> CriterionResult:
     zs = []
     for n in (2, 4, 10):
         dots = chain_dots_nspin(n, 2, "nspin_parallel", RandomStream(42).child(n), 10 ** 5)
-        for k in (1, 2):
-            mean, se = _mean_se(dots[:, k - 1])
-            ref = (n / (n + 2.0)) ** k
-            zs.append((mean - ref) / se)
+        zs += [McEstimate.from_samples(dots[:, k - 1]).z_score((n / (n + 2.0)) ** k)
+               for k in (1, 2)]
     passed = all(abs(z) <= 3.0 for z in zs)
     detail = (f"z = {', '.join(f'{z:+.2f}' for z in zs)} over "
               f"N in {{2,4,10}} x k in {{1,2}} (1e5 trials)")
@@ -129,11 +119,11 @@ def criterion_5() -> CriterionResult:
 def criterion_6() -> CriterionResult:
     """Mixed start: N=4 parallel copies, optimal second measurement."""
     dots = chain_dots_nspin(4, 2, "parallel_start", RandomStream(42), 10 ** 6)
-    mean, se = _mean_se(dots[:, 1])
+    est = McEstimate.from_samples(dots[:, 1])
     ref = (4.0 / 6.0) * math.sqrt(3.0 / 5.0)  # 0.5164 to 4 s.f.
-    z = (mean - ref) / se
+    z = est.z_score(ref)
     passed = abs(z) <= 3.0
-    detail = f"mean = {mean:.6f}, expected {ref:.6f}, z = {z:+.2f} (1e6 trials, seed 42)"
+    detail = f"mean = {est.mean:.6f}, expected {ref:.6f}, z = {z:+.2f} (1e6 trials, seed 42)"
     return CriterionResult(6, "mixed-start chain value", passed, detail)
 
 

@@ -25,6 +25,7 @@ from .sweep import (
     MAX_RANGE_VALUES,
     RECORD_FIELDS,
     SweepConfig,
+    check_grid,
     emit_encoding,
     max_abs_z,
     records_to_bytes,
@@ -161,14 +162,15 @@ _ENCODING_FIELDS = {
 
 def cmd_analytic(args) -> int:
     k_values = parse_int_range(args.k, "--k")
+    n_values = parse_int_range(args.n, "--n")
+    check_grid(n_values, k_values, "--n", "--k")
     rows = []
-    for n in parse_int_range(args.n, "--n"):
+    for n in n_values:
         for k in k_values:
             delta = analytic_delta(args.mode, n, k, args.phi)
             rows.append({"mode": args.mode, "N": n, "k": k,
                          "phi": args.phi if args.mode == "single_qubit" else None,
-                         "delta": delta,
-                         "fidelity": fidelity_from_delta(max(-1.0, min(1.0, delta)))})
+                         "delta": delta, "fidelity": fidelity_from_delta(delta)})
     # opened only once every row is valid, so a rejected call leaves --out alone
     _write_out(rows, args.format, args.out, _ANALYTIC_FIELDS)
     return 0
@@ -212,15 +214,11 @@ def _sweep_config(args) -> tuple[SweepConfig, str | None]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg, out = _sweep_config(args)
-        if args.plot_script and (cfg.fmt != "csv" or out in (None, "-")):
-            raise ValueError("--plot-script needs --format csv and --out FILE")
-        _check_writable(out, "--out")
-        _check_writable(args.plot_script, "--plot-script")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg, out = _sweep_config(args)
+    if args.plot_script and (cfg.fmt != "csv" or out in (None, "-")):
+        raise ValueError("--plot-script needs --format csv and --out FILE")
+    _check_writable(out, "--out")
+    _check_writable(args.plot_script, "--plot-script")
     from .sweep import run_sweep, write_plot_script
     records = run_sweep(cfg)
     payload = records_to_bytes(records, cfg.fmt)

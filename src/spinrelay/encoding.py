@@ -17,8 +17,9 @@ Per-observer shrink factors multiply along a chain.  :func:`chain_laws`
 lists the steps of every chain the CLI names, as runs of equal steps;
 :func:`analytic_delta` multiplies their factors, :func:`chain_dots_nspin`
 runs them as the scalar overlap chain of every covariant mode, and
-:func:`chain_dots_3d` as the 3-D chain of directions, with the same
-signature, blocks and draws: the Stern-Gerlach path and the oracle.
+:func:`chain_dots_3d` as the 3-D chain of directions, the Stern-Gerlach
+path and the oracle.  Both take their checks, their steps and their
+blocks of :class:`~spinrelay.rng.StreamRows` draws from one set-up.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
 from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
-from .rng import as_generator
-from .sphere import chain_blocks, sample_cos_tilt, sample_uniform_sphere, tilt_step
+from .rng import RandomStream, StreamRows
+from .sphere import sample_cos_tilt, sample_uniform_sphere, tilt_step
 
 #: the observer chains; a sweep cell's random substream follows this order
 MODES = ("single_qubit", "nspin_parallel", "nspin_optimal", "parallel_start")
@@ -46,6 +47,11 @@ _GUIDE_CELLS = 4096
 #: 2 pi j / M for j = 0..M; a power of two, so that u * M is exact
 _AZIMUTH_CELLS = 4096
 _AZIMUTH_STEP = 2.0 * np.pi / _AZIMUTH_CELLS
+
+#: trials per block of a chain, so that a chain step holds a few arrays
+#: of this many rows however many trials run, small enough to stay in a
+#: 2 MB L2 cache
+_CHAIN_ROWS = 2 ** 14
 
 #: the inverse-CDF table is refined until its linear interpolation of the
 #: survival function is this close to the exact one at every midpoint
@@ -263,8 +269,8 @@ class OutcomeDensity:
         guide[:-1][guide[:-1] != np.searchsorted(table_g, edges[1:]) - 1] = -1
         return table_g, theta, slope, guide
 
-    def sample(self, rng, size: int | None = None):
-        x = np.asarray(as_generator(rng).random(size))
+    def sample(self, gen, size: int | None = None):
+        x = np.asarray(gen.random(size))
         q = x.reshape(-1)
         # q = 1 - u is exact for u >= 1/2, so the tail near x = 1, where
         # the optimal density puts its mass, keeps full resolution
@@ -345,16 +351,32 @@ def analytic_delta(mode: str, n_spins: int, k: int, phi: float = 0.0) -> float:
                      for law, offset, count in chain_laws(mode, n_spins, k, phi))
 
 
-def _require_overlap(overlap: str):
+def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overlap: str):
+    """Both chain kernels' set-up: check the overlap, the chain
+    (:func:`chain_laws`), ``trials`` and the RandomStream ``rng`` before any
+    draw or density build; allocate the column-major (trials, k) overlaps;
+    return them, each observer's (tilt sampler, hand-on offset), whether the
+    handed-on state's overlap is recorded, and the lazy blocks of at most
+    _CHAIN_ROWS rows, each with the :class:`StreamRows` view that gives its
+    rows the draws of one batch of ``trials`` rows.  A sampler takes
+    ``(gen, size)``; the optimal one builds its density on first use."""
     if overlap not in ("estimate", "prepared"):
         raise ValueError("overlap must be 'estimate' or 'prepared'")
-
-
-def _tilt_samplers(n_spins: int) -> dict:
-    """Each tilt law's ``(gen, size)`` sampler; the density is built on first use."""
+    laws = chain_laws(mode, n_spins, k, phi)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not isinstance(rng, RandomStream):
+        raise TypeError(f"rng must be a RandomStream, got {type(rng).__name__}")
+    dots = np.empty((k, trials)).T
+    # listed after the allocation, which rejects a k too large to index
     density = cache(lambda: outcome_density(optimal_encoding(n_spins)))
-    return {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size),
-            "optimal": lambda gen, size: density().sample(gen, size)}
+    samplers = {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size),
+                "optimal": lambda gen, size: density().sample(gen, size)}
+    steps = [(samplers[law], offset) for law, offset, count in laws for _ in range(count)]
+    blocks = ((dots[lo:lo + _CHAIN_ROWS],
+               StreamRows(rng, lo, min(lo + _CHAIN_ROWS, trials), trials))
+              for lo in range(0, trials, _CHAIN_ROWS))
+    return dots, steps, overlap == "prepared", blocks
 
 
 def _azimuth_table() -> tuple[np.ndarray, np.ndarray]:
@@ -424,25 +446,19 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int,
     c to c x + sqrt((1 - c^2)(1 - x^2)) cos psi, from c = 1, and a nonzero
     hand-on offset is one more such step, with x = cos(offset), and each
     step takes cos psi from the table of :func:`_cos_2pi`, with no libm call.
-    Each block of :func:`spinrelay.sphere.chain_blocks` reads the 3-D
-    chain's fills: it skips the true directions' two, which the overlap
-    does not use, by counter, so that every later fill keeps its Philox
-    words and every k = 1 estimate is the 3-D chain's to rounding; then
-    per observer it draws its tilt, its azimuth and any re-preparation
-    azimuth."""
-    _require_overlap(overlap)
-    samplers, laws = _tilt_samplers(n_spins), chain_laws(mode, n_spins, k, phi)
-    dots, blocks = chain_blocks(rng, trials, k)
-    # listed after the allocation, which rejects a k too large to index
-    steps = [(law, offset) for law, offset, count in laws for _ in range(count)]
-    prepared = overlap == "prepared"
+    Each block of :func:`_chain` reads the 3-D chain's fills: it skips
+    the true directions' two, which the overlap does not use, by counter,
+    so that every later fill keeps its Philox words and every k = 1
+    estimate is the 3-D chain's to rounding; then per observer it draws
+    its tilt, its azimuth and any re-preparation azimuth."""
+    dots, steps, prepared, blocks = _chain(n_spins, k, mode, rng, trials, phi, overlap)
     for block, gen in blocks:
         rows = block.shape[0]
         gen.skip(2)  # the true directions' fills
         c = 1.0
-        for j, (law, offset) in enumerate(steps):
+        for j, (sample, offset) in enumerate(steps):
             tracked = block[:, j]
-            est = _turn(c, samplers[law](gen, rows), gen,
+            est = _turn(c, sample(gen, rows), gen,
                         np.empty(rows) if offset and prepared else tracked)
             c = est if offset == 0.0 else _turn(est, math.cos(offset), gen,
                                                 tracked if prepared else np.empty(rows))
@@ -463,17 +479,13 @@ def chain_dots_3d(n_spins: int, k: int, mode: str, rng, trials: int, phi: float 
     observer its tilt draw (or the measurement's), its azimuth and any
     re-preparation azimuth.  It runs the Stern-Gerlach scheme, and it is
     the test oracle of the scalar chain."""
-    _require_overlap(overlap)
-    samplers, laws = _tilt_samplers(n_spins), chain_laws(mode, n_spins, k, phi)
-    dots, blocks = chain_blocks(rng, trials, k)
-    steps = [(law, offset) for law, offset, count in laws for _ in range(count)]
-    prepared = overlap == "prepared"
+    dots, steps, prepared, blocks = _chain(n_spins, k, mode, rng, trials, phi, overlap)
     for block, gen in blocks:
         rows = block.shape[0]
         state = true_dirs = sample_uniform_sphere(gen, rows)
-        for j, (law, offset) in enumerate(steps):
+        for j, (sample, offset) in enumerate(steps):
             if measure is None:
-                est = tilt_step(state, samplers[law](gen, rows), gen)
+                est = tilt_step(state, sample(gen, rows), gen)
             else:
                 est = measure(state, gen)
             state = est if offset == 0.0 else tilt_step(est, math.cos(offset), gen)

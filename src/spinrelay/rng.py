@@ -14,9 +14,11 @@ reproducible regardless of how many workers consume it: a cell's stream
 depends only on its identity, never on scheduling order.
 
 Because Philox is counter-based, a block of rows can also read its own
-draws straight from their place in the stream: :meth:`RandomStream.rows`
-gives a batch of ``total`` rows in blocks whose draws are exactly the
-whole batch's.
+draws straight from their place in the stream: a :class:`StreamRows` view
+gives rows [lo, hi) of a batch of ``total`` rows exactly the whole
+batch's draws.  The samplers of :mod:`spinrelay.sphere` and
+:mod:`spinrelay.encoding` draw from whichever Generator or view they are
+given.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ class RandomStream:
     def _philox(self) -> np.random.Philox:
         key = (self.seed & _MASK64) | ((self.stream_id & _MASK64) << 64)
         return np.random.Philox(key=key)
-
-    def rows(self, lo: int, hi: int, total: int) -> "StreamRows":
-        """Rows [lo, hi) of every ``total``-long fill of :meth:`generator`."""
-        return StreamRows(self, lo, hi, total)
 
     def child(self, index: int) -> "RandomStream":
         """Derive the ``index``-th independent substream of this stream."""
@@ -121,18 +119,3 @@ class StreamRows:
     def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
         return self._next_fill(size).uniform(low, high, size)
 
-
-def as_generator(rng):
-    """Coerce a RandomStream, Generator, or integer seed to a Generator.
-
-    A RandomStream or int restarts its sequence on every call; a Generator
-    or a :class:`StreamRows` view is passed through and keeps whatever
-    state it already has.
-    """
-    if isinstance(rng, (np.random.Generator, StreamRows)):
-        return rng
-    if isinstance(rng, RandomStream):
-        return rng.generator()
-    if isinstance(rng, (int, np.integer)):
-        return RandomStream(int(rng)).generator()
-    raise TypeError(f"cannot make a Generator out of {type(rng).__name__!r}")

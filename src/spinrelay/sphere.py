@@ -2,10 +2,9 @@
 
 Directions are plain float ndarrays: shape ``(3,)`` for a single unit
 vector or ``(..., 3)`` for batches.  The geometric functions broadcast
-over leading axes.  Every chain runs in the blocks of :func:`chain_blocks`:
-the covariant chains' overlaps alone in
-:func:`spinrelay.encoding.chain_dots_nspin`, and the 3-D chain of
-:func:`spinrelay.encoding.chain_dots_3d`, through :func:`tilt_step`,
+over leading axes.  The samplers draw from the NumPy ``Generator`` or
+:class:`spinrelay.rng.StreamRows` view they are given.  The 3-D chain of
+:func:`spinrelay.encoding.chain_dots_3d` steps through :func:`tilt_step`,
 for the Stern-Gerlach scheme and the test oracles.
 """
 
@@ -13,19 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rng import RandomStream, as_generator
-
 #: tolerance of the unit-norm invariant guaranteed by constructors/rotations
 UNIT_TOL = 1e-12
 
 #: tolerance used when *validating* unit-norm inputs (a little slack over
 #: UNIT_TOL so values that round-tripped through arithmetic still pass)
 _VALIDATE_TOL = 1e-9
-
-#: trials per block of chain_blocks, so that a chain step holds a few
-#: arrays of this many rows however many trials run, small enough to
-#: stay in a 2 MB L2 cache
-_CHAIN_ROWS = 2 ** 14
 
 
 def require_unit(v, name: str = "vector") -> np.ndarray:
@@ -40,13 +32,12 @@ def require_unit(v, name: str = "vector") -> np.ndarray:
     return v
 
 
-def sample_uniform_sphere(rng, size: int | None = None) -> np.ndarray:
+def sample_uniform_sphere(gen, size: int | None = None) -> np.ndarray:
     """Draw directions uniform with respect to sin(theta) dtheta dphi / (4 pi).
 
     Uses the area-preserving map: z uniform on [-1, 1], azimuth uniform on
     [0, 2 pi).  Returns shape (3,) for ``size=None``, else (size, 3).
     """
-    gen = as_generator(rng)
     z = gen.uniform(-1.0, 1.0, size=size)
     phi = gen.uniform(0.0, 2.0 * np.pi, size=size)
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
@@ -66,7 +57,7 @@ def inverse_cdf_cos_tilt(u, n_copies: int):
     return x if x.ndim else float(x)
 
 
-def sample_cos_tilt(rng, n_copies: int, size: int | None = None):
+def sample_cos_tilt(gen, n_copies: int, size: int | None = None):
     """Sample the cosine of the tilt between estimate and encoded direction.
 
     For an ensemble of ``n_copies`` identical copies measured with the
@@ -76,7 +67,6 @@ def sample_cos_tilt(rng, n_copies: int, size: int | None = None):
     """
     if n_copies < 1:
         raise ValueError(f"n_copies must be >= 1, got {n_copies}")
-    gen = as_generator(rng)
     u = 1.0 - gen.random(size)  # gen.random is [0,1) -> u in (0,1]
     return inverse_cdf_cos_tilt(u, n_copies)
 
@@ -117,16 +107,3 @@ def tilt_step(dirs, cos_tilt, gen) -> np.ndarray:
     az = gen.uniform(0.0, 2.0 * np.pi, size=dirs.shape[0])
     return rotate_towards(dirs, cos_tilt, az)
 
-
-def chain_blocks(rng: RandomStream, trials: int, k: int):
-    """Check ``trials`` and the RandomStream ``rng``, then allocate a
-    chain's column-major (trials, k) overlaps; returns them and an iterator
-    over their blocks of at most _CHAIN_ROWS rows, each with the ``rng.rows``
-    view that gives its rows the draws of one batch of ``trials`` rows."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not isinstance(rng, RandomStream):
-        raise TypeError(f"rng must be a RandomStream, got {type(rng).__name__}")
-    dots = np.empty((k, trials)).T
-    bounds = ((lo, min(lo + _CHAIN_ROWS, trials)) for lo in range(0, trials, _CHAIN_ROWS))
-    return dots, ((dots[lo:hi], rng.rows(lo, hi, trials)) for lo, hi in bounds)

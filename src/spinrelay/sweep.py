@@ -59,9 +59,16 @@ def build_id() -> str:
     return f"spinrelay-{__version__}"
 
 
-#: most values an --n or --k range may hold, and most cells a sweep grid
-#: may hold; 10^6 ints take about 36 MB
+#: most values an --n or --k range may hold, and most cells an analytic
+#: or sweep grid may hold; 10^6 ints take about 36 MB
 MAX_RANGE_VALUES = 10 ** 6
+
+
+def check_grid(n_values, k_values, n_name: str, k_name: str):
+    """Reject a grid of more than MAX_RANGE_VALUES cells before any is listed."""
+    cells = len(n_values) * len(k_values)
+    if cells > MAX_RANGE_VALUES:
+        raise ValueError(f"{n_name} and {k_name}: {cells} cells, more than {MAX_RANGE_VALUES}")
 
 
 @dataclass(frozen=True)
@@ -82,10 +89,7 @@ class SweepConfig:
         """Reject a config no sweep can run, naming N, k and trials as given."""
         if not self.n_values or not self.k_values:
             raise ValueError("N and k ranges must be non-empty")
-        cells = len(self.n_values) * len(self.k_values)
-        if cells > MAX_RANGE_VALUES:
-            raise ValueError(f"{n_name} and {k_name}: {cells} cells, "
-                             f"more than {MAX_RANGE_VALUES}")
+        check_grid(self.n_values, self.k_values, n_name, k_name)
         for n in self.n_values:
             for k in self.k_values:
                 chain_laws(self.mode, n, k, self.phi)

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
-from spinrelay import encoding, sphere
+from spinrelay import encoding
 from spinrelay.cli import main
 from spinrelay.encoding import (
     EncodingSpec,
@@ -27,7 +27,7 @@ from spinrelay.encoding import (
 )
 from spinrelay.legendre import legendre_largest_zero
 from spinrelay.qubit import QubitKrausFamily, chain_dots_single
-from spinrelay.rng import RandomStream, StreamRows, as_generator
+from spinrelay.rng import RandomStream, StreamRows
 
 
 def _mean_se(samples):
@@ -409,25 +409,25 @@ class TestOutcomeSampling:
     ])
     def test_sample_mean(self, n_spins, target):
         density = outcome_density(optimal_encoding(n_spins))
-        x = density.sample(RandomStream(97), 100_000)
+        x = density.sample(RandomStream(97).generator(), 100_000)
         mean, se = _mean_se(x)
         assert abs(mean - target) < 3 * se
 
     def test_sample_range_and_scalar(self):
         density = outcome_density(optimal_encoding(6))
-        x = density.sample(RandomStream(3), 50_000)
+        x = density.sample(RandomStream(3).generator(), 50_000)
         assert np.all((-1.0 <= x) & (x <= 1.0))
-        scalar = density.sample(RandomStream(3))
+        scalar = density.sample(RandomStream(3).generator())
         assert isinstance(scalar, float)
         assert scalar == x[0]
-        assert density.sample(RandomStream(3), 0).shape == (0,)
-        assert density.sample(RandomStream(3), (2, 3)).shape == (2, 3)
+        assert density.sample(RandomStream(3).generator(), 0).shape == (0,)
+        assert density.sample(RandomStream(3).generator(), (2, 3)).shape == (2, 3)
 
     def test_sample_ks_against_exact_cdf(self):
         # N = 280 puts the mass within ~1e-4 of x = 1
         for n_spins in (4, 280):
             density = outcome_density(optimal_encoding(n_spins))
-            x = np.sort(density.sample(RandomStream(98), 100_000))
+            x = np.sort(density.sample(RandomStream(98).generator(), 100_000))
             cdf = density.cdf(x)
             n = x.size
             ks = max(np.max(np.abs(np.arange(1, n + 1) / n - cdf)),
@@ -451,8 +451,8 @@ class TestOutcomeSampling:
         # x = F^-1(u) for the stream's own uniform draw u, so a seed maps
         # to the same outcomes as under the exact inverse CDF
         density = optimal_densities[n_spins]
-        u = as_generator(RandomStream(7)).random(10_000)
-        x = density.sample(RandomStream(7), 10_000)
+        u = RandomStream(7).generator().random(10_000)
+        x = density.sample(RandomStream(7).generator(), 10_000)
         assert np.max(np.abs(density.cdf(x) - u)) <= encoding._TABLE_TOL
 
     @pytest.mark.parametrize("n_spins", [2, 40, 280, 1000])
@@ -480,7 +480,7 @@ class TestOutcomeSampling:
                                     for chunk in np.array_split(theta, 16)])
             gap = np.abs(np.interp(theta, table_theta, table_g) - exact)
             assert gap.max() <= encoding._TABLE_TOL, f"N={n_spins}"
-            x = density.sample(RandomStream(99), 10_000)
+            x = density.sample(RandomStream(99).generator(), 10_000)
             assert np.all((-1.0 <= x) & (x <= 1.0))
             mean, se = _mean_se(x)
             assert abs(mean - optimal_tilde_delta(n_spins)) < 4 * se, f"N={n_spins}"
@@ -538,8 +538,8 @@ class TestGuideTableOracle:
     def test_sample_is_interp_of_its_draw(self, optimal_densities, n_spins):
         density = optimal_densities[n_spins]
         table_g, table_theta, *_ = density._inverse_table
-        u = as_generator(RandomStream(n_spins)).random(10 ** 6)
-        assert np.array_equal(density.sample(RandomStream(n_spins), 10 ** 6),
+        u = RandomStream(n_spins).generator().random(10 ** 6)
+        assert np.array_equal(density.sample(RandomStream(n_spins).generator(), 10 ** 6),
                               np.cos(np.interp(1.0 - u, table_g, table_theta)))
 
     @pytest.mark.parametrize("n_spins", [2, 40, 280, 1000])
@@ -623,7 +623,7 @@ class TestNspinChains:
             chain_dots_nspin(2000, 1, "nspin_optimal", RandomStream(5), 0)
         assert builds == []
         # one build for every block and step of a call
-        monkeypatch.setattr(sphere, "_CHAIN_ROWS", 7)
+        monkeypatch.setattr(encoding, "_CHAIN_ROWS", 7)
         chain_dots_nspin(6, 3, "nspin_optimal", RandomStream(5), 26)
         chain_dots_nspin(6, 3, "parallel_start", RandomStream(5), 26)
         chain_dots_nspin(6, 3, "nspin_parallel", RandomStream(5), 26)
@@ -633,16 +633,36 @@ class TestNspinChains:
     @pytest.mark.parametrize("mode, n_spins", [("single_qubit", 1), ("nspin_parallel", 6),
                                                ("nspin_optimal", 6), ("parallel_start", 6)])
     def test_overlap_checked_before_any_draw_or_build(self, monkeypatch, chain, mode, n_spins):
-        # density builds and generated fills
+        # every argument is checked before any density build or generated
+        # fill: the overlap, then the chain, then trials, then the stream
         work, fill = [], StreamRows._next_fill
         monkeypatch.setattr(encoding, "outcome_density",
                             lambda enc: work.append(enc.n_spins) or outcome_density(enc))
         monkeypatch.setattr(StreamRows, "_next_fill",
                             lambda self, size: work.append("fill") or fill(self, size))
-        for bad in ("Prepared", "both", None):
-            with pytest.raises(ValueError, match="overlap must be 'estimate' or 'prepared'"):
-                chain(n_spins, 2, mode, RandomStream(1), 10, phi=0.7, overlap=bad)
+        overlap_msg = "overlap must be 'estimate' or 'prepared'"
+        bad = [({"overlap": o}, ValueError, overlap_msg) for o in ("Prepared", "both", None)]
+        bad += [({"overlap": "both", "k": 0, "trials": 0, "rng": 5}, ValueError, overlap_msg),
+                ({"k": 0, "trials": 0, "rng": 5}, ValueError, "chain length must be >= 1"),
+                ({"mode": "entangled", "trials": 0}, ValueError, "mode must be one of"),
+                ({"trials": 0, "rng": 5}, ValueError, "trials must be >= 1, got 0"),
+                ({"rng": 5}, TypeError, "rng must be a RandomStream, got int"),
+                ({"rng": RandomStream(1).generator()}, TypeError, "rng must be a RandomStream")]
+        if mode == "single_qubit":
+            bad += [({"phi": phi}, ValueError, r"phi must lie in \[0, pi\]")
+                    for phi in (-0.1, math.pi + 1e-9)]
+        elif mode == "nspin_parallel":
+            bad.append(({"n_spins": 0}, ValueError, "parallel mode needs N >= 1"))
+        else:
+            bad.append(({"n_spins": 7}, ValueError, "defined for even N >= 2, got N = 7"))
+        good = {"n_spins": n_spins, "k": 2, "mode": mode, "rng": RandomStream(1),
+                "trials": 10, "phi": 0.7, "overlap": "prepared"}
+        for args, error, message in bad:
+            with pytest.raises(error, match=message):
+                chain(**{**good, **args})
         assert work == []
+        chain(**good)
+        assert "fill" in work
 
     def test_true_directions_are_skipped_not_drawn(self, monkeypatch):
         # per block, one tilt and one azimuth fill per observer are drawn;
@@ -650,7 +670,7 @@ class TestNspinChains:
         drawn, fill = [], StreamRows._next_fill
         monkeypatch.setattr(StreamRows, "_next_fill",
                             lambda self, size: drawn.append(self._fills) or fill(self, size))
-        monkeypatch.setattr(sphere, "_CHAIN_ROWS", 7)
+        monkeypatch.setattr(encoding, "_CHAIN_ROWS", 7)
         chain_dots_nspin(6, 3, "nspin_optimal", RandomStream(5), 26)
         assert drawn == [2, 3, 4, 5, 6, 7] * 4
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinrelay.rng import RandomStream, as_generator, splitmix64
+from spinrelay.rng import RandomStream, StreamRows, splitmix64
 
 
 def test_same_stream_same_sequence():
@@ -48,18 +48,6 @@ def test_splitmix64_known_values():
     assert 0 <= splitmix64(2**64 - 1) < 2**64
 
 
-def test_as_generator_coercions():
-    gen = RandomStream(5).generator()
-    assert as_generator(gen) is gen
-    assert isinstance(as_generator(RandomStream(5)), np.random.Generator)
-    assert isinstance(as_generator(5), np.random.Generator)
-    # int seed and root stream agree
-    np.testing.assert_array_equal(
-        as_generator(5).random(8), RandomStream(5).generator().random(8))
-    with pytest.raises(TypeError):
-        as_generator("not a seed")
-
-
 def test_generator_restarts_but_passthrough_advances():
     stream = RandomStream(9)
     first = stream.generator().random(4)
@@ -86,7 +74,7 @@ class TestStreamRows:
     def test_fills_are_slices_of_the_batch_fills(self, lo, hi, total):
         stream = RandomStream(42).child(3)
         whole = self._fills(stream.generator(), [total] * 4)
-        rows = self._fills(stream.rows(lo, hi, total), [hi - lo] * 4)
+        rows = self._fills(StreamRows(stream, lo, hi, total), [hi - lo] * 4)
         for j in range(4):
             assert np.array_equal(rows[j], whole[j][lo:hi]), f"fill {j}"
 
@@ -94,7 +82,7 @@ class TestStreamRows:
         # fill j of rows [lo, hi) starts at word j * total + lo; with
         # total = 2^65 the third fill's counter carries into its second word
         stream, lo, total = RandomStream(7, 11), 6, 2 ** 65
-        view = stream.rows(lo, lo + 5, total)
+        view = StreamRows(stream, lo, lo + 5, total)
         for j in range(3):
             word = j * total + lo
             bits = stream.generator().bit_generator
@@ -107,7 +95,7 @@ class TestStreamRows:
             assert np.array_equal(view.random(5), expected), f"fill {j}"
 
     def test_wrong_fill_size_raises(self):
-        view = RandomStream(1).rows(2, 5, 10)
+        view = StreamRows(RandomStream(1), 2, 5, 10)
         for size in (10, 2, None, (3, 1)):
             with pytest.raises(ValueError, match="fills of size 3"):
                 view.random(size)
@@ -122,7 +110,7 @@ class TestStreamRows:
         # as many discarded fills, for a view on any rows of the batch
         stream = RandomStream(42).child(5)
         for lo, hi in [(0, 13), (3, 7), (12, 13)]:
-            drawn, passed = stream.rows(lo, hi, 13), stream.rows(lo, hi, 13)
+            drawn, passed = StreamRows(stream, lo, hi, 13), StreamRows(stream, lo, hi, 13)
             drawn.random(hi - lo)
             passed.random(hi - lo)
             self._fills(drawn, [hi - lo] * skipped)
@@ -132,7 +120,7 @@ class TestStreamRows:
             assert np.array_equal(passed.random(hi - lo), drawn.random(hi - lo)), (lo, hi)
 
     def test_negative_skip_raises(self):
-        view = RandomStream(1).rows(2, 5, 10)
+        view = StreamRows(RandomStream(1), 2, 5, 10)
         with pytest.raises(ValueError, match="negative number of fills, got -1"):
             view.skip(-1)
         # a rejected skip does not move the view on
@@ -141,11 +129,7 @@ class TestStreamRows:
     @pytest.mark.parametrize("lo, hi, total", [(-1, 2, 5), (3, 3, 5), (4, 6, 5), (0, 1, 0)])
     def test_bad_rows_raise(self, lo, hi, total):
         with pytest.raises(ValueError, match="lo < hi <= total"):
-            RandomStream(1).rows(lo, hi, total)
-
-    def test_passes_through_as_generator(self):
-        view = RandomStream(1).rows(0, 3, 10)
-        assert as_generator(view) is view
+            StreamRows(RandomStream(1), lo, hi, total)
 
 
 def test_rows_view_builds_one_philox(monkeypatch):
@@ -155,7 +139,7 @@ def test_rows_view_builds_one_philox(monkeypatch):
     monkeypatch.setattr(RandomStream, "_philox",
                         lambda self: built.append(self) or philox(self))
     stream = RandomStream(4, 2)
-    view = stream.rows(5, 9, 20)
+    view = StreamRows(stream, 5, 9, 20)
     fills = [view.random(4), view.uniform(-1.0, 1.0, 4), view.random(4)]
     assert len(built) == 1
     gen = stream.generator()

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinrelay import sphere
+from spinrelay import encoding
 from spinrelay.encoding import chain_dots_nspin
 from spinrelay.qubit import QubitKrausFamily, chain_dots_single
 from spinrelay.rng import RandomStream
@@ -35,21 +35,21 @@ def test_require_unit_rejects():
 
 class TestUniformSphere:
     def test_unit_norm(self):
-        v = sample_uniform_sphere(RandomStream(1), 10_000)
+        v = sample_uniform_sphere(RandomStream(1).generator(), 10_000)
         np.testing.assert_allclose(np.linalg.norm(v, axis=-1), 1.0, atol=1e-12)
 
     def test_scalar_shape(self):
-        v = sample_uniform_sphere(RandomStream(1))
+        v = sample_uniform_sphere(RandomStream(1).generator())
         assert v.shape == (3,)
 
     def test_first_moment(self):
         # each component has mean 0; analytic 3-sigma is ~0.0055 at 1e5
-        v = sample_uniform_sphere(RandomStream(314), 100_000)
+        v = sample_uniform_sphere(RandomStream(314).generator(), 100_000)
         assert np.all(np.abs(v.mean(axis=0)) < 0.01)
 
     def test_second_moment(self):
         # int z^2 dn = 1/3 by direct integration
-        v = sample_uniform_sphere(RandomStream(314), 100_000)
+        v = sample_uniform_sphere(RandomStream(314).generator(), 100_000)
         assert abs(np.mean(v[:, 2] ** 2) - 1.0 / 3.0) < 0.01
 
 
@@ -61,24 +61,24 @@ class TestCosTilt:
 
     def test_rejects_no_copies(self):
         with pytest.raises(ValueError):
-            sample_cos_tilt(RandomStream(0), 0)
+            sample_cos_tilt(RandomStream(0).generator(), 0)
         with pytest.raises(ValueError):
             inverse_cdf_cos_tilt(0.5, 0)
 
     @pytest.mark.parametrize("n_copies,mean", [(1, 1.0 / 3.0), (4, 4.0 / 6.0)])
     def test_mean(self, n_copies, mean):
-        x = sample_cos_tilt(RandomStream(2718), n_copies, 100_000)
+        x = sample_cos_tilt(RandomStream(2718).generator(), n_copies, 100_000)
         se = x.std(ddof=1) / np.sqrt(x.size)
         assert abs(x.mean() - mean) < 3 * se, (
             f"N={n_copies}: mean {x.mean():.5f} vs {mean:.5f} (3se={3*se:.5f})")
 
     def test_range(self):
-        x = sample_cos_tilt(RandomStream(3), 10_000)
+        x = sample_cos_tilt(RandomStream(3).generator(), 10_000)
         assert np.all((-1.0 <= x) & (x <= 1.0))
 
     @pytest.mark.parametrize("n_copies", [1, 4])
     def test_ks_against_analytic_cdf(self, n_copies):
-        x = np.sort(sample_cos_tilt(RandomStream(2718), n_copies, 100_000))
+        x = np.sort(sample_cos_tilt(RandomStream(2718).generator(), n_copies, 100_000))
         cdf = ((1.0 + x) / 2.0) ** (n_copies + 1)
         n = x.size
         ks = max(np.max(np.abs(np.arange(1, n + 1) / n - cdf)),
@@ -295,7 +295,7 @@ class TestChainBlocks:
     @pytest.mark.parametrize("trials", [1, 6, 7, 8, 26])
     def test_block_edges(self, monkeypatch, trials):
         whole = self._chains(trials)
-        monkeypatch.setattr(sphere, "_CHAIN_ROWS", 7)
+        monkeypatch.setattr(encoding, "_CHAIN_ROWS", 7)
         for one_block, blocked in zip(whole, self._chains(trials)):
             assert blocked.shape == (trials, 3)
             assert np.array_equal(blocked, one_block)

@@ -518,6 +518,29 @@ class TestCli:
         with pytest.raises(ValueError, match="^n and k: 1001000 cells, more than 1000000$"):
             SweepConfig("nspin_parallel", thousand + (1001,), thousand, trials=1).validate()
 
+    def test_huge_analytic_grid_names_n_and_k_before_any_row(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # the sweep's cell bound, checked before any row's closed form
+        import spinrelay.cli as cli_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a row was computed on a rejected grid")
+
+        monkeypatch.setattr(cli_mod, "analytic_delta", fail)
+        full = "1..1000000"
+        out_file = tmp_path / "x.csv"
+        for n, cells in ((full, 10 ** 12), ("1,2", 2 * 10 ** 6)):
+            argv = ["analytic", "--mode", "nspin_parallel", "--n", n, "--k", full,
+                    "--out", str(out_file)]
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: --n and --k: {cells} cells, more than 1000000\n"
+        assert not out_file.exists()
+        # one large k is one cell, and still answers
+        monkeypatch.undo()
+        assert main(["analytic", "--k", "10000000"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("single_qubit,1,10000000,")
+
     def test_numerical_failure_exit_3(self, monkeypatch, capsys):
         def fail(self):
             raise RuntimeError("inverse-CDF table refinement did not converge")
