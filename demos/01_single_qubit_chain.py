@@ -14,20 +14,18 @@ same statistics as the continuous covariant POVM.
 
 import numpy as np
 
-from spinrelay import QubitKrausFamily, RandomStream, analytic_delta, fidelity_from_delta
-from spinrelay.qubit import chain_dots_single
+from spinrelay import (RandomStream, analytic_delta, chain_dots_3d, chain_dots_nspin,
+                       fidelity_from_delta, stern_gerlach)
 
 TRIALS = 200_000
 K_MAX = 6
-
-kraus = QubitKrausFamily(offset_angle=0.0)
 
 print(f"{TRIALS:,} trajectories, chain of {K_MAX} observers\n")
 print(f"{'k':>2} {'F_k closed form':>16} {'F_k covariant MC':>18} "
       f"{'F_k Stern-Gerlach':>18} {'z_cov':>6}")
 
-cov = chain_dots_single(K_MAX, kraus, "covariant", RandomStream(1), TRIALS)
-sg = chain_dots_single(K_MAX, kraus, "stern_gerlach", RandomStream(2), TRIALS)
+cov = chain_dots_nspin(1, K_MAX, "single_qubit", RandomStream(1), TRIALS)
+sg = chain_dots_3d(1, K_MAX, "single_qubit", RandomStream(2), TRIALS, measure=stern_gerlach)
 
 for k in range(1, K_MAX + 1):
     exact = fidelity_from_delta(analytic_delta("single_qubit", 1, k))

@@ -16,13 +16,7 @@ overlap of the k-th handed-on state with the truth matches eta^k.
 
 import numpy as np
 
-from spinrelay import (
-    QubitKrausFamily,
-    RandomStream,
-    disturbance_constant,
-    eta_from_c,
-)
-from spinrelay.qubit import chain_dots_single
+from spinrelay import RandomStream, chain_dots_nspin, disturbance_constant, eta_from_c
 
 TRIALS = 100_000
 K = 3
@@ -31,11 +25,10 @@ print(f"{'phi/pi':>7} {'c':>6} {'eta':>8} {'eta^3':>9} "
       f"{'MC overlap of state 3':>22} {'z':>6}")
 
 for i, phi in enumerate(np.linspace(0.0, np.pi, 9)):
-    kraus = QubitKrausFamily(offset_angle=float(phi))
-    c = disturbance_constant(kraus)
+    c = disturbance_constant(float(phi))
     eta = eta_from_c(c)
-    dots = chain_dots_single(K, kraus, "covariant", RandomStream(10).child(i),
-                             TRIALS, overlap="prepared")
+    dots = chain_dots_nspin(1, K, "single_qubit", RandomStream(10).child(i), TRIALS,
+                            float(phi), "prepared")
     col = dots[:, K - 1]
     se = col.std(ddof=1) / np.sqrt(TRIALS)
     z = (col.mean() - eta ** K) / se

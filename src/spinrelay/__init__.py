@@ -11,6 +11,7 @@ from .encoding import (
     EncodingSpec,
     OutcomeDensity,
     analytic_delta,
+    chain_dots_3d,
     chain_dots_nspin,
     chain_laws,
     classical_threshold,
@@ -22,12 +23,7 @@ from .encoding import (
     parallel_tilde_delta,
 )
 from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
-from .qubit import (
-    QubitKrausFamily,
-    chain_dots_single,
-    disturbance_constant,
-    eta_from_c,
-)
+from .qubit import disturbance_constant, eta_from_c, stern_gerlach
 from .records import McEstimate
 from .rng import RandomStream
 from .sphere import sample_cos_tilt, sample_uniform_sphere

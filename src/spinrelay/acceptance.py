@@ -15,6 +15,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .encoding import (
+    chain_dots_3d,
     chain_dots_nspin,
     classical_threshold,
     jacobi_matrix,
@@ -22,7 +23,7 @@ from .encoding import (
     outcome_density,
 )
 from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
-from .qubit import QubitKrausFamily, chain_dots_single
+from .qubit import disturbance_constant, eta_from_c, stern_gerlach
 from .records import McEstimate
 from .rng import RandomStream
 from .sweep import SweepConfig, records_to_bytes, run_sweep
@@ -39,8 +40,7 @@ class CriterionResult:
 def criterion_1() -> CriterionResult:
     """Single-qubit law: MC shrink factors match 3^-k for k = 1..4."""
     start = time.perf_counter()
-    dots = chain_dots_single(4, QubitKrausFamily(0.0), "covariant",
-                             RandomStream(42), 10 ** 6)
+    dots = chain_dots_nspin(1, 4, "single_qubit", RandomStream(42), 10 ** 6)
     zs = [McEstimate.from_samples(dots[:, k - 1]).z_score(3.0 ** -k) for k in range(1, 5)]
     elapsed = time.perf_counter() - start
     within3 = sum(abs(z) <= 3.0 for z in zs)
@@ -54,10 +54,9 @@ def criterion_2() -> CriterionResult:
     """Kraus family: k-fold channel shrink matches (cos(phi)/3)^2 at k=2."""
     zs = []
     for i, phi in enumerate((0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)):
-        eta = (1.0 + math.cos(phi) - 1.0) / 3.0  # c = 1 + cos(phi), eta = (c-1)/3
-        dots = chain_dots_single(2, QubitKrausFamily(phi), "covariant",
-                                 RandomStream(42).child(i), 10 ** 5,
-                                 overlap="prepared")
+        eta = eta_from_c(disturbance_constant(phi))
+        dots = chain_dots_nspin(1, 2, "single_qubit", RandomStream(42).child(i), 10 ** 5,
+                                phi, "prepared")
         zs.append(McEstimate.from_samples(dots[:, 1]).z_score(eta ** 2))
     passed = all(abs(z) <= 3.0 for z in zs)
     detail = f"z = {', '.join(f'{z:+.2f}' for z in zs)} for phi in {{0..pi}} (1e5 trials)"
@@ -66,9 +65,9 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     """The 3-D Stern-Gerlach chain and the scalar covariant one agree."""
-    kraus = QubitKrausFamily(0.0)
-    cov = chain_dots_single(3, kraus, "covariant", RandomStream(42).child(101), 10 ** 5)
-    sg = chain_dots_single(3, kraus, "stern_gerlach", RandomStream(42).child(202), 10 ** 5)
+    cov = chain_dots_nspin(1, 3, "single_qubit", RandomStream(42).child(101), 10 ** 5)
+    sg = chain_dots_3d(1, 3, "single_qubit", RandomStream(42).child(202), 10 ** 5,
+                       measure=stern_gerlach)
     zs = []
     for k in range(1, 4):
         a, b = McEstimate.from_samples(cov[:, k - 1]), McEstimate.from_samples(sg[:, k - 1])

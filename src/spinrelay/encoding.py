@@ -17,9 +17,10 @@ Per-observer shrink factors multiply along a chain.  :func:`chain_laws`
 lists the steps of every chain the CLI names, as runs of equal steps;
 :func:`analytic_delta` multiplies their factors, :func:`chain_dots_nspin`
 runs them as the scalar overlap chain of every covariant mode, and
-:func:`chain_dots_3d` as the 3-D chain of directions, the Stern-Gerlach
-path and the oracle.  Both take their checks, their steps and their
-blocks of :class:`~spinrelay.rng.StreamRows` draws from one set-up.
+:func:`chain_dots_3d` as the 3-D chain of directions, the oracle, which
+also runs the Stern-Gerlach measurement of :mod:`spinrelay.qubit`.  Both
+take their checks, their steps and their blocks of
+:class:`~spinrelay.rng.StreamRows` draws from one set-up.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def optimal_encoding(n_spins: int) -> EncodingSpec:
 
 def fidelity_from_delta(delta: float) -> float:
     """Mean fidelity (1 + delta)/2 from a mean overlap delta in [-1, 1]."""
-    if abs(delta) > 1.0:
+    if not abs(delta) <= 1.0:  # also rejects nan
         raise ValueError(f"delta must lie in [-1, 1], got {delta}")
     return 0.5 * (1.0 + delta)
 
@@ -138,8 +139,10 @@ def optimal_tilde_delta(n_spins: int) -> float:
 
 def fk_asymptotic(n_spins: int, k: int) -> float:
     """Large-N limit of the optimal fidelity, (1 + (1 - 2 xi0^2/N^2)^k)/2,
-    with xi0 the first Bessel-J0 zero.  Requires 1 - 2 xi0^2/N^2 > 0
-    (N >= 4 suffices)."""
+    with xi0 the first Bessel-J0 zero.  Requires N >= 1 and
+    1 - 2 xi0^2/N^2 > 0 (N >= 4 suffices)."""
+    if n_spins < 1:
+        raise ValueError(f"need N >= 1, got {n_spins}")
     if k < 1:
         raise ValueError(f"observer index must be >= 1, got {k}")
     base = 1.0 - 2.0 * BESSEL_J0_FIRST_ZERO ** 2 / float(n_spins) ** 2
@@ -477,8 +480,8 @@ def chain_dots_3d(n_spins: int, k: int, mode: str, rng, trials: int, phi: float 
     It runs the same :func:`chain_laws` steps in the same blocks and makes
     the same fills in the same order: the true directions, then per
     observer its tilt draw (or the measurement's), its azimuth and any
-    re-preparation azimuth.  It runs the Stern-Gerlach scheme, and it is
-    the test oracle of the scalar chain."""
+    re-preparation azimuth.  With ``measure=qubit.stern_gerlach`` it runs
+    the Stern-Gerlach chain, and it is the test oracle of the scalar chain."""
     dots, steps, prepared, blocks = _chain(n_spins, k, mode, rng, trials, phi, overlap)
     for block, gen in blocks:
         rows = block.shape[0]

@@ -27,7 +27,6 @@ from .encoding import (
     optimal_tilde_delta,
     parallel_tilde_delta,
 )
-from .qubit import QubitKrausFamily, chain_dots_single
 from .records import McEstimate
 from .rng import RandomStream
 
@@ -112,10 +111,7 @@ class SweepConfig:
 def mc_estimate_delta(mode: str, n_spins: int, k: int, phi: float,
                       trials: int, rng: RandomStream) -> McEstimate:
     """Monte Carlo estimate of observer k's shrink factor for one cell."""
-    if mode == "single_qubit":
-        dots = chain_dots_single(k, QubitKrausFamily(phi), "covariant", rng, trials)
-    else:
-        dots = chain_dots_nspin(n_spins, k, mode, rng, trials)
+    dots = chain_dots_nspin(n_spins, k, mode, rng, trials, phi)
     return McEstimate.from_samples(dots[:, k - 1])
 
 

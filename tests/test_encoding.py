@@ -26,7 +26,7 @@ from spinrelay.encoding import (
     parallel_tilde_delta,
 )
 from spinrelay.legendre import legendre_largest_zero
-from spinrelay.qubit import QubitKrausFamily, chain_dots_single
+from spinrelay.qubit import stern_gerlach
 from spinrelay.rng import RandomStream, StreamRows
 
 
@@ -196,6 +196,12 @@ class TestClosedForms:
         assert 0.5 < fk_asymptotic(4, 1) < 1.0
         with pytest.raises(ValueError):
             fk_asymptotic(3, 1)
+
+    @pytest.mark.parametrize("n_spins", [0, -10])
+    def test_asymptotic_rejects_n_below_one(self, n_spins):
+        # N = -10 once gave 0.942, and N = 0 a ZeroDivisionError
+        with pytest.raises(ValueError, match="need N >= 1"):
+            fk_asymptotic(n_spins, 1)
 
     def test_asymptote_with_halfinteger_degree(self):
         # (1 - x_n) * 2 * (n + 1/2)^2 is an even tighter approach to xi0^2
@@ -751,8 +757,7 @@ class TestScalarChainOracle:
 
     @pytest.mark.parametrize("phi", PHIS)
     def test_single_qubit_first_column_on_the_same_stream(self, phi):
-        scalar = chain_dots_single(3, QubitKrausFamily(phi), "covariant", RandomStream(13),
-                                   40_000)
+        scalar = chain_dots_nspin(1, 3, "single_qubit", RandomStream(13), 40_000, phi)
         spatial = chain_dots_3d(1, 1, "single_qubit", RandomStream(13), 40_000, phi)
         assert np.max(np.abs(scalar[:, 0] - spatial[:, 0])) <= 1e-13
 
@@ -761,8 +766,7 @@ class TestScalarChainOracle:
     def test_single_qubit_law_on_independent_streams(self, phi, overlap):
         trials = 400_000
         stream = RandomStream(15).child(self.PHIS.index(phi)).child(int(overlap == "prepared"))
-        scalar = chain_dots_single(3, QubitKrausFamily(phi), "covariant", stream.child(0),
-                                   trials, overlap=overlap)
+        scalar = chain_dots_nspin(1, 3, "single_qubit", stream.child(0), trials, phi, overlap)
         spatial = chain_dots_3d(1, 3, "single_qubit", stream.child(1), trials, phi, overlap)
         self._assert_same_law(scalar, spatial)
 
@@ -803,8 +807,11 @@ class TestDrawLayout:
 
     @pytest.mark.parametrize("scheme, overlap", sorted(SINGLE))
     def test_single_qubit_chain(self, scheme, overlap):
-        dots = chain_dots_single(3, QubitKrausFamily(0.7), scheme, RandomStream(5), 2,
-                                 overlap=overlap)
+        if scheme == "covariant":
+            dots = chain_dots_nspin(1, 3, "single_qubit", RandomStream(5), 2, 0.7, overlap)
+        else:
+            dots = chain_dots_3d(1, 3, "single_qubit", RandomStream(5), 2, 0.7, overlap,
+                                 stern_gerlach)
         np.testing.assert_allclose(dots, self.SINGLE[scheme, overlap], rtol=1e-12)
 
     @pytest.mark.parametrize("mode", sorted(NSPIN))
@@ -817,7 +824,7 @@ class TestDrawLayout:
         s = RandomStream(9)
         np.testing.assert_array_equal(
             chain_dots_nspin(1, 3, "nspin_parallel", s, 1000),
-            chain_dots_single(3, QubitKrausFamily(0.0), "covariant", s, 1000))
+            chain_dots_nspin(1, 3, "single_qubit", s, 1000))
 
 
 # ---------------------------------------------------------------------------

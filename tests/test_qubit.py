@@ -1,5 +1,6 @@
 """Single-qubit chain: closed forms, channel picture, observers, chains."""
 
+from functools import partial
 import math
 
 import numpy as np
@@ -7,13 +8,7 @@ import numpy.polynomial.legendre as npleg
 import pytest
 
 from spinrelay.encoding import analytic_delta, chain_dots_3d, chain_dots_nspin, fidelity_from_delta
-from spinrelay.qubit import (
-    QubitKrausFamily,
-    chain_dots_single,
-    disturbance_constant,
-    eta_from_c,
-)
-from spinrelay.qubit import _sg_estimates
+from spinrelay.qubit import disturbance_constant, eta_from_c, stern_gerlach
 from spinrelay.rng import RandomStream
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -43,11 +38,15 @@ class TestFidelity:
         with pytest.raises(ValueError):
             fidelity_from_delta(1.2)
 
+    def test_nan_delta_is_rejected(self):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            fidelity_from_delta(float("nan"))
+
 
 class TestDisturbanceConstant:
     @pytest.mark.parametrize("phi,c", [(0.0, 2.0), (math.pi, 0.0), (math.pi / 2, 1.0)])
     def test_values(self, phi, c):
-        assert disturbance_constant(QubitKrausFamily(phi)) == pytest.approx(c, abs=1e-15)
+        assert disturbance_constant(phi) == pytest.approx(c, abs=1e-15)
 
     @pytest.mark.parametrize("phi", [0.0, 0.6, math.pi / 2, 2.4, math.pi])
     def test_quadrature_oracle(self, phi):
@@ -64,7 +63,7 @@ class TestDisturbanceConstant:
                 m_tilted = math.cos(phi) * m + math.sin(phi) * e_theta
                 amp = math.sqrt(2.0) * np.vdot(ket(m), ket(m_tilted))
                 total += w * abs(amp) ** 2 / (2.0 * len(psis))
-        assert disturbance_constant(QubitKrausFamily(phi)) == pytest.approx(total, abs=1e-12)
+        assert disturbance_constant(phi) == pytest.approx(total, abs=1e-12)
 
     def test_povm_completeness_oracle(self):
         # int dm 2|m><m| = identity, same grid
@@ -100,10 +99,13 @@ class TestChannel:
 
 class TestKrausFamily:
     def test_angle_range(self):
-        with pytest.raises(ValueError):
-            QubitKrausFamily(-0.1)
-        with pytest.raises(ValueError):
-            QubitKrausFamily(3.5)
+        # the offset angle phi lies in [0, pi], for the closed form and the chains
+        for phi in (-0.1, 3.5, float("nan")):
+            with pytest.raises(ValueError, match="phi must lie in"):
+                disturbance_constant(phi)
+            for chain in (chain_dots_nspin, chain_dots_3d):
+                with pytest.raises(ValueError, match="phi must lie in"):
+                    chain(1, 2, "single_qubit", RandomStream(1), 10, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,7 @@ class TestKrausFamily:
 
 def _sg_on_z(rows, seed):
     """Stern-Gerlach estimates of ``rows`` +z states."""
-    return _sg_estimates(np.tile(Z_HAT, (rows, 1)), RandomStream(seed).generator())
+    return stern_gerlach(np.tile(Z_HAT, (rows, 1)), RandomStream(seed).generator())
 
 
 class TestObservers:
@@ -129,8 +131,8 @@ class TestObservers:
         for chain in (chain_dots_3d, chain_dots_nspin):
             est, prep = self._both(chain, 0.0, k=3)
             np.testing.assert_array_equal(prep, est)
-        est, prep = (chain_dots_single(3, QubitKrausFamily(0.0), "stern_gerlach",
-                                       RandomStream(3), 1000, overlap)
+        est, prep = (chain_dots_3d(1, 3, "single_qubit", RandomStream(3), 1000, 0.0, overlap,
+                                   stern_gerlach)
                      for overlap in ("estimate", "prepared"))
         np.testing.assert_array_equal(prep, est)
 
@@ -172,7 +174,7 @@ class TestObservers:
         monkeypatch.setattr(qubit_mod, "sample_uniform_sphere",
                             lambda gen, size=None: np.tile(Z_HAT, (size, 1)))
         gen = RandomStream(15).generator()
-        est = _sg_estimates(np.tile(Z_HAT, (500, 1)), gen)
+        est = stern_gerlach(np.tile(Z_HAT, (500, 1)), gen)
         np.testing.assert_array_equal(est, np.tile(Z_HAT, (500, 1)))
 
 
@@ -182,32 +184,31 @@ class TestObservers:
 
 class TestChainStructure:
     def test_reproducible(self):
-        a = chain_dots_single(2, QubitKrausFamily(0.4), "covariant", RandomStream(6), 100)
-        b = chain_dots_single(2, QubitKrausFamily(0.4), "covariant", RandomStream(6), 100)
+        a = chain_dots_nspin(1, 2, "single_qubit", RandomStream(6), 100, 0.4)
+        b = chain_dots_nspin(1, 2, "single_qubit", RandomStream(6), 100, 0.4)
         np.testing.assert_array_equal(a, b)
 
     def test_validation(self):
-        # the chain length is chain_laws' to check, for either scheme
-        for scheme in ("covariant", "stern_gerlach"):
+        # the chain length is chain_laws' to check, for either measurement
+        for measure in (None, stern_gerlach):
             with pytest.raises(ValueError, match="chain length must be >= 1"):
-                chain_dots_single(0, QubitKrausFamily(0.0), scheme, RandomStream(1), 100)
-        with pytest.raises(ValueError):
-            chain_dots_single(1, QubitKrausFamily(0.0), "projective", RandomStream(1), 100)
-        with pytest.raises(ValueError):
-            chain_dots_single(1, QubitKrausFamily(0.0), "covariant", RandomStream(1),
-                              trials=100, overlap="both")
+                chain_dots_3d(1, 0, "single_qubit", RandomStream(1), 100, measure=measure)
+        with pytest.raises(ValueError, match="chain length must be >= 1"):
+            chain_dots_nspin(1, 0, "single_qubit", RandomStream(1), 100)
+        with pytest.raises(ValueError, match="single_qubit mode runs at N = 1 only"):
+            chain_dots_nspin(2, 1, "single_qubit", RandomStream(1), 100)
+        with pytest.raises(ValueError, match="overlap must be"):
+            chain_dots_nspin(1, 1, "single_qubit", RandomStream(1), 100, overlap="both")
 
 
 class TestChainStatistics:
     def test_first_observer(self):
-        dots = chain_dots_single(1, QubitKrausFamily(0.0), "covariant",
-                                 RandomStream(21), 100_000)
+        dots = chain_dots_nspin(1, 1, "single_qubit", RandomStream(21), 100_000)
         mean, se = _mean_se(dots[:, 0])
         assert abs(mean - 1.0 / 3.0) < 3 * se
 
     def test_third_observer_megarun(self):
-        dots = chain_dots_single(3, QubitKrausFamily(0.0), "covariant",
-                                 RandomStream(22), 10 ** 6)
+        dots = chain_dots_nspin(1, 3, "single_qubit", RandomStream(22), 10 ** 6)
         mean, se = _mean_se(dots[:, 2])
         assert abs(mean - 1.0 / 27.0) < 3 * se
 
@@ -215,8 +216,8 @@ class TestChainStatistics:
         # observer k measures the state handed on k - 1 times: (1/3) (cos(phi)/3)^(k-1);
         # at phi = pi the estimate of observer 2 anti-correlates, (1/3) (-1/3)
         for i, phi in enumerate((math.pi / 4, math.pi / 2, math.pi)):
-            dots = chain_dots_single(3, QubitKrausFamily(phi), "covariant",
-                                     RandomStream(23).child(i), 200_000)
+            dots = chain_dots_nspin(1, 3, "single_qubit", RandomStream(23).child(i), 200_000,
+                                    phi)
             for k in range(1, 4):
                 mean, se = _mean_se(dots[:, k - 1])
                 ref = (math.cos(phi) / 3.0) ** (k - 1) / 3.0
@@ -224,8 +225,8 @@ class TestChainStatistics:
 
     def test_worst_case_channel_overlap(self):
         # the state handed on after two observers has shrunk by (-1/3)^2 = +1/9
-        dots = chain_dots_single(2, QubitKrausFamily(math.pi), "covariant",
-                                 RandomStream(23), 200_000, overlap="prepared")
+        dots = chain_dots_nspin(1, 2, "single_qubit", RandomStream(23), 200_000, math.pi,
+                                "prepared")
         mean, se = _mean_se(dots[:, 1])
         ref = analytic_delta("single_qubit", 1, 2, math.pi)  # eta^2, eta = -1/3
         assert ref == pytest.approx(1.0 / 9.0, abs=1e-15)
@@ -234,30 +235,28 @@ class TestChainStatistics:
     def test_channel_overlap_matches_eta_power_on_phi_grid(self):
         # MC channel shrink vs (cos(phi)/3)^k for 8 offsets, k = 1..4
         for i, phi in enumerate(np.linspace(0.0, math.pi, 8)):
-            eta = eta_from_c(disturbance_constant(QubitKrausFamily(phi)))
+            eta = eta_from_c(disturbance_constant(phi))
             assert eta == pytest.approx(math.cos(phi) / 3.0, abs=1e-15)
-            dots = chain_dots_single(4, QubitKrausFamily(phi), "covariant",
-                                     RandomStream(42).child(i), 100_000,
-                                     overlap="prepared")
+            dots = chain_dots_nspin(1, 4, "single_qubit", RandomStream(42).child(i), 100_000,
+                                    phi, "prepared")
             for k in range(1, 5):
                 mean, se = _mean_se(dots[:, k - 1])
                 assert abs(mean - eta ** k) < 3 * se, f"phi={phi:.3f}, k={k}"
 
     def test_scheme_equivalence(self):
-        kraus = QubitKrausFamily(0.0)
-        cov = chain_dots_single(4, kraus, "covariant", RandomStream(31), 100_000)
-        sg = chain_dots_single(4, kraus, "stern_gerlach", RandomStream(32), 100_000)
+        cov = chain_dots_nspin(1, 4, "single_qubit", RandomStream(31), 100_000)
+        sg = chain_dots_3d(1, 4, "single_qubit", RandomStream(32), 100_000,
+                           measure=stern_gerlach)
         for k in range(1, 5):
             m1, s1 = _mean_se(cov[:, k - 1])
             m2, s2 = _mean_se(sg[:, k - 1])
             z = (m1 - m2) / math.hypot(s1, s2)
-            assert abs(z) <= 3.0, f"k={k}: schemes disagree, z={z:+.2f}"
+            assert abs(z) <= 3.0, f"k={k}: SG and covariant disagree, z={z:+.2f}"
 
     def test_dots_and_fidelities_in_range(self):
-        for scheme in ("covariant", "stern_gerlach"):
+        for chain in (chain_dots_nspin, partial(chain_dots_3d, measure=stern_gerlach)):
             for phi in (0.0, 2.0):
-                dots = chain_dots_single(3, QubitKrausFamily(phi), scheme,
-                                         RandomStream(33), 5000)
+                dots = chain(1, 3, "single_qubit", RandomStream(33), 5000, phi)
                 assert np.all(np.abs(dots) <= 1.0 + 1e-12)
                 for k in range(3):
                     f = fidelity_from_delta(float(np.clip(dots[:, k].mean(), -1, 1)))

@@ -1,5 +1,6 @@
 """Sphere sampling laws and the tilt-rotation primitive."""
 
+from functools import partial
 import re
 import tracemalloc
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from spinrelay import encoding
-from spinrelay.encoding import chain_dots_nspin
-from spinrelay.qubit import QubitKrausFamily, chain_dots_single
+from spinrelay.encoding import chain_dots_3d, chain_dots_nspin
+from spinrelay.qubit import stern_gerlach
 from spinrelay.rng import RandomStream
 from spinrelay.sphere import (
     inverse_cdf_cos_tilt,
@@ -279,15 +280,15 @@ class TestChainBlocks:
     """Chains run in blocks of _CHAIN_ROWS trials; every block reads the
     draws that one whole-batch run gives its rows."""
 
-    SINGLE = [(scheme, overlap) for scheme in ("covariant", "stern_gerlach")
+    SINGLE = [(chain, overlap)
+              for chain in (chain_dots_nspin, partial(chain_dots_3d, measure=stern_gerlach))
               for overlap in ("estimate", "prepared")]
     NSPIN = ["nspin_parallel", "nspin_optimal", "parallel_start"]
 
     @staticmethod
     def _chains(trials):
-        runs = [chain_dots_single(3, QubitKrausFamily(0.7), scheme, RandomStream(8), trials,
-                                  overlap=overlap)
-                for scheme, overlap in TestChainBlocks.SINGLE]
+        runs = [chain(1, 3, "single_qubit", RandomStream(8), trials, 0.7, overlap)
+                for chain, overlap in TestChainBlocks.SINGLE]
         runs += [chain_dots_nspin(6, 3, mode, RandomStream(8), trials)
                  for mode in TestChainBlocks.NSPIN]
         return runs
@@ -307,7 +308,7 @@ class TestChainBlocks:
     @pytest.mark.parametrize("rng", [8, np.int64(8), RandomStream(8).generator(), None])
     def test_rng_must_be_a_stream(self, rng):
         with pytest.raises(TypeError, match="rng must be a RandomStream"):
-            chain_dots_single(2, QubitKrausFamily(0.7), "covariant", rng, 10)
+            chain_dots_nspin(1, 2, "single_qubit", rng, 10, 0.7)
         with pytest.raises(TypeError, match="rng must be a RandomStream"):
             chain_dots_nspin(6, 2, "nspin_optimal", rng, 10)
 
@@ -316,8 +317,7 @@ class TestChainBlocks:
         # not (trials, 3) arrays per step
         tracemalloc.start()
         try:
-            dots = chain_dots_single(6, QubitKrausFamily(np.pi / 2), "covariant",
-                                     RandomStream(3), 300_000)
+            dots = chain_dots_nspin(1, 6, "single_qubit", RandomStream(3), 300_000, np.pi / 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
