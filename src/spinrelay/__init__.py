@@ -26,7 +26,6 @@ from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
 from .qubit import disturbance_constant, eta_from_c, stern_gerlach
 from .records import McEstimate
 from .rng import RandomStream
-from .sphere import sample_cos_tilt, sample_uniform_sphere
 from .sweep import SweepConfig, emit_encoding, mc_estimate_delta, run_sweep
 
 __version__ = "0.1.0"

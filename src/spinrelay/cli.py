@@ -35,16 +35,19 @@ from .sweep import (
 
 def parse_int_range(text: str, name: str = "range") -> tuple[int, ...]:
     """Parse '4', '2,4,10', or 'a..b[..step]' into a tuple of ints.  A
-    range is counted before it is built; messages call it ``name``."""
+    range is counted before it is built; messages start ``name text:``."""
     text = text.strip()
+    try:
+        parts = [int(p) for p in text.split(".." if ".." in text else ",")]
+    except ValueError as exc:
+        raise ValueError(f"{name} {text}: {exc}") from None
     if ".." not in text:
-        return tuple(int(p) for p in text.split(","))
-    parts = [int(p) for p in text.split("..")]
+        return tuple(parts)
     if len(parts) not in (2, 3):
-        raise ValueError(f"bad range syntax: {text!r}")
+        raise ValueError(f"{name} {text}: bad range syntax")
     start, stop, step = (parts + [1])[:3]
     if step < 1 or stop < start:
-        raise ValueError(f"bad range bounds: {text!r}")
+        raise ValueError(f"{name} {text}: bad range bounds")
     if (stop - start) // step >= MAX_RANGE_VALUES:
         raise ValueError(f"{name} {text}: more than {MAX_RANGE_VALUES} values")
     return tuple(range(start, stop + 1, step))

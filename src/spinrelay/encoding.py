@@ -272,14 +272,12 @@ class OutcomeDensity:
         guide[:-1][guide[:-1] != np.searchsorted(table_g, edges[1:]) - 1] = -1
         return table_g, theta, slope, guide
 
-    def sample(self, gen, size: int | None = None):
-        x = np.asarray(gen.random(size))
-        q = x.reshape(-1)
+    def sample(self, gen, size: int) -> np.ndarray:
+        q = gen.random(size)
         # q = 1 - u is exact for u >= 1/2, so the tail near x = 1, where
         # the optimal density puts its mass, keeps full resolution
         np.subtract(1.0, q, out=q)
-        np.cos(self._tilt_angle(q), out=q)
-        return x if x.ndim else float(x)
+        return np.cos(self._tilt_angle(q), out=q)
 
     def _tilt_angle(self, q: np.ndarray) -> np.ndarray:
         """theta at survival q (1-D, in [0, 1]), overwriting q: the value
@@ -429,8 +427,8 @@ def _turn(c, x, gen, out: np.ndarray) -> np.ndarray:
     """c x + sqrt((1 - c^2)(1 - x^2)) cos psi into ``out``, with psi = 2 pi u
     for a ``gen.random`` draw u: the overlap of a direction at overlap c,
     tilted by x at a uniform azimuth.  cos psi comes from the table of
-    :func:`_cos_2pi`, and u takes the same Philox words that
-    ``gen.uniform(0, 2 pi)`` would."""
+    :func:`_cos_2pi`, and u is the fill that the 3-D chain's
+    :func:`~spinrelay.sphere.tilt_step` turns into its azimuth 2 pi u."""
     cos_psi = _cos_2pi(gen.random(out.shape[0]))
     s = (1.0 - c * c) * (1.0 - x * x)
     np.multiply(c, x, out=out)
@@ -501,10 +499,13 @@ def classical_threshold(k: int, target_fidelity: float, mode: str) -> int:
     still reaches ``target_fidelity``.
 
     Uses :func:`analytic_delta` only; N is searched monotonically (any
-    N >= 1 for "nspin_parallel", even N >= 2 for the optimal modes).
+    N >= 1 for "nspin_parallel", even N >= 2 for the optimal modes).  A
+    single qubit has no ensemble size to search, so "single_qubit" raises.
     """
     if not 0.5 < target_fidelity < 1.0:
         raise ValueError("target fidelity must lie strictly between 1/2 and 1")
+    if mode == "single_qubit":
+        raise ValueError("single_qubit mode has no ensemble size N to search")
     step = 1 if mode == "nspin_parallel" else 2
 
     def reaches(idx):

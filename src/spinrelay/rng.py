@@ -16,9 +16,9 @@ depends only on its identity, never on scheduling order.
 Because Philox is counter-based, a block of rows can also read its own
 draws straight from their place in the stream: a :class:`StreamRows` view
 gives rows [lo, hi) of a batch of ``total`` rows exactly the whole
-batch's draws.  The samplers of :mod:`spinrelay.sphere` and
-:mod:`spinrelay.encoding` draw from whichever Generator or view they are
-given.
+batch's draws.  Every sampler of :mod:`spinrelay.sphere` and
+:mod:`spinrelay.encoding` draws through one primitive, ``random(size)``,
+one double per Philox word, from whichever Generator or view it is given.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ class StreamRows:
     """Stands in for ``stream.generator()`` on rows [lo, hi) of a batch of
     ``total`` rows that draws ``total`` doubles per fill.
 
-    Its j-th ``random`` or ``uniform`` fill, of size hi - lo, returns rows
-    [lo, hi) of the j-th ``total``-long fill of the generator.  Each double
-    takes one 64-bit Philox word, and counter c yields words 4c .. 4c + 3,
+    Its j-th ``random`` fill, of size hi - lo, returns rows [lo, hi) of
+    the j-th ``total``-long ``random`` fill of the generator.  One 64-bit
+    Philox word gives one double, and counter c yields words 4c .. 4c + 3,
     so that fill starts at word w = j total + lo: the view's one Philox is
     reset to the stream's start, ``advance(w // 4)``, then ``w % 4`` words
     discarded.  A fill of any other size raises ``ValueError``, since the
@@ -95,17 +95,6 @@ class StreamRows:
         self._start = self._bits.state
         self._gen = np.random.Generator(self._bits)
 
-    def _next_fill(self, size) -> np.random.Generator:
-        if size != self.hi - self.lo:
-            raise ValueError(f"rows [{self.lo}, {self.hi}) take fills of size "
-                             f"{self.hi - self.lo}, got {size!r}")
-        word = self._fills * self.total + self.lo
-        self._fills += 1
-        self._bits.state = self._start
-        self._bits.advance(word // 4)
-        self._bits.random_raw(word % 4)
-        return self._gen
-
     def skip(self, fills: int):
         """Pass over the next ``fills`` fills without generating them; the
         fills after them keep their words, as each is placed by its count."""
@@ -114,8 +103,12 @@ class StreamRows:
         self._fills += fills
 
     def random(self, size) -> np.ndarray:
-        return self._next_fill(size).random(size)
-
-    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
-        return self._next_fill(size).uniform(low, high, size)
-
+        if size != self.hi - self.lo:
+            raise ValueError(f"rows [{self.lo}, {self.hi}) take fills of size "
+                             f"{self.hi - self.lo}, got {size!r}")
+        word = self._fills * self.total + self.lo
+        self._fills += 1
+        self._bits.state = self._start
+        self._bits.advance(word // 4)
+        self._bits.random_raw(word % 4)
+        return self._gen.random(size)

@@ -2,7 +2,8 @@
 
 Directions are plain float ndarrays: shape ``(3,)`` for a single unit
 vector or ``(..., 3)`` for batches.  The geometric functions broadcast
-over leading axes.  The samplers draw from the NumPy ``Generator`` or
+over leading axes.  The samplers draw arrays of an int ``size`` through
+``random(size)`` alone, from the NumPy ``Generator`` or
 :class:`spinrelay.rng.StreamRows` view they are given.  The 3-D chain of
 :func:`spinrelay.encoding.chain_dots_3d` steps through :func:`tilt_step`,
 for the Stern-Gerlach scheme and the test oracles.
@@ -20,55 +21,30 @@ UNIT_TOL = 1e-12
 _VALIDATE_TOL = 1e-9
 
 
-def require_unit(v, name: str = "vector") -> np.ndarray:
-    """Validate that ``v`` (shape (..., 3)) has unit norm; return it as float array."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] != 3:
-        raise ValueError(f"{name} must have 3 components, got shape {v.shape}")
-    norms = np.linalg.norm(v, axis=-1)
-    if not np.all(np.abs(norms - 1.0) <= _VALIDATE_TOL):
-        worst = float(np.max(np.abs(norms - 1.0)))
-        raise ValueError(f"{name} is not unit-norm (max |norm-1| = {worst:.3e})")
-    return v
-
-
-def sample_uniform_sphere(gen, size: int | None = None) -> np.ndarray:
-    """Draw directions uniform with respect to sin(theta) dtheta dphi / (4 pi).
-
-    Uses the area-preserving map: z uniform on [-1, 1], azimuth uniform on
-    [0, 2 pi).  Returns shape (3,) for ``size=None``, else (size, 3).
-    """
-    z = gen.uniform(-1.0, 1.0, size=size)
-    phi = gen.uniform(0.0, 2.0 * np.pi, size=size)
+def sample_uniform_sphere(gen, size: int) -> np.ndarray:
+    """Draw ``size`` directions, shape (size, 3), uniform with respect to
+    sin(theta) dtheta dphi / (4 pi) by the area-preserving map: z uniform on
+    [-1, 1], azimuth on [0, 2 pi), each lower + range u for a ``gen.random``
+    draw u, as NumPy's ``Generator.uniform`` computes it."""
+    z = -1.0 + 2.0 * gen.random(size)
+    phi = 2.0 * np.pi * gen.random(size)
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
 
 
-def inverse_cdf_cos_tilt(u, n_copies: int):
-    """Exact inverse CDF of the tilt-cosine law for ``n_copies`` parallel copies.
-
-    The density is (N+1) ((1+x)/2)^N / 2 on [-1, 1] with CDF ((1+x)/2)^(N+1),
-    so x = 2 u^(1/(N+1)) - 1.  ``u = 1`` maps to ``x = 1`` exactly.
-    """
-    if n_copies < 1:
-        raise ValueError(f"n_copies must be >= 1, got {n_copies}")
-    u = np.asarray(u, dtype=float)
-    x = 2.0 * u ** (1.0 / (n_copies + 1)) - 1.0
-    return x if x.ndim else float(x)
-
-
-def sample_cos_tilt(gen, n_copies: int, size: int | None = None):
-    """Sample the cosine of the tilt between estimate and encoded direction.
+def sample_cos_tilt(gen, n_copies: int, size: int) -> np.ndarray:
+    """Sample ``size`` cosines of the tilt between estimate and encoded direction.
 
     For an ensemble of ``n_copies`` identical copies measured with the
     uniform-prior-optimal POVM the tilt cosine has density
-    (N+1) ((1+x)/2)^N / 2; its mean is N/(N+2).  Sampling is by the exact
-    inverse CDF with u uniform on (0, 1].
+    (N+1) ((1+x)/2)^N / 2, with CDF ((1+x)/2)^(N+1) and mean N/(N+2).
+    Sampling is by the exact inverse CDF, x = 2 u^(1/(N+1)) - 1 with u
+    uniform on (0, 1]; u = 1 maps to x = 1 exactly.
     """
     if n_copies < 1:
         raise ValueError(f"n_copies must be >= 1, got {n_copies}")
     u = 1.0 - gen.random(size)  # gen.random is [0,1) -> u in (0,1]
-    return inverse_cdf_cos_tilt(u, n_copies)
+    return 2.0 * u ** (1.0 / (n_copies + 1)) - 1.0
 
 
 def rotate_towards(axis, cos_tilt, azimuth) -> np.ndarray:
@@ -83,7 +59,12 @@ def rotate_towards(axis, cos_tilt, azimuth) -> np.ndarray:
 
     Broadcasts: axis (..., 3), cos_tilt (...), azimuth (...).
     """
-    axis = require_unit(axis, "axis")
+    axis = np.asarray(axis, dtype=float)
+    if axis.shape[-1] != 3:
+        raise ValueError(f"axis must have 3 components, got shape {axis.shape}")
+    excess = np.abs(np.linalg.norm(axis, axis=-1) - 1.0)
+    if not np.all(excess <= _VALIDATE_TOL):
+        raise ValueError(f"axis is not unit-norm (max |norm-1| = {float(np.max(excess)):.3e})")
     cos_tilt = np.asarray(cos_tilt, dtype=float)
     if np.any(np.abs(cos_tilt) > 1.0 + UNIT_TOL):
         raise ValueError("cos_tilt must lie in [-1, 1]")
@@ -104,6 +85,5 @@ def rotate_towards(axis, cos_tilt, azimuth) -> np.ndarray:
 def tilt_step(dirs, cos_tilt, gen) -> np.ndarray:
     """Tilt each row of ``dirs`` (shape (n, 3)) by ``cos_tilt`` at a uniform
     azimuth drawn from ``gen``: one covariant step."""
-    az = gen.uniform(0.0, 2.0 * np.pi, size=dirs.shape[0])
-    return rotate_towards(dirs, cos_tilt, az)
+    return rotate_towards(dirs, cos_tilt, 2.0 * np.pi * gen.random(dirs.shape[0]))
 

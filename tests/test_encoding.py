@@ -419,15 +419,12 @@ class TestOutcomeSampling:
         mean, se = _mean_se(x)
         assert abs(mean - target) < 3 * se
 
-    def test_sample_range_and_scalar(self):
+    def test_sample_range_and_empty(self):
         density = outcome_density(optimal_encoding(6))
         x = density.sample(RandomStream(3).generator(), 50_000)
+        assert x.shape == (50_000,)
         assert np.all((-1.0 <= x) & (x <= 1.0))
-        scalar = density.sample(RandomStream(3).generator())
-        assert isinstance(scalar, float)
-        assert scalar == x[0]
         assert density.sample(RandomStream(3).generator(), 0).shape == (0,)
-        assert density.sample(RandomStream(3).generator(), (2, 3)).shape == (2, 3)
 
     def test_sample_ks_against_exact_cdf(self):
         # N = 280 puts the mass within ~1e-4 of x = 1
@@ -641,10 +638,10 @@ class TestNspinChains:
     def test_overlap_checked_before_any_draw_or_build(self, monkeypatch, chain, mode, n_spins):
         # every argument is checked before any density build or generated
         # fill: the overlap, then the chain, then trials, then the stream
-        work, fill = [], StreamRows._next_fill
+        work, fill = [], StreamRows.random
         monkeypatch.setattr(encoding, "outcome_density",
                             lambda enc: work.append(enc.n_spins) or outcome_density(enc))
-        monkeypatch.setattr(StreamRows, "_next_fill",
+        monkeypatch.setattr(StreamRows, "random",
                             lambda self, size: work.append("fill") or fill(self, size))
         overlap_msg = "overlap must be 'estimate' or 'prepared'"
         bad = [({"overlap": o}, ValueError, overlap_msg) for o in ("Prepared", "both", None)]
@@ -673,8 +670,8 @@ class TestNspinChains:
     def test_true_directions_are_skipped_not_drawn(self, monkeypatch):
         # per block, one tilt and one azimuth fill per observer are drawn;
         # the true directions' two fills are passed over by counter
-        drawn, fill = [], StreamRows._next_fill
-        monkeypatch.setattr(StreamRows, "_next_fill",
+        drawn, fill = [], StreamRows.random
+        monkeypatch.setattr(StreamRows, "random",
                             lambda self, size: drawn.append(self._fills) or fill(self, size))
         monkeypatch.setattr(encoding, "_CHAIN_ROWS", 7)
         chain_dots_nspin(6, 3, "nspin_optimal", RandomStream(5), 26)
@@ -856,3 +853,16 @@ class TestClassicalThreshold:
             classical_threshold(1, 0.4, "nspin_parallel")
         with pytest.raises(ValueError):
             classical_threshold(1, 0.9, "sequential")
+
+    def test_single_qubit_is_rejected_by_name(self, monkeypatch):
+        # a single qubit has no ensemble size to search: the mode is named,
+        # not an N the caller never gave, and no closed form is asked for
+        asked = []
+        monkeypatch.setattr(encoding, "analytic_delta", lambda *args: asked.append(args))
+        for k, target in [(2, 0.6), (1, 0.9)]:
+            with pytest.raises(ValueError, match="^single_qubit mode has no ensemble size"):
+                classical_threshold(k, target, "single_qubit")
+        assert asked == []
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="^mode must be one of"):
+            classical_threshold(2, 0.6, "sequential")

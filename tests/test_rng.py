@@ -63,9 +63,8 @@ class TestStreamRows:
 
     @staticmethod
     def _fills(gen, sizes):
-        # random and uniform fills in turn, as a chain step draws them
-        return [gen.random(n) if j % 2 == 0 else gen.uniform(-1.0, 2.0, n)
-                for j, n in enumerate(sizes)]
+        # random fills, the one primitive every chain step draws through
+        return [gen.random(n) for n in sizes]
 
     @pytest.mark.parametrize("lo, hi, total", [
         (lo, lo + 3, 13) for lo in range(10)] + [
@@ -99,8 +98,6 @@ class TestStreamRows:
         for size in (10, 2, None, (3, 1)):
             with pytest.raises(ValueError, match="fills of size 3"):
                 view.random(size)
-            with pytest.raises(ValueError, match="fills of size 3"):
-                view.uniform(0.0, 1.0, size)
         # a rejected fill does not move the view on
         assert np.array_equal(view.random(3), RandomStream(1).generator().random(10)[2:5])
 
@@ -115,9 +112,8 @@ class TestStreamRows:
             passed.random(hi - lo)
             self._fills(drawn, [hi - lo] * skipped)
             passed.skip(skipped)
-            assert np.array_equal(passed.uniform(0.0, 2.0, hi - lo),
-                                  drawn.uniform(0.0, 2.0, hi - lo)), (lo, hi)
-            assert np.array_equal(passed.random(hi - lo), drawn.random(hi - lo)), (lo, hi)
+            for _ in range(2):
+                assert np.array_equal(passed.random(hi - lo), drawn.random(hi - lo)), (lo, hi)
 
     def test_negative_skip_raises(self):
         view = StreamRows(RandomStream(1), 2, 5, 10)
@@ -140,8 +136,8 @@ def test_rows_view_builds_one_philox(monkeypatch):
                         lambda self: built.append(self) or philox(self))
     stream = RandomStream(4, 2)
     view = StreamRows(stream, 5, 9, 20)
-    fills = [view.random(4), view.uniform(-1.0, 1.0, 4), view.random(4)]
+    fills = [view.random(4) for _ in range(3)]
     assert len(built) == 1
     gen = stream.generator()
-    expected = [gen.random(20)[5:9], gen.uniform(-1.0, 1.0, 20)[5:9], gen.random(20)[5:9]]
+    expected = [gen.random(20)[5:9] for _ in range(3)]
     assert all(np.array_equal(f, e) for f, e in zip(fills, expected))

@@ -10,14 +10,8 @@ import pytest
 from spinrelay import encoding
 from spinrelay.encoding import chain_dots_3d, chain_dots_nspin
 from spinrelay.qubit import stern_gerlach
-from spinrelay.rng import RandomStream
-from spinrelay.sphere import (
-    inverse_cdf_cos_tilt,
-    require_unit,
-    rotate_towards,
-    sample_cos_tilt,
-    sample_uniform_sphere,
-)
+from spinrelay.rng import RandomStream, StreamRows
+from spinrelay.sphere import rotate_towards, sample_cos_tilt, sample_uniform_sphere, tilt_step
 
 # one-sample Kolmogorov-Smirnov critical value at the 1% level
 KS_CRIT_1PCT = 1.62762
@@ -27,21 +21,10 @@ def _unit(*v):
     return np.array(v) / np.linalg.norm(v)
 
 
-def test_require_unit_rejects():
-    with pytest.raises(ValueError):
-        require_unit([1.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        require_unit([1.0, 0.0])
-
-
 class TestUniformSphere:
     def test_unit_norm(self):
         v = sample_uniform_sphere(RandomStream(1).generator(), 10_000)
         np.testing.assert_allclose(np.linalg.norm(v, axis=-1), 1.0, atol=1e-12)
-
-    def test_scalar_shape(self):
-        v = sample_uniform_sphere(RandomStream(1).generator())
-        assert v.shape == (3,)
 
     def test_first_moment(self):
         # each component has mean 0; analytic 3-sigma is ~0.0055 at 1e5
@@ -54,17 +37,64 @@ class TestUniformSphere:
         assert abs(np.mean(v[:, 2] ** 2) - 1.0 / 3.0) < 0.01
 
 
+class TestRandomPrimitive:
+    """The 3-D samplers draw through ``gen.random`` alone.  Their lower +
+    range u is ``Generator.uniform``'s arithmetic, so they give the bits of
+    the same samplers written with ``uniform``, on a generator and through
+    a StreamRows view of the same stream."""
+
+    @staticmethod
+    def _with_uniform(gen, tilts):
+        # sample_uniform_sphere, then tilt_step, drawn with Generator.uniform
+        z = gen.uniform(-1.0, 1.0, size=tilts.size)
+        phi = gen.uniform(0.0, 2.0 * np.pi, size=tilts.size)
+        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        dirs = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
+        return dirs, rotate_towards(dirs, tilts, gen.uniform(0.0, 2.0 * np.pi, tilts.size))
+
+    @staticmethod
+    def _with_random(gen, tilts):
+        dirs = sample_uniform_sphere(gen, tilts.size)
+        return dirs, tilt_step(dirs, tilts, gen)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generator(self, seed):
+        stream = RandomStream(seed).child(4)
+        by_random, by_uniform = stream.generator(), stream.generator()
+        assert np.array_equal(-1.0 + 2.0 * by_random.random(10 ** 6),
+                              by_uniform.uniform(-1.0, 1.0, 10 ** 6))
+        assert np.array_equal(2.0 * np.pi * by_random.random(10 ** 6),
+                              by_uniform.uniform(0.0, 2.0 * np.pi, 10 ** 6))
+        tilts = RandomStream(seed).generator().uniform(-1.0, 1.0, 100_000)
+        for drawn, expected in zip(self._with_random(stream.generator(), tilts),
+                                   self._with_uniform(stream.generator(), tilts)):
+            assert np.array_equal(drawn, expected)
+
+    @pytest.mark.parametrize("lo, hi, total", [(0, 7, 26), (5, 13, 26), (25, 26, 26),
+                                               (65_536, 100_003, 100_003)])
+    def test_stream_rows(self, lo, hi, total):
+        stream = RandomStream(8).child(2)
+        tilts = RandomStream(9).generator().uniform(-1.0, 1.0, total)
+        whole = self._with_uniform(stream.generator(), tilts)
+        rows = self._with_random(StreamRows(stream, lo, hi, total), tilts[lo:hi])
+        for drawn, expected in zip(rows, whole):
+            assert np.array_equal(drawn, expected[lo:hi])
+
+
 class TestCosTilt:
     def test_inverse_cdf_endpoints(self):
-        assert inverse_cdf_cos_tilt(1.0, 1) == 1.0
-        assert inverse_cdf_cos_tilt(0.0, 3) == -1.0
-        assert inverse_cdf_cos_tilt(1.0, 50) == 1.0
+        # a draw of 0 is u = 1, which maps to x = 1 exactly, and u = 0 to -1
+        class Ends:
+            @staticmethod
+            def random(size):
+                return np.array([0.0, 1.0])[:size]
+
+        for n_copies in (1, 3, 50):
+            assert sample_cos_tilt(Ends, n_copies, 2).tolist() == [1.0, -1.0]
 
     def test_rejects_no_copies(self):
-        with pytest.raises(ValueError):
-            sample_cos_tilt(RandomStream(0).generator(), 0)
-        with pytest.raises(ValueError):
-            inverse_cdf_cos_tilt(0.5, 0)
+        with pytest.raises(ValueError, match="n_copies must be >= 1, got 0"):
+            sample_cos_tilt(RandomStream(0).generator(), 0, 10)
 
     @pytest.mark.parametrize("n_copies,mean", [(1, 1.0 / 3.0), (4, 4.0 / 6.0)])
     def test_mean(self, n_copies, mean):
@@ -74,8 +104,10 @@ class TestCosTilt:
             f"N={n_copies}: mean {x.mean():.5f} vs {mean:.5f} (3se={3*se:.5f})")
 
     def test_range(self):
-        x = sample_cos_tilt(RandomStream(3).generator(), 10_000)
-        assert np.all((-1.0 <= x) & (x <= 1.0))
+        for n_copies in (1, 50):
+            x = sample_cos_tilt(RandomStream(3).generator(), n_copies, 10_000)
+            assert x.shape == (10_000,)
+            assert np.all((-1.0 <= x) & (x <= 1.0))
 
     @pytest.mark.parametrize("n_copies", [1, 4])
     def test_ks_against_analytic_cdf(self, n_copies):

@@ -455,6 +455,27 @@ class TestCli:
             assert out == "" and err == f"error: {name} {huge}: more than 1000000 values\n"
         assert parse_int_range("1..1000000", "--k")[-1] == MAX_RANGE_VALUES
 
+    def test_malformed_range_names_its_flag(self, tmp_path, capsys):
+        # every range error starts with the flag or config key and its text
+        config = tmp_path / "bad.cfg"
+        cases = [(["analytic", "--k", "1,,2"],
+                  "--k 1,,2: invalid literal for int() with base 10: ''"),
+                 (["analytic", "--n", "4..1"], "--n 4..1: bad range bounds"),
+                 (["sweep", "--mode", "nspin_parallel", "--k", "1..2..3..4"],
+                  "--k 1..2..3..4: bad range syntax"),
+                 (["sweep", "--config", str(config)], "config key n 4..1: bad range bounds"),
+                 (["sweep", "--config", str(config), "--n", "2", "--k", "x"],
+                  "--k x: invalid literal for int() with base 10: 'x'")]
+        config.write_text("mode = nspin_parallel\nn = 4..1\n")
+        for argv, message in cases:
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {message}\n", argv
+        config.write_text("mode = nspin_parallel\nn = 2\nk = 1,,3\n")
+        assert main(["sweep", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config key k 1,,3: invalid literal for int() with base 10: ''\n")
+
     def test_huge_k_names_k_and_trials_before_any_work(self, tmp_path, monkeypatch, capsys):
         # a single --k is not a range, so k * trials is bounded by the
         # (k, trials) float64 array's index, checked before any cell runs
