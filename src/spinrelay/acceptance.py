@@ -159,9 +159,9 @@ def criterion_8() -> CriterionResult:
 def criterion_9() -> CriterionResult:
     """Identical sweeps are byte-identical, whatever the worker count."""
     def output(workers: int) -> bytes:
-        cfg = SweepConfig(mode="single_qubit", n_values=(1,), k_values=(1, 2, 3, 4),
-                          phi=0.0, trials=10 ** 4, seed=42, fmt="csv",
-                          workers=workers)
+        # three N, so that three workers run three chains at once
+        cfg = SweepConfig(mode="nspin_optimal", n_values=(2, 4, 6), k_values=(1, 2, 3, 4),
+                          trials=10 ** 4, seed=42, fmt="csv", workers=workers)
         return records_to_bytes(run_sweep(cfg), cfg.fmt)
 
     first, second, threaded = output(1), output(1), output(3)

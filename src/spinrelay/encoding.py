@@ -341,15 +341,19 @@ _LAW_MEANS = {"parallel": parallel_tilde_delta, "optimal": optimal_tilde_delta}
 
 
 def analytic_delta(mode: str, n_spins: int, k: int, phi: float = 0.0) -> float:
-    """Closed-form mean overlap with the truth of the state observer k hands on.
+    """Closed-form mean overlap of observer k's estimate with the truth.
 
     The product over :func:`chain_laws` of each step's law mean, its
-    per-observer shrink factor, times the cosine of its offset.  Each run
-    is raised to its count, so any chain length costs at most two powers
-    and no density is built.
+    per-observer shrink factor, times the cosine of each of the k - 1
+    offsets handed on before observer k measures.  Each run is raised to
+    its count, so any chain length costs at most four powers and no
+    density is built.
     """
-    return math.prod((_LAW_MEANS[law](n_spins) * math.cos(offset)) ** count
-                     for law, offset, count in chain_laws(mode, n_spins, k, phi))
+    laws = chain_laws(mode, n_spins, k, phi)
+    turns = [count for _, _, count in laws]
+    turns[-1] -= 1  # observer k's own estimate is not turned by its offset
+    return math.prod(_LAW_MEANS[law](n_spins) ** count * math.cos(offset) ** turned
+                     for (law, offset, count), turned in zip(laws, turns))
 
 
 def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overlap: str):

@@ -1,9 +1,10 @@
 """Batch Monte Carlo driver: analytic-vs-MC sweeps with statistical contracts.
 
-Each sweep cell (mode, N, k) gets its own content-derived substream, so the
-output is byte-identical for a fixed (config, seed) no matter how many
-workers run the cells.  Records carry the analytic value, the MC mean and
-standard error, the z-score between them, and provenance fields.
+Each (mode, N) gets its own content-derived substream and one chain on it,
+whose prefixes give every requested k, so the output is byte-identical for
+a fixed (config, seed) no matter how many workers run the chains.  Records
+carry the analytic value, the MC mean and standard error, the z-score
+between them, and provenance fields.
 """
 
 from __future__ import annotations
@@ -108,59 +109,53 @@ class SweepConfig:
             raise ValueError("workers must be >= 1")
 
 
-def mc_estimate_delta(mode: str, n_spins: int, k: int, phi: float,
-                      trials: int, rng: RandomStream) -> McEstimate:
-    """Monte Carlo estimate of observer k's shrink factor for one cell."""
-    dots = chain_dots_nspin(n_spins, k, mode, rng, trials, phi)
-    return McEstimate.from_samples(dots[:, k - 1])
+def mc_estimate_delta(mode: str, n_spins: int, k_values, phi: float,
+                      trials: int, rng: RandomStream) -> list[McEstimate]:
+    """Monte Carlo estimates of observer k's shrink factor for each k of
+    ``k_values``, all from one chain of length max(k): its first j
+    columns are the length-j chain on the same stream, bit for bit."""
+    dots = chain_dots_nspin(n_spins, max(k_values), mode, rng, trials, phi)
+    return [McEstimate.from_samples(dots[:, k - 1]) for k in k_values]
 
 
-def _cell_stream(cfg: SweepConfig, n_spins: int, k: int) -> RandomStream:
-    # content-derived: the same cell gets the same stream in any config
-    return RandomStream(cfg.seed).child(MODES.index(cfg.mode)).child(n_spins).child(k)
+def _cell_stream(cfg: SweepConfig, n_spins: int) -> RandomStream:
+    # content-derived: the same (mode, N) gets the same stream in any config
+    return RandomStream(cfg.seed).child(MODES.index(cfg.mode)).child(n_spins).child(1)
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict]:
     """All records of a sweep, in deterministic (N, k) order.
 
-    Cells are independent, so they may run on any number of workers; the
-    assembled record list never depends on scheduling.
+    Each N is one unit of work, one chain that serves every requested k.
+    Units are independent, so they may run on any number of workers, at
+    most one per unit; the assembled record list never depends on
+    scheduling.
     """
     cfg.validate()
-    cells = [(n, k) for n in cfg.n_values for k in cfg.k_values]
 
-    def run_cell(cell):
-        n, k = cell
-        est = mc_estimate_delta(cfg.mode, n, k, cfg.phi, cfg.trials,
-                                _cell_stream(cfg, n, k))
-        return est
+    def run_unit(n):
+        return mc_estimate_delta(cfg.mode, n, cfg.k_values, cfg.phi, cfg.trials,
+                                 _cell_stream(cfg, n))
 
-    if cfg.workers == 1:
-        estimates = [run_cell(c) for c in cells]
+    workers = min(cfg.workers, len(cfg.n_values))
+    if workers == 1:
+        estimates = [run_unit(n) for n in cfg.n_values]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            estimates = list(pool.map(run_cell, cells))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            estimates = list(pool.map(run_unit, cfg.n_values))
 
     bid = build_id()
+    phi = cfg.phi if cfg.mode == "single_qubit" else None
     records = []
-    for (n, k), est in zip(cells, estimates):
-        if est.stderr is None:
-            print(f"warning: trials=1 leaves mc_stderr undefined for cell "
-                  f"(mode={cfg.mode}, N={n}, k={k})", file=sys.stderr)
-        ref = analytic_delta(cfg.mode, n, k, cfg.phi)
-        records.append({
-            "mode": cfg.mode,
-            "N": n,
-            "k": k,
-            "phi": cfg.phi if cfg.mode == "single_qubit" else None,
-            "analytic": ref,
-            "mc_mean": est.mean,
-            "mc_stderr": est.stderr,
-            "z": est.z_score(ref),
-            "trials": est.trials,
-            "seed": cfg.seed,
-            "build": bid,
-        })
+    for n, unit in zip(cfg.n_values, estimates):
+        for k, est in zip(cfg.k_values, unit):
+            if est.stderr is None:
+                print(f"warning: trials=1 leaves mc_stderr undefined for cell "
+                      f"(mode={cfg.mode}, N={n}, k={k})", file=sys.stderr)
+            ref = analytic_delta(cfg.mode, n, k, cfg.phi)
+            records.append(dict(zip(RECORD_FIELDS, (
+                cfg.mode, n, k, phi, ref, est.mean, est.stderr, est.z_score(ref),
+                est.trials, cfg.seed, bid))))
     return records
 
 

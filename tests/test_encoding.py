@@ -247,7 +247,7 @@ class TestChainLaws:
         x = np.linalg.eigvalsh(jacobi_matrix(n_spins))[-1] if n_spins % 2 == 0 else None
         for k in (1, 2, 5):
             if mode == "single_qubit":
-                expected = (math.cos(phi) / 3.0) ** k
+                expected = (math.cos(phi) / 3.0) ** (k - 1) / 3.0
             elif mode == "nspin_parallel":
                 expected = par ** k
             elif mode == "nspin_optimal":
@@ -278,7 +278,8 @@ class TestChainLaws:
         ("nspin_optimal", 40, 0.0), ("parallel_start", 40, 0.0)])
     def test_runs_give_the_step_list_product(self, mode, n_spins, phi):
         # oracle: one (law, offset) step per observer, equal steps
-        # collected with Counter and raised to their count
+        # collected with Counter and raised to their count; observer k's
+        # estimate follows k tilts and the k - 1 offsets before it
         for k in (1, 2, 3, 17, 1000):
             first = "parallel" if mode != "nspin_optimal" else "optimal"
             later = "optimal" if mode in ("nspin_optimal", "parallel_start") else "parallel"
@@ -286,8 +287,8 @@ class TestChainLaws:
             steps = Counter([(first, offset)] + [(later, offset)] * (k - 1))
             means = {"parallel": n_spins / (n_spins + 2.0),
                      "optimal": optimal_tilde_delta(n_spins) if n_spins % 2 == 0 else None}
-            expected = math.prod((means[law] * math.cos(off)) ** count
-                                 for (law, off), count in steps.items())
+            tilts = math.prod(means[law] ** count for (law, _), count in steps.items())
+            expected = tilts * math.cos(offset) ** (k - 1)
             assert analytic_delta(mode, n_spins, k, phi) == expected, f"k={k}"
             assert [(law, off) for law, off, _ in chain_laws(mode, n_spins, k, phi)] == list(steps)
 
@@ -676,6 +677,23 @@ class TestNspinChains:
         monkeypatch.setattr(encoding, "_CHAIN_ROWS", 7)
         chain_dots_nspin(6, 3, "nspin_optimal", RandomStream(5), 26)
         assert drawn == [2, 3, 4, 5, 6, 7] * 4
+
+    @pytest.mark.parametrize("chain", [chain_dots_nspin, chain_dots_3d])
+    @pytest.mark.parametrize("mode, n_spins", [("single_qubit", 1), ("nspin_parallel", 4),
+                                               ("nspin_optimal", 4), ("parallel_start", 4)])
+    def test_first_columns_are_the_shorter_chain(self, chain, mode, n_spins):
+        # fills are numbered by step and each is `trials` wide, so the first
+        # j columns of a length-K chain are the length-j chain, bit for bit,
+        # in every block; a sweep reads every k from one chain of length max(k)
+        trials = 2 * encoding._CHAIN_ROWS + 5
+        for phi in (0.0, 0.7):
+            for overlap in ("estimate", "prepared"):
+                stream = RandomStream(47).child(n_spins)
+                full = chain(n_spins, 3, mode, stream, trials, phi, overlap)
+                for j in (1, 2):
+                    np.testing.assert_array_equal(
+                        full[:, :j], chain(n_spins, j, mode, stream, trials, phi, overlap),
+                        err_msg=f"phi={phi}, {overlap}, j={j}")
 
     def test_chain_reproducible(self):
         a = chain_dots_nspin(2, 2, "nspin_optimal", RandomStream(45), 1000)

@@ -228,7 +228,7 @@ class TestChainStatistics:
         dots = chain_dots_nspin(1, 2, "single_qubit", RandomStream(23), 200_000, math.pi,
                                 "prepared")
         mean, se = _mean_se(dots[:, 1])
-        ref = analytic_delta("single_qubit", 1, 2, math.pi)  # eta^2, eta = -1/3
+        ref = eta_from_c(disturbance_constant(math.pi)) ** 2  # eta = -1/3
         assert ref == pytest.approx(1.0 / 9.0, abs=1e-15)
         assert abs(mean - ref) < 3 * se
 

@@ -15,7 +15,7 @@ import pytest
 
 import spinrelay
 from spinrelay.cli import MAX_RANGE_VALUES, main, parse_config_file, parse_int_range
-from spinrelay.encoding import MODES, OutcomeDensity, analytic_delta
+from spinrelay.encoding import MODES, OutcomeDensity, analytic_delta, chain_dots_nspin
 from spinrelay.records import McEstimate
 from spinrelay.rng import RandomStream
 from spinrelay.sweep import (
@@ -45,11 +45,24 @@ class TestAnalyticColumn:
         assert analytic_delta("parallel_start", 2, 2) == pytest.approx(0.5 * x, rel=1e-13)
 
     def test_kraus_offset(self):
-        assert analytic_delta("single_qubit", 1, 2, math.pi) == pytest.approx(1 / 9, rel=1e-13)
+        # observer 2 measures the state turned by pi: its estimate anti-correlates
+        assert analytic_delta("single_qubit", 1, 2, math.pi) == pytest.approx(-1 / 9, rel=1e-13)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             analytic_delta("qutrit", 1, 1)
+
+    def test_single_qubit_estimate_law_z(self):
+        # the sweep scores observer k's estimate, (1/3) (cos(phi)/3)^(k-1),
+        # not the state it hands on, (cos(phi)/3)^k
+        for phi in (math.pi / 4, math.pi / 2, math.pi):
+            records = run_sweep(SweepConfig("single_qubit", (1,), (1, 2, 3), phi=phi,
+                                            trials=400_000, seed=42))
+            for rec in records:
+                k = rec["k"]
+                assert rec["analytic"] == pytest.approx(
+                    (math.cos(phi) / 3) ** (k - 1) / 3, rel=1e-14, abs=1e-300)
+            assert max_abs_z(records) <= 4.0, f"phi={phi:.3f}"
 
 
 class TestMcEstimate:
@@ -67,15 +80,15 @@ class TestMcEstimate:
         assert est.z_score(0.0) is None
 
     def test_cell_estimates(self):
-        est = mc_estimate_delta("single_qubit", 1, 1, 0.0, 100_000, RandomStream(42))
+        [est] = mc_estimate_delta("single_qubit", 1, (1,), 0.0, 100_000, RandomStream(42))
         assert abs(est.mean - 1 / 3) < 3 * est.stderr
-        est = mc_estimate_delta("nspin_optimal", 2, 1, 0.0, 100_000, RandomStream(43))
+        [est] = mc_estimate_delta("nspin_optimal", 2, (1,), 0.0, 100_000, RandomStream(43))
         assert abs(est.mean - 1 / math.sqrt(3)) < 3 * est.stderr
 
     def test_cell_deterministic(self):
-        a = mc_estimate_delta("nspin_parallel", 4, 2, 0.0, 2000, RandomStream(5))
-        b = mc_estimate_delta("nspin_parallel", 4, 2, 0.0, 2000, RandomStream(5))
-        assert a == b
+        a = mc_estimate_delta("nspin_parallel", 4, (2,), 0.0, 2000, RandomStream(5))
+        b = mc_estimate_delta("nspin_parallel", 4, (2,), 0.0, 2000, RandomStream(5))
+        assert a == b and len(a) == 1
 
 
 class TestRunSweep:
@@ -111,6 +124,54 @@ class TestRunSweep:
         again = records_to_bytes(run_sweep(SweepConfig(**cfg)), "csv")
         threaded = records_to_bytes(run_sweep(SweepConfig(**cfg, workers=4)), "csv")
         assert base == again == threaded
+
+    @pytest.mark.parametrize("mode, n_values, phi", [
+        ("single_qubit", (1,), 0.7), ("nspin_parallel", (2, 4), 0.0),
+        ("nspin_optimal", (2, 4), 0.0), ("parallel_start", (2, 4), 0.0)])
+    def test_record_depends_on_its_own_cell_only(self, mode, n_values, phi):
+        # one chain per (mode, N) serves every k, yet a record is the same
+        # whichever other k or N were asked for and on any worker count
+        def sweep(n_values, k_values, workers=1):
+            cfg = SweepConfig(mode, n_values, k_values, phi=phi, trials=3000, seed=13,
+                              workers=workers)
+            return {(r["N"], r["k"]): r for r in run_sweep(cfg)}
+
+        full = sweep(n_values, (1, 2, 3))
+        assert sweep(n_values, (1, 2, 3), workers=3) == full
+        assert sweep(n_values, (3,)) == {key: full[key] for key in full if key[1] == 3}
+        last = n_values[-1]
+        assert sweep((last,), (1, 2, 3)) == {key: full[key] for key in full if key[0] == last}
+        for n in n_values:
+            stream = RandomStream(13).child(MODES.index(mode)).child(n).child(1)
+            dots = chain_dots_nspin(n, 1, mode, stream, 3000, phi)
+            est = McEstimate.from_samples(dots[:, 0])
+            assert (full[n, 1]["mc_mean"], full[n, 1]["mc_stderr"]) == (est.mean, est.stderr)
+
+    def test_workers_capped_at_the_number_of_chains(self, monkeypatch):
+        # a stand-in pool that runs the work inline and records its size
+        import spinrelay.sweep as sweep_mod
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sweep_mod, "ThreadPoolExecutor", InlinePool)
+        cfg = dict(mode="nspin_parallel", k_values=(1, 2), trials=500, workers=8)
+        two = run_sweep(SweepConfig(n_values=(2, 4), **cfg))
+        assert pools == [2]
+        one = run_sweep(SweepConfig(n_values=(4,), **cfg))
+        assert pools == [2]  # one chain runs inline, with no pool
+        assert one == two[2:]
 
     def test_csv_dialect(self):
         cfg = SweepConfig(mode="single_qubit", n_values=(1,), k_values=(1,), trials=2000)
@@ -279,12 +340,12 @@ class TestCli:
         argv = ["analytic", "--mode", "single_qubit", "--k", "1..2", "--phi", "0.5"]
         expected = {
             "csv": b"mode,N,k,phi,delta,fidelity\r\n"
-                   b"single_qubit,1,1,0.5,0.29252752063012422,0.64626376031506205\r\n"
-                   b"single_qubit,1,2,0.5,0.085572350326007754,0.54278617516300387\r\n",
+                   b"single_qubit,1,1,0.5,0.33333333333333331,0.66666666666666663\r\n"
+                   b"single_qubit,1,2,0.5,0.097509173543374739,0.54875458677168742\r\n",
             "jsonl": b'{"mode": "single_qubit", "N": 1, "k": 1, "phi": 0.5, '
-                     b'"delta": 0.2925275206301242, "fidelity": 0.646263760315062}\n'
+                     b'"delta": 0.3333333333333333, "fidelity": 0.6666666666666666}\n'
                      b'{"mode": "single_qubit", "N": 1, "k": 2, "phi": 0.5, '
-                     b'"delta": 0.08557235032600775, "fidelity": 0.5427861751630039}\n'}
+                     b'"delta": 0.09750917354337474, "fidelity": 0.5487545867716874}\n'}
         for fmt, data in expected.items():
             out = tmp_path / f"analytic.{fmt}"
             assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
