@@ -16,7 +16,6 @@ from numpy.polynomial import legendre as npleg
 
 from .encoding import (
     chain_dots_3d,
-    chain_dots_nspin,
     classical_threshold,
     jacobi_matrix,
     optimal_encoding,
@@ -26,7 +25,7 @@ from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
 from .qubit import disturbance_constant, eta_from_c, stern_gerlach
 from .records import McEstimate
 from .rng import RandomStream
-from .sweep import SweepConfig, records_to_bytes, run_sweep
+from .sweep import SweepConfig, mc_estimate_delta, records_to_bytes, run_sweep
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,8 @@ class CriterionResult:
 def criterion_1() -> CriterionResult:
     """Single-qubit law: MC shrink factors match 3^-k for k = 1..4."""
     start = time.perf_counter()
-    dots = chain_dots_nspin(1, 4, "single_qubit", RandomStream(42), 10 ** 6)
-    zs = [McEstimate.from_samples(dots[:, k - 1]).z_score(3.0 ** -k) for k in range(1, 5)]
+    ests = mc_estimate_delta("single_qubit", 1, range(1, 5), 0.0, 10 ** 6, RandomStream(42))
+    zs = [est.z_score(3.0 ** -k) for k, est in zip(range(1, 5), ests)]
     elapsed = time.perf_counter() - start
     within3 = sum(abs(z) <= 3.0 for z in zs)
     passed = all(abs(z) <= 4.0 for z in zs) and within3 >= 3 and elapsed < 10.0
@@ -55,9 +54,9 @@ def criterion_2() -> CriterionResult:
     zs = []
     for i, phi in enumerate((0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)):
         eta = eta_from_c(disturbance_constant(phi))
-        dots = chain_dots_nspin(1, 2, "single_qubit", RandomStream(42).child(i), 10 ** 5,
-                                phi, "prepared")
-        zs.append(McEstimate.from_samples(dots[:, 1]).z_score(eta ** 2))
+        [est] = mc_estimate_delta("single_qubit", 1, (2,), phi, 10 ** 5,
+                                  RandomStream(42).child(i), "prepared")
+        zs.append(est.z_score(eta ** 2))
     passed = all(abs(z) <= 3.0 for z in zs)
     detail = f"z = {', '.join(f'{z:+.2f}' for z in zs)} for phi in {{0..pi}} (1e5 trials)"
     return CriterionResult(2, "Kraus-family channel composition", passed, detail)
@@ -65,13 +64,12 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     """The 3-D Stern-Gerlach chain and the scalar covariant one agree."""
-    cov = chain_dots_nspin(1, 3, "single_qubit", RandomStream(42).child(101), 10 ** 5)
+    cov = mc_estimate_delta("single_qubit", 1, (1, 2, 3), 0.0, 10 ** 5,
+                            RandomStream(42).child(101))
     sg = chain_dots_3d(1, 3, "single_qubit", RandomStream(42).child(202), 10 ** 5,
                        measure=stern_gerlach)
-    zs = []
-    for k in range(1, 4):
-        a, b = McEstimate.from_samples(cov[:, k - 1]), McEstimate.from_samples(sg[:, k - 1])
-        zs.append((a.mean - b.mean) / math.hypot(a.stderr, b.stderr))
+    zs = [(a.mean - b.mean) / math.hypot(a.stderr, b.stderr)
+          for a, b in zip(cov, map(McEstimate.from_samples, sg.T))]
     passed = all(abs(z) <= 3.0 for z in zs)
     detail = f"combined z = {', '.join(f'{z:+.2f}' for z in zs)} for k=1..3"
     return CriterionResult(3, "scheme equivalence (SG vs covariant)", passed, detail)
@@ -81,9 +79,9 @@ def criterion_4() -> CriterionResult:
     """Parallel encoding: MC shrink matches (N/(N+2))^k."""
     zs = []
     for n in (2, 4, 10):
-        dots = chain_dots_nspin(n, 2, "nspin_parallel", RandomStream(42).child(n), 10 ** 5)
-        zs += [McEstimate.from_samples(dots[:, k - 1]).z_score((n / (n + 2.0)) ** k)
-               for k in (1, 2)]
+        ests = mc_estimate_delta("nspin_parallel", n, (1, 2), 0.0, 10 ** 5,
+                                 RandomStream(42).child(n))
+        zs += [est.z_score((n / (n + 2.0)) ** k) for k, est in zip((1, 2), ests)]
     passed = all(abs(z) <= 3.0 for z in zs)
     detail = (f"z = {', '.join(f'{z:+.2f}' for z in zs)} over "
               f"N in {{2,4,10}} x k in {{1,2}} (1e5 trials)")
@@ -117,8 +115,7 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     """Mixed start: N=4 parallel copies, optimal second measurement."""
-    dots = chain_dots_nspin(4, 2, "parallel_start", RandomStream(42), 10 ** 6)
-    est = McEstimate.from_samples(dots[:, 1])
+    [est] = mc_estimate_delta("parallel_start", 4, (2,), 0.0, 10 ** 6, RandomStream(42))
     ref = (4.0 / 6.0) * math.sqrt(3.0 / 5.0)  # 0.5164 to 4 s.f.
     z = est.z_score(ref)
     passed = abs(z) <= 3.0

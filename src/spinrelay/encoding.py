@@ -356,15 +356,17 @@ def analytic_delta(mode: str, n_spins: int, k: int, phi: float = 0.0) -> float:
                      for (law, offset, count), turned in zip(laws, turns))
 
 
-def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overlap: str):
+def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overlap: str,
+           consume=None):
     """Both chain kernels' set-up: check the overlap, the chain
     (:func:`chain_laws`), ``trials`` and the RandomStream ``rng`` before any
-    draw or density build; allocate the column-major (trials, k) overlaps;
-    return them, each observer's (tilt sampler, hand-on offset), whether the
-    handed-on state's overlap is recorded, and the lazy blocks of at most
-    _CHAIN_ROWS rows, each with the :class:`StreamRows` view that gives its
-    rows the draws of one batch of ``trials`` rows.  A sampler takes
-    ``(gen, size)``; the optimal one builds its density on first use."""
+    draw or density build; allocate the column-major (trials, k) overlaps, or
+    with ``consume`` one block's, which every block reuses and then hands to
+    ``consume(block)``; return them, each observer's (tilt sampler, hand-on
+    offset), whether the handed-on state's overlap is recorded, and the lazy
+    blocks of at most _CHAIN_ROWS rows, each with the :class:`StreamRows` view
+    that gives its rows the draws of one batch of ``trials`` rows.  A sampler
+    takes ``(gen, size)``; the optimal one builds its density on first use."""
     if overlap not in ("estimate", "prepared"):
         raise ValueError("overlap must be 'estimate' or 'prepared'")
     laws = chain_laws(mode, n_spins, k, phi)
@@ -372,16 +374,20 @@ def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overla
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not isinstance(rng, RandomStream):
         raise TypeError(f"rng must be a RandomStream, got {type(rng).__name__}")
-    dots = np.empty((k, trials)).T
+    dots = np.empty((k, trials if consume is None else min(trials, _CHAIN_ROWS))).T
     # listed after the allocation, which rejects a k too large to index
     density = cache(lambda: outcome_density(optimal_encoding(n_spins)))
     samplers = {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size),
                 "optimal": lambda gen, size: density().sample(gen, size)}
     steps = [(samplers[law], offset) for law, offset, count in laws for _ in range(count)]
-    blocks = ((dots[lo:lo + _CHAIN_ROWS],
-               StreamRows(rng, lo, min(lo + _CHAIN_ROWS, trials), trials))
-              for lo in range(0, trials, _CHAIN_ROWS))
-    return dots, steps, overlap == "prepared", blocks
+
+    def blocks():
+        for lo in range(0, trials, _CHAIN_ROWS):
+            block = dots[lo:lo + _CHAIN_ROWS] if consume is None else dots[:trials - lo]
+            yield block, StreamRows(rng, lo, lo + block.shape[0], trials)
+            if consume is not None:
+                consume(block)
+    return dots, steps, overlap == "prepared", blocks()
 
 
 def _azimuth_table() -> tuple[np.ndarray, np.ndarray]:
@@ -441,11 +447,11 @@ def _turn(c, x, gen, out: np.ndarray) -> np.ndarray:
 
 
 def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int,
-                     phi: float = 0.0, overlap: str = "estimate") -> np.ndarray:
-    """Vectorized covariant observer chains of any mode from the
-    RandomStream ``rng``; (trials, k) column-major overlaps with the true
-    direction of each observer's estimate, or with ``overlap="prepared"``
-    of the state it hands on.
+                     phi: float = 0.0, overlap: str = "estimate", consume=None) -> np.ndarray:
+    """Vectorized covariant observer chains of any mode from the RandomStream
+    ``rng``; (trials, k) column-major overlaps with the true direction of each
+    observer's estimate, or with ``overlap="prepared"`` of the state it hands
+    on; with ``consume``, the block buffer that :func:`_chain` hands to it.
 
     The overlap alone is a Markov chain: a tilt by x at azimuth psi takes
     c to c x + sqrt((1 - c^2)(1 - x^2)) cos psi, from c = 1, and a nonzero
@@ -456,7 +462,7 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int,
     so that every later fill keeps its Philox words and every k = 1
     estimate is the 3-D chain's to rounding; then per observer it draws
     its tilt, its azimuth and any re-preparation azimuth."""
-    dots, steps, prepared, blocks = _chain(n_spins, k, mode, rng, trials, phi, overlap)
+    dots, steps, prepared, blocks = _chain(n_spins, k, mode, rng, trials, phi, overlap, consume)
     for block, gen in blocks:
         rows = block.shape[0]
         gen.skip(2)  # the true directions' fills

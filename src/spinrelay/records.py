@@ -1,4 +1,4 @@
-"""Result container of a Monte Carlo estimate."""
+"""Monte Carlo estimates, and the fold that builds them block by block."""
 
 from __future__ import annotations
 
@@ -21,16 +21,37 @@ class McEstimate:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "McEstimate":
-        samples = np.asarray(samples, dtype=float)
-        n = samples.size
-        if n < 1:
-            raise ValueError("need at least one sample")
-        mean = float(samples.mean())
-        stderr = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else None
-        return cls(mean=mean, stderr=stderr, trials=n)
+        fold = MomentFold(1)
+        fold(np.asarray(samples, dtype=float).reshape(-1, 1))
+        return fold.estimate(0)
 
     def z_score(self, reference: float) -> float | None:
         """(mean - reference) / stderr, or None when stderr is undefined."""
         if self.stderr is None or self.stderr == 0.0:
             return None
         return (self.mean - reference) / self.stderr
+
+
+class MomentFold:
+    """Per-column count, mean and centred M2 of (rows, columns) blocks, merged
+    in call order (Chan, Golub & LeVeque, Am. Stat. 37, 1983).  Each block is
+    centred on its own mean: raw sums of squares cancel at a small spread.
+    One column-major block gives numpy's 1-D mean and std(ddof=1), bit for bit."""
+
+    def __init__(self, columns: int):
+        self.count, self.mean, self.m2 = 0, np.zeros(columns), np.zeros(columns)
+
+    def __call__(self, block: np.ndarray):
+        rows, count = block.shape[0], self.count + block.shape[0]
+        if rows < 1:
+            raise ValueError("need at least one sample")
+        mean = block.mean(axis=0)
+        delta = mean - self.mean
+        self.mean += delta * (rows / count)
+        self.m2 += ((block - mean) ** 2).sum(axis=0) + delta * delta * (self.count * rows / count)
+        self.count = count
+
+    def estimate(self, column: int) -> McEstimate:
+        n, m2 = self.count, self.m2[column]
+        stderr = float(np.sqrt(m2 / (n - 1)) / np.sqrt(n)) if n > 1 else None
+        return McEstimate(mean=float(self.mean[column]), stderr=stderr, trials=n)

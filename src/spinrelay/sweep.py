@@ -28,7 +28,7 @@ from .encoding import (
     optimal_tilde_delta,
     parallel_tilde_delta,
 )
-from .records import McEstimate
+from .records import McEstimate, MomentFold
 from .rng import RandomStream
 
 FORMATS = ("csv", "jsonl")
@@ -109,13 +109,14 @@ class SweepConfig:
             raise ValueError("workers must be >= 1")
 
 
-def mc_estimate_delta(mode: str, n_spins: int, k_values, phi: float,
-                      trials: int, rng: RandomStream) -> list[McEstimate]:
-    """Monte Carlo estimates of observer k's shrink factor for each k of
-    ``k_values``, all from one chain of length max(k): its first j
-    columns are the length-j chain on the same stream, bit for bit."""
-    dots = chain_dots_nspin(n_spins, max(k_values), mode, rng, trials, phi)
-    return [McEstimate.from_samples(dots[:, k - 1]) for k in k_values]
+def mc_estimate_delta(mode: str, n_spins: int, k_values, phi: float, trials: int,
+                      rng: RandomStream, overlap: str = "estimate") -> list[McEstimate]:
+    """Monte Carlo estimates of observer k's shrink factor (or of the overlap
+    it hands on) for each k of ``k_values``, folded block by block from one
+    chain of length max(k), whose first j columns are the length-j chain."""
+    fold = MomentFold(max(k_values))
+    chain_dots_nspin(n_spins, max(k_values), mode, rng, trials, phi, overlap, fold)
+    return [fold.estimate(k - 1) for k in k_values]
 
 
 def _cell_stream(cfg: SweepConfig, n_spins: int) -> RandomStream:

@@ -1,6 +1,7 @@
 """Sweep harness: analytic columns, MC cells, output formats, CLI."""
 
 import csv
+from fractions import Fraction
 import io
 import json
 import math
@@ -9,14 +10,16 @@ from pathlib import Path
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import spinrelay
 from spinrelay.cli import MAX_RANGE_VALUES, main, parse_config_file, parse_int_range
-from spinrelay.encoding import MODES, OutcomeDensity, analytic_delta, chain_dots_nspin
-from spinrelay.records import McEstimate
+from spinrelay.encoding import (_CHAIN_ROWS, MODES, OutcomeDensity, analytic_delta,
+                                chain_dots_nspin)
+from spinrelay.records import McEstimate, MomentFold
 from spinrelay.rng import RandomStream
 from spinrelay.sweep import (
     RECORD_FIELDS,
@@ -91,6 +94,79 @@ class TestMcEstimate:
         assert a == b and len(a) == 1
 
 
+class TestMomentFold:
+    """A sweep folds each block of its chain into per-k moments as the block
+    is filled, instead of holding the (trials, k) overlaps."""
+
+    CHAINS = [("single_qubit", 1, 0.7, "estimate"), ("single_qubit", 1, 0.7, "prepared"),
+              ("nspin_parallel", 4, 0.0, "estimate"), ("nspin_optimal", 4, 0.0, "estimate"),
+              ("parallel_start", 4, 0.0, "estimate"), ("nspin_optimal", 280, 0.0, "estimate")]
+
+    @staticmethod
+    def _columns(mode, n, phi, overlap, trials):
+        ests = mc_estimate_delta(mode, n, (1, 2, 3), phi, trials, RandomStream(17), overlap)
+        dots = chain_dots_nspin(n, 3, mode, RandomStream(17), trials, phi, overlap)
+        return zip(ests, dots.T)
+
+    @pytest.mark.parametrize("mode, n, phi, overlap", CHAINS)
+    def test_one_block_is_from_samples_bit_for_bit(self, mode, n, phi, overlap):
+        trials = _CHAIN_ROWS
+        for est, col in self._columns(mode, n, phi, overlap, trials):
+            assert est == McEstimate.from_samples(col)
+            # numpy's own 1-D mean and std, independent of the fold
+            assert est.mean == col.mean()
+            assert est.stderr == col.std(ddof=1) / np.sqrt(trials)
+            assert est.stderr == np.sqrt(((col - est.mean) ** 2).sum() / (trials - 1)) / np.sqrt(trials)
+
+    @pytest.mark.parametrize("mode, n, phi, overlap", CHAINS)
+    def test_many_blocks_match_from_samples(self, mode, n, phi, overlap):
+        trials = 2 * _CHAIN_ROWS + 5  # three blocks, the last of five rows
+        for est, col in self._columns(mode, n, phi, overlap, trials):
+            whole = McEstimate.from_samples(col)
+            assert est.trials == whole.trials == trials
+            assert est.mean == pytest.approx(whole.mean, rel=1e-14)
+            assert est.stderr == pytest.approx(whole.stderr, rel=1e-14)
+
+    def test_tiny_spread_against_exact_fractions(self):
+        # values within 1e-9 of 1: raw sums of squares lose every digit of
+        # the spread, centred block moments keep it
+        col = 1.0 - 1e-9 * RandomStream(3).generator().random(3 * _CHAIN_ROWS + 5)
+        fold = MomentFold(1)
+        for lo in range(0, col.size, _CHAIN_ROWS):
+            fold(col[lo:lo + _CHAIN_ROWS, None])
+        exact = [Fraction(x) for x in col]
+        n, s1 = len(exact), sum(exact)
+        m2 = sum(x * x for x in exact) - s1 * s1 / n
+        stderr = math.sqrt(m2 / (n - 1) / n)
+        est = fold.estimate(0)
+        assert est.mean == pytest.approx(float(s1 / n), rel=1e-15)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
+        raw_m2 = float((col * col).sum()) - n * float(col.mean()) ** 2
+        assert math.sqrt(abs(raw_m2) / (n - 1) / n) != pytest.approx(stderr, rel=1e-12)
+
+    def test_memory_does_not_grow_with_trials(self):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                mc_estimate_delta("nspin_parallel", 4, (1, 2, 3), 0.0, trials, RandomStream(7))
+                return tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-call allocations
+        trials = 8 * _CHAIN_ROWS + 5
+        # one block of overlaps and the chain step's own block temporaries,
+        # about 0.8 MB, against 3.1 MB for the (trials, 3) overlaps alone
+        assert peak(trials) < trials * 3 * 8 / 2
+        assert peak(trials) < peak(2 * _CHAIN_ROWS) + 64 * 1024
+
+    def test_empty_block_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            McEstimate.from_samples(np.array([]))
+
+
 class TestRunSweep:
     def test_record_layout_and_provenance(self):
         cfg = SweepConfig(mode="nspin_parallel", n_values=(2, 4), k_values=(1, 2),
@@ -119,7 +195,10 @@ class TestRunSweep:
             assert max_abs_z(records) <= 4.0, f"{cfg.mode}: z gate exceeded"
 
     def test_byte_identical_across_runs_and_workers(self):
-        cfg = dict(mode="single_qubit", n_values=(1,), k_values=(1, 2), trials=5000)
+        # two (mode, N) units, so that four workers run two threads, and
+        # three blocks per chain, so that each thread folds several
+        cfg = dict(mode="nspin_optimal", n_values=(2, 4), k_values=(1, 2),
+                   trials=2 * _CHAIN_ROWS + 5)
         base = records_to_bytes(run_sweep(SweepConfig(**cfg)), "csv")
         again = records_to_bytes(run_sweep(SweepConfig(**cfg)), "csv")
         threaded = records_to_bytes(run_sweep(SweepConfig(**cfg, workers=4)), "csv")
