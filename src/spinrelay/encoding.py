@@ -19,8 +19,8 @@ lists the steps of every chain the CLI names, as runs of equal steps;
 runs them as the scalar overlap chain of every covariant mode, and
 :func:`chain_dots_3d` as the 3-D chain of directions, the oracle, which
 also runs the Stern-Gerlach measurement of :mod:`spinrelay.qubit`.  Both
-take their checks, their steps and their blocks of
-:class:`~spinrelay.rng.StreamRows` draws from one set-up.
+take their checks, their steps and their chunks, each drawing from its own
+stream, from one set-up.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
 from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
-from .rng import RandomStream, StreamRows
+from .rng import RandomStream
 from .sphere import sample_cos_tilt, sample_uniform_sphere, tilt_step
 
 #: the observer chains; a sweep cell's random substream follows this order
@@ -49,9 +49,10 @@ _GUIDE_CELLS = 4096
 _AZIMUTH_CELLS = 4096
 _AZIMUTH_STEP = 2.0 * np.pi / _AZIMUTH_CELLS
 
-#: trials per block of a chain, so that a chain step holds a few arrays
+#: trials per chunk of a chain, so that a chain step holds a few arrays
 #: of this many rows however many trials run, small enough to stay in a
-#: 2 MB L2 cache
+#: 2 MB L2 cache; chunk c draws from its own stream, so this fixes which
+#: draws every trial past the first chunk gets
 _CHAIN_ROWS = 2 ** 14
 
 #: the inverse-CDF table is refined until its linear interpolation of the
@@ -361,11 +362,11 @@ def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overla
     """Both chain kernels' set-up: check the overlap, the chain
     (:func:`chain_laws`), ``trials`` and the RandomStream ``rng`` before any
     draw or density build; allocate the column-major (trials, k) overlaps, or
-    with ``consume`` one block's, which every block reuses and then hands to
+    with ``consume`` one chunk's, which every chunk reuses and then hands to
     ``consume(block)``; return them, each observer's (tilt sampler, hand-on
     offset), whether the handed-on state's overlap is recorded, and the lazy
-    blocks of at most _CHAIN_ROWS rows, each with the :class:`StreamRows` view
-    that gives its rows the draws of one batch of ``trials`` rows.  A sampler
+    chunks of at most _CHAIN_ROWS rows, each with a fresh Generator: chunk 0
+    draws from ``rng`` and chunk c >= 1 from ``rng.child(c)``.  A sampler
     takes ``(gen, size)``; the optimal one builds its density on first use."""
     if overlap not in ("estimate", "prepared"):
         raise ValueError("overlap must be 'estimate' or 'prepared'")
@@ -382,9 +383,9 @@ def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overla
     steps = [(samplers[law], offset) for law, offset, count in laws for _ in range(count)]
 
     def blocks():
-        for lo in range(0, trials, _CHAIN_ROWS):
+        for c, lo in enumerate(range(0, trials, _CHAIN_ROWS)):
             block = dots[lo:lo + _CHAIN_ROWS] if consume is None else dots[:trials - lo]
-            yield block, StreamRows(rng, lo, lo + block.shape[0], trials)
+            yield block, (rng.child(c) if c else rng).generator()
             if consume is not None:
                 consume(block)
     return dots, steps, overlap == "prepared", blocks()
@@ -457,15 +458,19 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int,
     c to c x + sqrt((1 - c^2)(1 - x^2)) cos psi, from c = 1, and a nonzero
     hand-on offset is one more such step, with x = cos(offset), and each
     step takes cos psi from the table of :func:`_cos_2pi`, with no libm call.
-    Each block of :func:`_chain` reads the 3-D chain's fills: it skips
-    the true directions' two, which the overlap does not use, by counter,
-    so that every later fill keeps its Philox words and every k = 1
-    estimate is the 3-D chain's to rounding; then per observer it draws
-    its tilt, its azimuth and any re-preparation azimuth."""
+    Each chunk of :func:`_chain` reads the 3-D chain's fills: it passes
+    over the true directions' two, which the overlap does not use, by
+    advancing its fresh Philox 2 * rows words, so that every later fill
+    keeps its words and every k = 1 estimate is the 3-D chain's to
+    rounding; then per observer it draws its tilt, its azimuth and any
+    re-preparation azimuth."""
     dots, steps, prepared, blocks = _chain(n_spins, k, mode, rng, trials, phi, overlap, consume)
     for block, gen in blocks:
         rows = block.shape[0]
-        gen.skip(2)  # the true directions' fills
+        # the true directions' two fills are 2 * rows words of the chunk's
+        # fresh Philox, whose counter steps 4 words at a time
+        gen.bit_generator.advance(rows // 2)
+        gen.bit_generator.random_raw(2 * (rows % 2))
         c = 1.0
         for j, (sample, offset) in enumerate(steps):
             tracked = block[:, j]
@@ -485,7 +490,7 @@ def chain_dots_3d(n_spins: int, k: int, mode: str, rng, trials: int, phi: float 
     by its offset angle at a uniform azimuth; a zero offset hands on the
     estimate itself and draws nothing.
 
-    It runs the same :func:`chain_laws` steps in the same blocks and makes
+    It runs the same :func:`chain_laws` steps in the same chunks and makes
     the same fills in the same order: the true directions, then per
     observer its tilt draw (or the measurement's), its azimuth and any
     re-preparation azimuth.  With ``measure=qubit.stern_gerlach`` it runs

@@ -3,10 +3,9 @@
 Directions are plain float ndarrays: shape ``(3,)`` for a single unit
 vector or ``(..., 3)`` for batches.  The geometric functions broadcast
 over leading axes.  The samplers draw arrays of an int ``size`` through
-``random(size)`` alone, from the NumPy ``Generator`` or
-:class:`spinrelay.rng.StreamRows` view they are given.  The 3-D chain of
-:func:`spinrelay.encoding.chain_dots_3d` steps through :func:`tilt_step`,
-for the Stern-Gerlach scheme and the test oracles.
+``random(size)`` alone, from the NumPy ``Generator`` they are given.  The
+3-D chain of :func:`spinrelay.encoding.chain_dots_3d` steps through
+:func:`tilt_step`, for the Stern-Gerlach scheme and the test oracles.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """N-spin encodings: matrix, closed-form encoding, densities, chains, thresholds."""
 
 from collections import Counter
+from functools import partial
 import json
 import math
 
@@ -27,7 +28,7 @@ from spinrelay.encoding import (
 )
 from spinrelay.legendre import legendre_largest_zero
 from spinrelay.qubit import stern_gerlach
-from spinrelay.rng import RandomStream, StreamRows
+from spinrelay.rng import RandomStream
 
 
 def _mean_se(samples):
@@ -637,13 +638,8 @@ class TestNspinChains:
     @pytest.mark.parametrize("mode, n_spins", [("single_qubit", 1), ("nspin_parallel", 6),
                                                ("nspin_optimal", 6), ("parallel_start", 6)])
     def test_overlap_checked_before_any_draw_or_build(self, monkeypatch, chain, mode, n_spins):
-        # every argument is checked before any density build or generated
-        # fill: the overlap, then the chain, then trials, then the stream
-        work, fill = [], StreamRows.random
-        monkeypatch.setattr(encoding, "outcome_density",
-                            lambda enc: work.append(enc.n_spins) or outcome_density(enc))
-        monkeypatch.setattr(StreamRows, "random",
-                            lambda self, size: work.append("fill") or fill(self, size))
+        # every argument is checked before any density build or generator:
+        # the overlap, then the chain, then trials, then the stream
         overlap_msg = "overlap must be 'estimate' or 'prepared'"
         bad = [({"overlap": o}, ValueError, overlap_msg) for o in ("Prepared", "both", None)]
         bad += [({"overlap": "both", "k": 0, "trials": 0, "rng": 5}, ValueError, overlap_msg),
@@ -661,30 +657,57 @@ class TestNspinChains:
             bad.append(({"n_spins": 7}, ValueError, "defined for even N >= 2, got N = 7"))
         good = {"n_spins": n_spins, "k": 2, "mode": mode, "rng": RandomStream(1),
                 "trials": 10, "phi": 0.7, "overlap": "prepared"}
+        work, generator = [], RandomStream.generator
+        monkeypatch.setattr(encoding, "outcome_density",
+                            lambda enc: work.append(enc.n_spins) or outcome_density(enc))
+        monkeypatch.setattr(RandomStream, "generator",
+                            lambda self: work.append("generator") or generator(self))
         for args, error, message in bad:
             with pytest.raises(error, match=message):
                 chain(**{**good, **args})
         assert work == []
         chain(**good)
-        assert "fill" in work
+        assert "generator" in work
 
     def test_true_directions_are_skipped_not_drawn(self, monkeypatch):
-        # per block, one tilt and one azimuth fill per observer are drawn;
-        # the true directions' two fills are passed over by counter
-        drawn, fill = [], StreamRows.random
-        monkeypatch.setattr(StreamRows, "random",
-                            lambda self, size: drawn.append(self._fills) or fill(self, size))
+        # per chunk, one tilt and one azimuth fill per observer are drawn;
+        # the true directions' two fills are passed over by counter, so the
+        # first tilt is the 3-D chain's, in chunks of odd and even rows
+        drawn, generator = [], RandomStream.generator
+
+        class Counted(np.random.Generator):
+            def random(self, size):
+                drawn[-1].append(size)
+                return super().random(size)
+
+        monkeypatch.setattr(RandomStream, "generator",
+                            lambda self: drawn.append([]) or Counted(generator(self).bit_generator))
         monkeypatch.setattr(encoding, "_CHAIN_ROWS", 7)
-        chain_dots_nspin(6, 3, "nspin_optimal", RandomStream(5), 26)
-        assert drawn == [2, 3, 4, 5, 6, 7] * 4
+        for trials, chunks in [(26, [7, 7, 7, 5]), (20, [7, 7, 6])]:
+            drawn.clear()
+            scalar = chain_dots_nspin(6, 3, "nspin_optimal", RandomStream(5), trials)
+            assert drawn == [[rows] * 6 for rows in chunks]
+            spatial = chain_dots_3d(6, 1, "nspin_optimal", RandomStream(5), trials)
+            assert np.max(np.abs(scalar[:, 0] - spatial[:, 0])) <= 1e-13
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 8, 9, 16])
+    def test_skip_lands_on_the_tilt_fill(self, rows):
+        # one chunk of any parity: advance(rows // 2) and random_raw(2 * (rows
+        # % 2)) pass over the true directions' 2 * rows words exactly, so the
+        # first tilt and azimuth are the 3-D chain's
+        for mode, n_spins, phi in [("nspin_optimal", 6, 0.0), ("single_qubit", 1, 0.7)]:
+            scalar = chain_dots_nspin(n_spins, 2, mode, RandomStream(rows), rows, phi)
+            spatial = chain_dots_3d(n_spins, 1, mode, RandomStream(rows), rows, phi)
+            assert np.max(np.abs(scalar[:, 0] - spatial[:, 0])) <= 1e-13, mode
 
     @pytest.mark.parametrize("chain", [chain_dots_nspin, chain_dots_3d])
     @pytest.mark.parametrize("mode, n_spins", [("single_qubit", 1), ("nspin_parallel", 4),
                                                ("nspin_optimal", 4), ("parallel_start", 4)])
     def test_first_columns_are_the_shorter_chain(self, chain, mode, n_spins):
-        # fills are numbered by step and each is `trials` wide, so the first
-        # j columns of a length-K chain are the length-j chain, bit for bit,
-        # in every block; a sweep reads every k from one chain of length max(k)
+        # each chunk draws its fills step by step from its own stream, so
+        # the first j columns of a length-K chain are the length-j chain, bit
+        # for bit, in every chunk; a sweep reads every k from one chain of
+        # length max(k)
         trials = 2 * encoding._CHAIN_ROWS + 5
         for phi in (0.0, 0.7):
             for overlap in ("estimate", "prepared"):
@@ -755,8 +778,8 @@ class TestScalarChainOracle:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n_spins", [2, 10, 40])
     def test_first_column_on_the_same_stream(self, mode, n_spins):
-        # 40000 trials run as three blocks; the later observers draw
-        # after column 1's fills, so they leave it alone
+        # 40000 trials run as three chunks, each on its own stream; the
+        # later observers draw after column 1's fills, so they leave it alone
         scalar = chain_dots_nspin(n_spins, 3, mode, RandomStream(13), 40_000)
         spatial = chain_dots_3d(n_spins, 1, mode, RandomStream(13), 40_000)
         assert np.max(np.abs(scalar[:, 0] - spatial[:, 0])) <= 1e-13
@@ -789,10 +812,11 @@ class TestScalarChainOracle:
 class TestDrawLayout:
     """Pins the order of the Philox draws along a chain: the true
     directions, then per observer its tilt, its azimuth and any
-    re-preparation azimuth.  Any change to that order changes every
-    seeded sweep record, so these values may only change on purpose.
-    The covariant chains follow the overlap alone, so apart from the
-    k = 1 estimate their values are not the 3-D chain's."""
+    re-preparation azimuth, in chunks of 2^14 trials, each on its own
+    stream.  Any change to that order or to the chunk size changes seeded
+    sweep records, so these values may only change on purpose.  The
+    covariant chains follow the overlap alone, so apart from the k = 1
+    estimate their values are not the 3-D chain's."""
 
     SINGLE = {
         ("covariant", "estimate"): [
@@ -820,6 +844,25 @@ class TestDrawLayout:
             [0.7013846193821514, 0.49568682807679154, 0.47675824247863186]],
     }
 
+    #: the first row of chunk 1, at row 2^14, on the stream's child(1), per
+    #: (kernel, mode, overlap)
+    CHUNK_ONE = {
+        ("3d", "nspin_optimal", "estimate"):
+            [0.9488785752604082, 0.9214981091430655, 0.6341753923880106],
+        ("nspin", "nspin_optimal", "estimate"):
+            [0.948878575260408, 0.870208278143912, 0.9013189602616937],
+        ("nspin", "nspin_parallel", "estimate"):
+            [0.6816666997403193, 0.8061247734722392, 0.8619032343759679],
+        ("nspin", "parallel_start", "estimate"):
+            [0.6816666997403193, 0.8408196238227694, 0.8883484886422501],
+        ("nspin", "single_qubit", "estimate"):
+            [0.09022150960566133, -0.9254064876742207, -0.7788163828429568],
+        ("nspin", "single_qubit", "prepared"):
+            [0.3489917043984563, -0.5678908219711771, -0.8785534008427949],
+        ("stern_gerlach", "single_qubit", "prepared"):
+            [0.3534376582322629, -0.8445581363394205, -0.2720460483254585],
+    }
+
     @pytest.mark.parametrize("scheme, overlap", sorted(SINGLE))
     def test_single_qubit_chain(self, scheme, overlap):
         if scheme == "covariant":
@@ -833,6 +876,15 @@ class TestDrawLayout:
     def test_nspin_chain(self, mode):
         dots = chain_dots_nspin(6, 3, mode, RandomStream(5), 2)
         np.testing.assert_allclose(dots, self.NSPIN[mode], rtol=1e-12)
+
+    @pytest.mark.parametrize("kernel, mode, overlap", sorted(CHUNK_ONE))
+    def test_chunk_one_row(self, kernel, mode, overlap):
+        # a literal 2^14, so that a retune of _CHAIN_ROWS fails here
+        chain = {"3d": chain_dots_3d, "nspin": chain_dots_nspin,
+                 "stern_gerlach": partial(chain_dots_3d, measure=stern_gerlach)}[kernel]
+        n_spins, phi = (1, 0.7) if mode == "single_qubit" else (6, 0.0)
+        dots = chain(n_spins, 3, mode, RandomStream(5), 2 ** 14 + 1, phi, overlap)
+        np.testing.assert_allclose(dots[-1], self.CHUNK_ONE[kernel, mode, overlap], rtol=1e-12)
 
     def test_single_spin_parallel_is_single_qubit_chain(self):
         # one kernel drawing the N = 1 tilt law with the same draws in the same order

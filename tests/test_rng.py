@@ -1,9 +1,8 @@
 """Reproducibility contracts of the RandomStream layer."""
 
 import numpy as np
-import pytest
 
-from spinrelay.rng import RandomStream, StreamRows, splitmix64
+from spinrelay.rng import RandomStream, splitmix64
 
 
 def test_same_stream_same_sequence():
@@ -56,88 +55,3 @@ def test_generator_restarts_but_passthrough_advances():
     gen = stream.generator()
     a, b = gen.random(4), gen.random(4)
     assert not np.array_equal(a, b)
-
-
-class TestStreamRows:
-    """A rows view reads the whole batch's draws at their Philox offsets."""
-
-    @staticmethod
-    def _fills(gen, sizes):
-        # random fills, the one primitive every chain step draws through
-        return [gen.random(n) for n in sizes]
-
-    @pytest.mark.parametrize("lo, hi, total", [
-        (lo, lo + 3, 13) for lo in range(10)] + [
-        (0, 13, 13), (12, 13, 13), (5, 6, 7), (0, 1, 1),
-        (65_536, 100_003, 100_003), (99_999, 100_000, 300_001)])
-    def test_fills_are_slices_of_the_batch_fills(self, lo, hi, total):
-        stream = RandomStream(42).child(3)
-        whole = self._fills(stream.generator(), [total] * 4)
-        rows = self._fills(StreamRows(stream, lo, hi, total), [hi - lo] * 4)
-        for j in range(4):
-            assert np.array_equal(rows[j], whole[j][lo:hi]), f"fill {j}"
-
-    def test_offsets_past_two_to_the_64_counter_steps(self):
-        # fill j of rows [lo, hi) starts at word j * total + lo; with
-        # total = 2^65 the third fill's counter carries into its second word
-        stream, lo, total = RandomStream(7, 11), 6, 2 ** 65
-        view = StreamRows(stream, lo, lo + 5, total)
-        for j in range(3):
-            word = j * total + lo
-            bits = stream.generator().bit_generator
-            state = bits.state
-            state["state"]["counter"] = np.array(
-                [(word // 4 >> (64 * i)) & (2 ** 64 - 1) for i in range(4)], dtype=np.uint64)
-            bits.state = state
-            bits.random_raw(word % 4)
-            expected = np.random.Generator(bits).random(5)
-            assert np.array_equal(view.random(5), expected), f"fill {j}"
-
-    def test_wrong_fill_size_raises(self):
-        view = StreamRows(RandomStream(1), 2, 5, 10)
-        for size in (10, 2, None, (3, 1)):
-            with pytest.raises(ValueError, match="fills of size 3"):
-                view.random(size)
-        # a rejected fill does not move the view on
-        assert np.array_equal(view.random(3), RandomStream(1).generator().random(10)[2:5])
-
-    @pytest.mark.parametrize("skipped", [0, 1, 2, 5])
-    def test_skip_is_discarded_fills(self, skipped):
-        # counted, not generated: the fill after a skip is the one after
-        # as many discarded fills, for a view on any rows of the batch
-        stream = RandomStream(42).child(5)
-        for lo, hi in [(0, 13), (3, 7), (12, 13)]:
-            drawn, passed = StreamRows(stream, lo, hi, 13), StreamRows(stream, lo, hi, 13)
-            drawn.random(hi - lo)
-            passed.random(hi - lo)
-            self._fills(drawn, [hi - lo] * skipped)
-            passed.skip(skipped)
-            for _ in range(2):
-                assert np.array_equal(passed.random(hi - lo), drawn.random(hi - lo)), (lo, hi)
-
-    def test_negative_skip_raises(self):
-        view = StreamRows(RandomStream(1), 2, 5, 10)
-        with pytest.raises(ValueError, match="negative number of fills, got -1"):
-            view.skip(-1)
-        # a rejected skip does not move the view on
-        assert np.array_equal(view.random(3), RandomStream(1).generator().random(10)[2:5])
-
-    @pytest.mark.parametrize("lo, hi, total", [(-1, 2, 5), (3, 3, 5), (4, 6, 5), (0, 1, 0)])
-    def test_bad_rows_raise(self, lo, hi, total):
-        with pytest.raises(ValueError, match="lo < hi <= total"):
-            StreamRows(RandomStream(1), lo, hi, total)
-
-
-def test_rows_view_builds_one_philox(monkeypatch):
-    # each fill re-positions the view's Philox instead of building a new one
-    built = []
-    philox = RandomStream._philox
-    monkeypatch.setattr(RandomStream, "_philox",
-                        lambda self: built.append(self) or philox(self))
-    stream = RandomStream(4, 2)
-    view = StreamRows(stream, 5, 9, 20)
-    fills = [view.random(4) for _ in range(3)]
-    assert len(built) == 1
-    gen = stream.generator()
-    expected = [gen.random(20)[5:9] for _ in range(3)]
-    assert all(np.array_equal(f, e) for f, e in zip(fills, expected))

@@ -10,7 +10,7 @@ import pytest
 from spinrelay import encoding
 from spinrelay.encoding import chain_dots_3d, chain_dots_nspin
 from spinrelay.qubit import stern_gerlach
-from spinrelay.rng import RandomStream, StreamRows
+from spinrelay.rng import RandomStream
 from spinrelay.sphere import rotate_towards, sample_cos_tilt, sample_uniform_sphere, tilt_step
 
 # one-sample Kolmogorov-Smirnov critical value at the 1% level
@@ -40,8 +40,7 @@ class TestUniformSphere:
 class TestRandomPrimitive:
     """The 3-D samplers draw through ``gen.random`` alone.  Their lower +
     range u is ``Generator.uniform``'s arithmetic, so they give the bits of
-    the same samplers written with ``uniform``, on a generator and through
-    a StreamRows view of the same stream."""
+    the same samplers written with ``uniform`` on the same stream."""
 
     @staticmethod
     def _with_uniform(gen, tilts):
@@ -69,16 +68,6 @@ class TestRandomPrimitive:
         for drawn, expected in zip(self._with_random(stream.generator(), tilts),
                                    self._with_uniform(stream.generator(), tilts)):
             assert np.array_equal(drawn, expected)
-
-    @pytest.mark.parametrize("lo, hi, total", [(0, 7, 26), (5, 13, 26), (25, 26, 26),
-                                               (65_536, 100_003, 100_003)])
-    def test_stream_rows(self, lo, hi, total):
-        stream = RandomStream(8).child(2)
-        tilts = RandomStream(9).generator().uniform(-1.0, 1.0, total)
-        whole = self._with_uniform(stream.generator(), tilts)
-        rows = self._with_random(StreamRows(stream, lo, hi, total), tilts[lo:hi])
-        for drawn, expected in zip(rows, whole):
-            assert np.array_equal(drawn, expected[lo:hi])
 
 
 class TestCosTilt:
@@ -294,9 +283,9 @@ class TestKernelOracle:
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, _column_major])
     @pytest.mark.parametrize("rows", [0, 1, 6, 7, 8, 3 * 7 + 5])
     def test_block_edges(self, batch, layout, rows):
-        # a chain block's rows get the bits that the whole batch gives
-        # them; near-x rows at rows 5..12, and row 3 is just within the
-        # unit-norm tolerance
+        # the leading rows of a batch get the bits that the whole batch
+        # gives them, so no row depends on the rows after it; near-x rows
+        # at rows 5..12, and row 3 is just within the unit-norm tolerance
         axes, tilts, azimuths = batch
         whole = np.concatenate([axes[:5], _near_x_rows(), axes[5:26 - 8]])
         whole[3:4] *= 1.0 - 0.95e-9
@@ -309,32 +298,69 @@ class TestKernelOracle:
 
 
 class TestChainBlocks:
-    """Chains run in blocks of _CHAIN_ROWS trials; every block reads the
-    draws that one whole-batch run gives its rows."""
+    """Chains run in chunks of _CHAIN_ROWS trials; chunk c draws from the
+    chain's stream when c = 0 and from its child(c) when c >= 1."""
 
-    SINGLE = [(chain, overlap)
-              for chain in (chain_dots_nspin, partial(chain_dots_3d, measure=stern_gerlach))
-              for overlap in ("estimate", "prepared")]
-    NSPIN = ["nspin_parallel", "nspin_optimal", "parallel_start"]
+    MODES = [("single_qubit", 1), ("nspin_parallel", 6), ("nspin_optimal", 6),
+             ("parallel_start", 6)]
+    CHAINS = [(chain, mode, n_spins)
+              for mode, n_spins in MODES for chain in (chain_dots_nspin, chain_dots_3d)]
+    CHAINS.append((partial(chain_dots_3d, measure=stern_gerlach), "single_qubit", 1))
 
-    @staticmethod
-    def _chains(trials):
-        runs = [chain(1, 3, "single_qubit", RandomStream(8), trials, 0.7, overlap)
-                for chain, overlap in TestChainBlocks.SINGLE]
-        runs += [chain_dots_nspin(6, 3, mode, RandomStream(8), trials)
-                 for mode in TestChainBlocks.NSPIN]
-        return runs
-
-    @pytest.mark.parametrize("trials", [1, 6, 7, 8, 26])
+    @pytest.mark.parametrize("trials", [1, 6, 7, 8, 13, 14, 15, 21, 26])
     def test_block_edges(self, monkeypatch, trials):
-        whole = self._chains(trials)
+        # in chunks of 7 rows, chunk c is the one-chunk chain of its rows
+        # on its own stream, as the real chunk size runs it
+        stream = RandomStream(8)
+        cases = [(spec, phi, overlap) for spec in self.CHAINS
+                 for phi in (0.0, 0.7) for overlap in ("estimate", "prepared")]
+
+        def run(spec, phi, overlap, stream, trials):
+            chain, mode, n_spins = spec
+            return chain(n_spins, 3, mode, stream, trials, phi, overlap)
+
+        expected = [np.concatenate([run(*case, stream.child(c) if c else stream,
+                                        min(7, trials - lo))
+                                    for c, lo in enumerate(range(0, trials, 7))])
+                    for case in cases]
         monkeypatch.setattr(encoding, "_CHAIN_ROWS", 7)
-        for one_block, blocked in zip(whole, self._chains(trials)):
-            assert blocked.shape == (trials, 3)
-            assert np.array_equal(blocked, one_block)
+        for case, chunks in zip(cases, expected):
+            chunked = run(*case, stream, trials)
+            assert chunked.shape == (trials, 3)
+            assert np.array_equal(chunked, chunks), case
+
+    @pytest.mark.parametrize("trials", [1, 7, 8, 26])
+    def test_each_chunk_starts_its_own_stream(self, monkeypatch, trials):
+        # chunk c's first fills are its true directions, drawn from the start
+        # of the chain's stream (c = 0) or of its child(c) (c >= 1)
+        seen, stream = [], RandomStream(10)
+
+        def measure(state, gen):
+            seen.append(state.copy())
+            return state
+
+        monkeypatch.setattr(encoding, "_CHAIN_ROWS", 7)
+        chain_dots_3d(1, 1, "single_qubit", stream, trials, measure=measure)
+        expected = [sample_uniform_sphere((stream.child(c) if c else stream).generator(),
+                                          min(7, trials - lo))
+                    for c, lo in enumerate(range(0, trials, 7))]
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("chain", [chain_dots_nspin, chain_dots_3d])
+    @pytest.mark.parametrize("mode, n_spins", MODES)
+    def test_more_trials_extend_whole_chunks(self, chain, mode, n_spins):
+        # a cell's whole chunks keep their rows when it runs more trials
+        rows = encoding._CHAIN_ROWS
+        stream = RandomStream(9).child(n_spins)
+        longer = chain(n_spins, 2, mode, stream, 3 * rows + 7, 0.7, "prepared")
+        assert np.array_equal(longer[:2 * rows],
+                              chain(n_spins, 2, mode, stream, 2 * rows, 0.7, "prepared"))
 
     def test_dots_are_column_major(self):
-        for dots in self._chains(26):
+        for chain, mode, n_spins in self.CHAINS:
+            dots = chain(n_spins, 3, mode, RandomStream(8), 26, 0.7)
             assert all(dots[:, j].flags.c_contiguous for j in range(3))
 
     @pytest.mark.parametrize("rng", [8, np.int64(8), RandomStream(8).generator(), None])

@@ -204,6 +204,44 @@ class TestRunSweep:
         threaded = records_to_bytes(run_sweep(SweepConfig(**cfg, workers=4)), "csv")
         assert base == again == threaded
 
+    #: seed-1 cells of at most _CHAIN_ROWS trials, with their (N, k, mc_mean,
+    #: mc_stderr) as computed before chunk streams; the first are the
+    #: optimal_tables cells
+    ONE_CHUNK = {
+        "optimal_tables": (SweepConfig("nspin_optimal", (160, 280), (1,), trials=10_000, seed=1), [
+            (160, 1, 0.9995559473818788, 1.5231256919366546e-05),
+            (280, 1, 0.999859113044693, 2.882132259995248e-06)]),
+        "single_qubit": (SweepConfig("single_qubit", (1,), (1, 2, 3), phi=0.7, trials=2 ** 14,
+                                     seed=1), [
+            (1, 1, 0.32933522280314387, 0.003690992904176774),
+            (1, 2, 0.07900099445263656, 0.0044625361076529885),
+            (1, 3, 0.017273677265021055, 0.004502379444877396)]),
+        "nspin_parallel": (SweepConfig("nspin_parallel", (2, 4), (1, 3), trials=10_000, seed=1), [
+            (2, 1, 0.4982481908933318, 0.003842050259603766),
+            (2, 3, 0.12799745038418578, 0.005688664278391162),
+            (4, 1, 0.6664840842926028, 0.0028395806264244904),
+            (4, 3, 0.29109567103875617, 0.005113766081233822)]),
+        "nspin_optimal": (SweepConfig("nspin_optimal", (2, 4), (1, 3), trials=10_000, seed=1), [
+            (2, 1, 0.5753487621004005, 0.003668716102155748),
+            (2, 3, 0.1912081226276777, 0.005474763325614655),
+            (4, 1, 0.7700635830222322, 0.0024700943161933223),
+            (4, 3, 0.4605247564504698, 0.004456910905401712)]),
+        "parallel_start": (SweepConfig("parallel_start", (2, 4), (2, 3), trials=10_000, seed=1), [
+            (2, 2, 0.2925800891017737, 0.005171306775313097),
+            (2, 3, 0.17863038733945358, 0.0055829845136261495),
+            (4, 2, 0.5133346153313403, 0.0039918942571043866),
+            (4, 3, 0.3938782083096823, 0.004667283327358933)]),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(ONE_CHUNK))
+    def test_one_chunk_records_keep_their_bytes(self, cell):
+        # a cell of at most _CHAIN_ROWS trials runs as one chunk on its own
+        # stream, from its start, under any chunk layout
+        cfg, expected = self.ONE_CHUNK[cell]
+        assert cfg.trials <= _CHAIN_ROWS
+        assert [(r["N"], r["k"], r["mc_mean"], r["mc_stderr"])
+                for r in run_sweep(cfg)] == expected
+
     @pytest.mark.parametrize("mode, n_values, phi", [
         ("single_qubit", (1,), 0.7), ("nspin_parallel", (2, 4), 0.0),
         ("nspin_optimal", (2, 4), 0.0), ("parallel_start", (2, 4), 0.0)])
