@@ -8,14 +8,16 @@ exactly 3^-k, i.e. the fidelity decays exponentially in the observer's
 position -- but it never reaches the random-guessing floor of 1/2.
 
 The script checks the closed form against seeded Monte Carlo and shows
-that a Stern-Gerlach realization (random axis, two outcomes) produces the
-same statistics as the continuous covariant POVM.
+that a Stern-Gerlach realization (random axis, two outcomes, by the Born
+rule) produces the same statistics as the continuous covariant POVM: both
+run on one chain kernel, and only the sampler of each observer's tilt
+differs.
 """
 
 import numpy as np
 
-from spinrelay import (RandomStream, analytic_delta, chain_dots_3d, chain_dots_nspin,
-                       fidelity_from_delta, stern_gerlach)
+from spinrelay import (RandomStream, analytic_delta, chain_dots_nspin, fidelity_from_delta,
+                       stern_gerlach)
 
 TRIALS = 200_000
 K_MAX = 6
@@ -25,7 +27,7 @@ print(f"{'k':>2} {'F_k closed form':>16} {'F_k covariant MC':>18} "
       f"{'F_k Stern-Gerlach':>18} {'z_cov':>6}")
 
 cov = chain_dots_nspin(1, K_MAX, "single_qubit", RandomStream(1), TRIALS)
-sg = chain_dots_3d(1, K_MAX, "single_qubit", RandomStream(2), TRIALS, measure=stern_gerlach)
+sg = chain_dots_nspin(1, K_MAX, "single_qubit", RandomStream(2), TRIALS, measure=stern_gerlach)
 
 for k in range(1, K_MAX + 1):
     exact = fidelity_from_delta(analytic_delta("single_qubit", 1, k))

@@ -11,7 +11,6 @@ from .encoding import (
     EncodingSpec,
     OutcomeDensity,
     analytic_delta,
-    chain_dots_3d,
     chain_dots_nspin,
     chain_laws,
     classical_threshold,

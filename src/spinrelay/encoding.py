@@ -15,12 +15,11 @@ Two families are covered:
 
 Per-observer shrink factors multiply along a chain.  :func:`chain_laws`
 lists the steps of every chain the CLI names, as runs of equal steps;
-:func:`analytic_delta` multiplies their factors, :func:`chain_dots_nspin`
-runs them as the scalar overlap chain of every covariant mode, and
-:func:`chain_dots_3d` as the 3-D chain of directions, the oracle, which
-also runs the Stern-Gerlach measurement of :mod:`spinrelay.qubit`.  Both
-take their checks, their steps and their chunks, each drawing from its own
-stream, from one set-up.
+:func:`analytic_delta` multiplies their factors, and
+:func:`chain_dots_nspin`, the one chain kernel, runs them as the scalar
+Markov chain of the overlap, in chunks that each draw from their own
+stream.  Its ``measure`` swaps every step's tilt sampler for another
+``(gen, size)`` sampler, such as :func:`spinrelay.qubit.stern_gerlach`.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from numpy.polynomial import legendre as npleg
 
 from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
 from .rng import RandomStream
-from .sphere import sample_cos_tilt, sample_uniform_sphere, tilt_step
+from .sphere import sample_cos_tilt
 
 #: the observer chains; a sweep cell's random substream follows this order
 MODES = ("single_qubit", "nspin_parallel", "nspin_optimal", "parallel_start")
@@ -359,15 +358,16 @@ def analytic_delta(mode: str, n_spins: int, k: int, phi: float = 0.0) -> float:
 
 def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overlap: str,
            consume=None):
-    """Both chain kernels' set-up: check the overlap, the chain
-    (:func:`chain_laws`), ``trials`` and the RandomStream ``rng`` before any
-    draw or density build; allocate the column-major (trials, k) overlaps, or
-    with ``consume`` one chunk's, which every chunk reuses and then hands to
-    ``consume(block)``; return them, each observer's (tilt sampler, hand-on
-    offset), whether the handed-on state's overlap is recorded, and the lazy
-    chunks of at most _CHAIN_ROWS rows, each with a fresh Generator: chunk 0
-    draws from ``rng`` and chunk c >= 1 from ``rng.child(c)``.  A sampler
-    takes ``(gen, size)``; the optimal one builds its density on first use."""
+    """The set-up of :func:`chain_dots_nspin` and of its 3-D test oracle:
+    check the overlap, the chain (:func:`chain_laws`), ``trials`` and the
+    RandomStream ``rng`` before any draw or density build; allocate the
+    column-major (trials, k) overlaps, or with ``consume`` one chunk's, which
+    every chunk reuses and then hands to ``consume(block)``; return them,
+    each observer's (tilt sampler, hand-on offset), whether the handed-on
+    state's overlap is recorded, and the lazy chunks of at most _CHAIN_ROWS
+    rows, each with a fresh Generator: chunk 0 draws from ``rng`` and chunk
+    c >= 1 from ``rng.child(c)``.  A sampler takes ``(gen, size)``; the
+    optimal one builds its density on first use."""
     if overlap not in ("estimate", "prepared"):
         raise ValueError("overlap must be 'estimate' or 'prepared'")
     laws = chain_laws(mode, n_spins, k, phi)
@@ -438,8 +438,8 @@ def _turn(c, x, gen, out: np.ndarray) -> np.ndarray:
     """c x + sqrt((1 - c^2)(1 - x^2)) cos psi into ``out``, with psi = 2 pi u
     for a ``gen.random`` draw u: the overlap of a direction at overlap c,
     tilted by x at a uniform azimuth.  cos psi comes from the table of
-    :func:`_cos_2pi`, and u is the fill that the 3-D chain's
-    :func:`~spinrelay.sphere.tilt_step` turns into its azimuth 2 pi u."""
+    :func:`_cos_2pi`, and u is the fill that the 3-D oracle chain's tilt
+    step turns into its azimuth 2 pi u."""
     cos_psi = _cos_2pi(gen.random(out.shape[0]))
     s = (1.0 - c * c) * (1.0 - x * x)
     np.multiply(c, x, out=out)
@@ -448,22 +448,25 @@ def _turn(c, x, gen, out: np.ndarray) -> np.ndarray:
 
 
 def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int,
-                     phi: float = 0.0, overlap: str = "estimate", consume=None) -> np.ndarray:
+                     phi: float = 0.0, overlap: str = "estimate", consume=None,
+                     measure=None) -> np.ndarray:
     """Vectorized covariant observer chains of any mode from the RandomStream
     ``rng``; (trials, k) column-major overlaps with the true direction of each
     observer's estimate, or with ``overlap="prepared"`` of the state it hands
     on; with ``consume``, the block buffer that :func:`_chain` hands to it.
+    A ``measure`` sampler ``(gen, size)``, such as
+    :func:`spinrelay.qubit.stern_gerlach`, replaces every step's tilt sampler.
 
     The overlap alone is a Markov chain: a tilt by x at azimuth psi takes
     c to c x + sqrt((1 - c^2)(1 - x^2)) cos psi, from c = 1, and a nonzero
     hand-on offset is one more such step, with x = cos(offset), and each
     step takes cos psi from the table of :func:`_cos_2pi`, with no libm call.
-    Each chunk of :func:`_chain` reads the 3-D chain's fills: it passes
-    over the true directions' two, which the overlap does not use, by
-    advancing its fresh Philox 2 * rows words, so that every later fill
+    Each chunk of :func:`_chain` reads the fills of the 3-D oracle chain: it
+    passes over the true directions' two, which the overlap does not use,
+    by advancing its fresh Philox 2 * rows words, so that every later fill
     keeps its words and every k = 1 estimate is the 3-D chain's to
-    rounding; then per observer it draws its tilt, its azimuth and any
-    re-preparation azimuth."""
+    rounding; then per observer it draws its tilt (two fills for the
+    Stern-Gerlach sampler), its azimuth and any re-preparation azimuth."""
     dots, steps, prepared, blocks = _chain(n_spins, k, mode, rng, trials, phi, overlap, consume)
     for block, gen in blocks:
         rows = block.shape[0]
@@ -474,38 +477,10 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int,
         c = 1.0
         for j, (sample, offset) in enumerate(steps):
             tracked = block[:, j]
-            est = _turn(c, sample(gen, rows), gen,
+            est = _turn(c, (measure or sample)(gen, rows), gen,
                         np.empty(rows) if offset and prepared else tracked)
             c = est if offset == 0.0 else _turn(est, math.cos(offset), gen,
                                                 tracked if prepared else np.empty(rows))
-    return dots
-
-
-def chain_dots_3d(n_spins: int, k: int, mode: str, rng, trials: int, phi: float = 0.0,
-                  overlap: str = "estimate", measure=None) -> np.ndarray:
-    """The 3-D twin of :func:`chain_dots_nspin`, with its arguments and
-    output, plus ``measure``: each observer estimates the direction by tilting the state it
-    is handed by a draw from its step's law at a uniform azimuth, or by
-    ``measure(state, gen)`` when given, and hands on that estimate turned
-    by its offset angle at a uniform azimuth; a zero offset hands on the
-    estimate itself and draws nothing.
-
-    It runs the same :func:`chain_laws` steps in the same chunks and makes
-    the same fills in the same order: the true directions, then per
-    observer its tilt draw (or the measurement's), its azimuth and any
-    re-preparation azimuth.  With ``measure=qubit.stern_gerlach`` it runs
-    the Stern-Gerlach chain, and it is the test oracle of the scalar chain."""
-    dots, steps, prepared, blocks = _chain(n_spins, k, mode, rng, trials, phi, overlap)
-    for block, gen in blocks:
-        rows = block.shape[0]
-        state = true_dirs = sample_uniform_sphere(gen, rows)
-        for j, (sample, offset) in enumerate(steps):
-            if measure is None:
-                est = tilt_step(state, sample(gen, rows), gen)
-            else:
-                est = measure(state, gen)
-            state = est if offset == 0.0 else tilt_step(est, math.cos(offset), gen)
-            block[:, j] = np.sum((state if prepared else est) * true_dirs, axis=-1)
     return dots
 
 

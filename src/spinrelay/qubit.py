@@ -17,11 +17,11 @@ overlap eta^k with n, eta = cos(phi)/3, as if a depolarizing channel
 shrank the Bloch vector k times; observer k's guess has mean overlap
 (1/3) eta^(k-1), one covariant measurement of the state handed to it.
 
-The covariant chain is ``chain_dots_nspin(1, k, "single_qubit", rng,
-trials, phi, overlap)``, the scalar overlap recurrence of
-:mod:`spinrelay.encoding`; the Stern-Gerlach chain is ``chain_dots_3d(1,
-k, "single_qubit", rng, trials, phi, overlap, measure=stern_gerlach)``,
-the 3-D twin and the covariant chain's oracle.
+Both chains are the scalar overlap recurrence of :mod:`spinrelay.encoding`:
+the covariant chain is ``chain_dots_nspin(1, k, "single_qubit", rng,
+trials, phi, overlap)``, and the Stern-Gerlach chain the same call with
+``measure=stern_gerlach``, which draws every observer's tilt by the Born
+rule in place of the inverse CDF.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .sphere import sample_uniform_sphere
 
 
 def disturbance_constant(phi: float) -> float:
@@ -53,12 +51,11 @@ def eta_from_c(c: float) -> float:
     return (c - 1.0) / 3.0
 
 
-def stern_gerlach(state_dirs: np.ndarray, gen) -> np.ndarray:
-    """Stern-Gerlach observer: a uniformly random axis m, outcome +- with
-    probability (1 +- m . state)/2, and the outcome direction as estimate.
-    Marginally this reproduces the covariant observer."""
-    n = state_dirs.shape[0]
-    axes = sample_uniform_sphere(gen, n)
-    p_plus = 0.5 * (1.0 + np.sum(axes * state_dirs, axis=-1))
-    axes *= np.where(gen.random(n) < p_plus, 1.0, -1.0)[:, None]
-    return axes
+def stern_gerlach(gen, size: int) -> np.ndarray:
+    """Tilt cosines of ``size`` Stern-Gerlach estimates, by the Born rule: a
+    uniformly random axis at overlap y = 2u - 1 with the state, for a
+    ``gen.random`` draw u, and outcome + when the next draw is below
+    (1 + y)/2, give the estimate's overlap x = +-y, of density (1 + x)/2:
+    the N = 1 tilt law, so the covariant observer, from two fills."""
+    y = 2.0 * gen.random(size) - 1.0
+    return np.where(gen.random(size) < 0.5 * (1.0 + y), y, -y)

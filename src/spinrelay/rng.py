@@ -15,9 +15,9 @@ depends only on its identity, never on scheduling order.
 
 A chain of many trials runs in chunks: chunk 0 draws from the chain's
 stream and chunk c >= 1 from its ``child(c)``, each from the start, so a
-chunk's draws depend on its index and size only.  Every sampler of
-:mod:`spinrelay.sphere` and :mod:`spinrelay.encoding` draws through one
-primitive, ``random(size)``, one double per Philox word.
+chunk's draws depend on its index and size only.  Every tilt sampler, of
+:mod:`spinrelay.sphere`, :mod:`spinrelay.qubit` and :mod:`spinrelay.encoding`,
+draws through one primitive, ``random(size)``, one double per Philox word.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from spinrelay.cli import main
 from spinrelay.encoding import (
     EncodingSpec,
     analytic_delta,
-    chain_dots_3d,
     chain_dots_nspin,
     chain_laws,
     classical_threshold,
@@ -29,6 +28,9 @@ from spinrelay.encoding import (
 from spinrelay.legendre import legendre_largest_zero
 from spinrelay.qubit import stern_gerlach
 from spinrelay.rng import RandomStream
+
+import chain3d
+from chain3d import chain_dots_3d
 
 
 def _mean_se(samples):
@@ -808,6 +810,22 @@ class TestScalarChainOracle:
         spatial = chain_dots_3d(1, 3, "single_qubit", stream.child(1), trials, phi, overlap)
         self._assert_same_law(scalar, spatial)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    @pytest.mark.parametrize("overlap", ["estimate", "prepared"])
+    def test_stern_gerlach_law_on_independent_streams(self, phi, overlap):
+        # the scalar Born-rule sampler against the 3-D random-axis
+        # measurement, with criterion 3's two-sample z-gate on the means
+        trials = 400_000
+        stream = RandomStream(17).child(int(phi != 0.0)).child(int(overlap == "prepared"))
+        scalar = chain_dots_nspin(1, 3, "single_qubit", stream.child(0), trials, phi, overlap,
+                                  measure=stern_gerlach)
+        spatial = chain_dots_3d(1, 3, "single_qubit", stream.child(1), trials, phi, overlap,
+                                measure=chain3d.stern_gerlach)
+        for j in range(3):
+            (m1, s1), (m2, s2) = _mean_se(scalar[:, j]), _mean_se(spatial[:, j])
+            z = (m1 - m2) / math.hypot(s1, s2)
+            assert abs(z) <= 3.0, (j + 1, z)
+
 
 class TestDrawLayout:
     """Pins the order of the Philox draws along a chain: the true
@@ -831,6 +849,14 @@ class TestDrawLayout:
         ("stern_gerlach", "prepared"): [
             [0.8617527906958433, 0.2614382068973332, -0.6450513613288908],
             [-0.5018892302632862, 0.28442956004753206, -0.4210526047295486]],
+        # the scalar kernel's Born-rule sampler: two fills per tilt, y and
+        # the sign, after the skip of the true directions' two
+        ("stern_gerlach_scalar", "estimate"): [
+            [0.5020023350886931, 0.8767282576679929, 0.2810925822646397],
+            [-0.3551814196794054, -0.5794620897408176, -0.6695076274414041]],
+        ("stern_gerlach_scalar", "prepared"): [
+            [0.8369567714504937, 0.847663539989309, -0.291802007914602],
+            [-0.2318287245631308, -0.8502704961914771, -0.08002031246677738]],
     }
     NSPIN = {
         "nspin_parallel": [
@@ -861,15 +887,20 @@ class TestDrawLayout:
             [0.3489917043984563, -0.5678908219711771, -0.8785534008427949],
         ("stern_gerlach", "single_qubit", "prepared"):
             [0.3534376582322629, -0.8445581363394205, -0.2720460483254585],
+        ("stern_gerlach_scalar", "single_qubit", "prepared"):
+            [0.7082883786414325, -0.42970497900850024, -0.48799858108573835],
     }
 
     @pytest.mark.parametrize("scheme, overlap", sorted(SINGLE))
     def test_single_qubit_chain(self, scheme, overlap):
         if scheme == "covariant":
             dots = chain_dots_nspin(1, 3, "single_qubit", RandomStream(5), 2, 0.7, overlap)
+        elif scheme == "stern_gerlach_scalar":
+            dots = chain_dots_nspin(1, 3, "single_qubit", RandomStream(5), 2, 0.7, overlap,
+                                    measure=stern_gerlach)
         else:
             dots = chain_dots_3d(1, 3, "single_qubit", RandomStream(5), 2, 0.7, overlap,
-                                 stern_gerlach)
+                                 chain3d.stern_gerlach)
         np.testing.assert_allclose(dots, self.SINGLE[scheme, overlap], rtol=1e-12)
 
     @pytest.mark.parametrize("mode", sorted(NSPIN))
@@ -881,7 +912,8 @@ class TestDrawLayout:
     def test_chunk_one_row(self, kernel, mode, overlap):
         # a literal 2^14, so that a retune of _CHAIN_ROWS fails here
         chain = {"3d": chain_dots_3d, "nspin": chain_dots_nspin,
-                 "stern_gerlach": partial(chain_dots_3d, measure=stern_gerlach)}[kernel]
+                 "stern_gerlach": partial(chain_dots_3d, measure=chain3d.stern_gerlach),
+                 "stern_gerlach_scalar": partial(chain_dots_nspin, measure=stern_gerlach)}[kernel]
         n_spins, phi = (1, 0.7) if mode == "single_qubit" else (6, 0.0)
         dots = chain(n_spins, 3, mode, RandomStream(5), 2 ** 14 + 1, phi, overlap)
         np.testing.assert_allclose(dots[-1], self.CHUNK_ONE[kernel, mode, overlap], rtol=1e-12)

@@ -7,9 +7,12 @@ import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
-from spinrelay.encoding import analytic_delta, chain_dots_3d, chain_dots_nspin, fidelity_from_delta
+from spinrelay.encoding import analytic_delta, chain_dots_nspin, fidelity_from_delta
 from spinrelay.qubit import disturbance_constant, eta_from_c, stern_gerlach
 from spinrelay.rng import RandomStream
+
+import chain3d
+from chain3d import chain_dots_3d
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
@@ -114,7 +117,7 @@ class TestKrausFamily:
 
 def _sg_on_z(rows, seed):
     """Stern-Gerlach estimates of ``rows`` +z states."""
-    return stern_gerlach(np.tile(Z_HAT, (rows, 1)), RandomStream(seed).generator())
+    return chain3d.stern_gerlach(np.tile(Z_HAT, (rows, 1)), RandomStream(seed).generator())
 
 
 class TestObservers:
@@ -132,8 +135,10 @@ class TestObservers:
             est, prep = self._both(chain, 0.0, k=3)
             np.testing.assert_array_equal(prep, est)
         est, prep = (chain_dots_3d(1, 3, "single_qubit", RandomStream(3), 1000, 0.0, overlap,
-                                   stern_gerlach)
+                                   chain3d.stern_gerlach)
                      for overlap in ("estimate", "prepared"))
+        np.testing.assert_array_equal(prep, est)
+        est, prep = self._both(partial(chain_dots_nspin, measure=stern_gerlach), 0.0, k=3)
         np.testing.assert_array_equal(prep, est)
 
     def test_covariant_worst_prepare_flips(self):
@@ -170,12 +175,39 @@ class TestObservers:
 
     def test_sg_aligned_axis_forces_plus(self, monkeypatch):
         # when the random axis coincides with the state the outcome is + surely
-        import spinrelay.qubit as qubit_mod
-        monkeypatch.setattr(qubit_mod, "sample_uniform_sphere",
+        monkeypatch.setattr(chain3d, "sample_uniform_sphere",
                             lambda gen, size=None: np.tile(Z_HAT, (size, 1)))
         gen = RandomStream(15).generator()
-        est = stern_gerlach(np.tile(Z_HAT, (500, 1)), gen)
+        est = chain3d.stern_gerlach(np.tile(Z_HAT, (500, 1)), gen)
         np.testing.assert_array_equal(est, np.tile(Z_HAT, (500, 1)))
+
+
+class TestSternGerlachSampler:
+    """The scalar Stern-Gerlach sampler: the tilt cosine x = s y of a random
+    axis at overlap y = 2u - 1 with the state, signed s = +1 by the Born rule."""
+
+    def test_born_rule_on_given_fills(self):
+        # the first fill gives y, the second the sign: + when u < (1 + y)/2
+        class Fills:
+            def __init__(self, *fills):
+                self.fills = list(fills)
+
+            def random(self, size):
+                return np.array(self.fills.pop(0))[:size]
+
+        gen = Fills([0.75, 0.25, 0.75, 0.0, 1.0 - 2.0 ** -53], [0.6, 0.9, 0.75, 0.0, 0.5])
+        x = stern_gerlach(gen, 5)
+        np.testing.assert_array_equal(x, [0.5, 0.5, -0.5, 1.0, 1.0 - 2.0 ** -52])
+        assert gen.fills == []
+
+    def test_law(self):
+        # density (1 + x)/2, the N = 1 tilt law: mean 1/3 and P(x < 0) = 1/4
+        x = stern_gerlach(RandomStream(34).generator(), 10 ** 6)
+        mean, se = _mean_se(x)
+        assert abs(mean - 1.0 / 3.0) < 3 * se
+        below = np.mean(x < 0.0)
+        assert abs(below - 0.25) < 3 * math.sqrt(0.25 * 0.75 / x.size)
+        assert np.all(np.abs(x) <= 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +222,12 @@ class TestChainStructure:
 
     def test_validation(self):
         # the chain length is chain_laws' to check, for either measurement
-        for measure in (None, stern_gerlach):
+        for measure in (None, chain3d.stern_gerlach):
             with pytest.raises(ValueError, match="chain length must be >= 1"):
                 chain_dots_3d(1, 0, "single_qubit", RandomStream(1), 100, measure=measure)
-        with pytest.raises(ValueError, match="chain length must be >= 1"):
-            chain_dots_nspin(1, 0, "single_qubit", RandomStream(1), 100)
+        for measure in (None, stern_gerlach):
+            with pytest.raises(ValueError, match="chain length must be >= 1"):
+                chain_dots_nspin(1, 0, "single_qubit", RandomStream(1), 100, measure=measure)
         with pytest.raises(ValueError, match="single_qubit mode runs at N = 1 only"):
             chain_dots_nspin(2, 1, "single_qubit", RandomStream(1), 100)
         with pytest.raises(ValueError, match="overlap must be"):
@@ -246,7 +279,7 @@ class TestChainStatistics:
     def test_scheme_equivalence(self):
         cov = chain_dots_nspin(1, 4, "single_qubit", RandomStream(31), 100_000)
         sg = chain_dots_3d(1, 4, "single_qubit", RandomStream(32), 100_000,
-                           measure=stern_gerlach)
+                           measure=chain3d.stern_gerlach)
         for k in range(1, 5):
             m1, s1 = _mean_se(cov[:, k - 1])
             m2, s2 = _mean_se(sg[:, k - 1])
@@ -254,7 +287,8 @@ class TestChainStatistics:
             assert abs(z) <= 3.0, f"k={k}: SG and covariant disagree, z={z:+.2f}"
 
     def test_dots_and_fidelities_in_range(self):
-        for chain in (chain_dots_nspin, partial(chain_dots_3d, measure=stern_gerlach)):
+        for chain in (chain_dots_nspin, partial(chain_dots_nspin, measure=stern_gerlach),
+                      partial(chain_dots_3d, measure=chain3d.stern_gerlach)):
             for phi in (0.0, 2.0):
                 dots = chain(1, 3, "single_qubit", RandomStream(33), 5000, phi)
                 assert np.all(np.abs(dots) <= 1.0 + 1e-12)

@@ -1,4 +1,5 @@
-"""Sphere sampling laws and the tilt-rotation primitive."""
+"""The parallel tilt law, and the sphere sampling and tilt rotation of the
+3-D oracle chain."""
 
 from functools import partial
 import re
@@ -8,10 +9,13 @@ import numpy as np
 import pytest
 
 from spinrelay import encoding
-from spinrelay.encoding import chain_dots_3d, chain_dots_nspin
+from spinrelay.encoding import chain_dots_nspin
 from spinrelay.qubit import stern_gerlach
 from spinrelay.rng import RandomStream
-from spinrelay.sphere import rotate_towards, sample_cos_tilt, sample_uniform_sphere, tilt_step
+from spinrelay.sphere import sample_cos_tilt
+
+import chain3d
+from chain3d import chain_dots_3d, rotate_towards, sample_uniform_sphere, tilt_step
 
 # one-sample Kolmogorov-Smirnov critical value at the 1% level
 KS_CRIT_1PCT = 1.62762
@@ -305,7 +309,8 @@ class TestChainBlocks:
              ("parallel_start", 6)]
     CHAINS = [(chain, mode, n_spins)
               for mode, n_spins in MODES for chain in (chain_dots_nspin, chain_dots_3d)]
-    CHAINS.append((partial(chain_dots_3d, measure=stern_gerlach), "single_qubit", 1))
+    CHAINS.append((partial(chain_dots_3d, measure=chain3d.stern_gerlach), "single_qubit", 1))
+    CHAINS.append((partial(chain_dots_nspin, measure=stern_gerlach), "single_qubit", 1))
 
     @pytest.mark.parametrize("trials", [1, 6, 7, 8, 13, 14, 15, 21, 26])
     def test_block_edges(self, monkeypatch, trials):
