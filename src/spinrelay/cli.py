@@ -1,15 +1,18 @@
 """Command-line driver.
 
-Subcommands: ``analytic`` (closed forms), ``mc`` (one Monte Carlo cell),
-``sweep`` (grid of cells with z-scores, from flags or a key=value config
-file), ``encode`` (optimal-encoding coefficients), ``selftest`` (the
-acceptance suite).  Output is CSV (RFC-4180, 17 significant digits) or
-JSON lines.
+Subcommands: ``analytic`` (closed forms), ``sweep`` (grid of cells with
+z-scores, from flags or a key=value config file), ``mc`` (a sweep of one
+N and one k whose z-gate never fails), ``encode`` (optimal-encoding
+coefficients), ``selftest`` (the acceptance suite).  The first three take
+their flags from one table and merge them one way: defaults, then
+``--config``, then the command line.  Every subcommand writes through
+``records_to_bytes``: CSV (RFC-4180, 17 significant digits) or JSONL.
 
 Exit codes: 0 ok, 1 a z-gate or acceptance criterion failed, 2 usage
 error (including a config or output path that cannot be read or
 written, and a count too large to index or allocate), 3 numerical
-failure (a routine that did not converge).
+failure (a routine that did not converge).  Errors argparse raises
+itself, such as an unknown flag, print its usage text and exit 2.
 """
 
 from __future__ import annotations
@@ -23,13 +26,11 @@ from .encoding import MODES, analytic_delta, fidelity_from_delta
 from .sweep import (
     FORMATS,
     MAX_RANGE_VALUES,
-    RECORD_FIELDS,
     SweepConfig,
     check_grid,
     emit_encoding,
     max_abs_z,
     records_to_bytes,
-    write_records,
 )
 
 
@@ -67,15 +68,13 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _write_out(records: list[dict], fmt: str, path: str | None,
-               fields: tuple[str, ...] = RECORD_FIELDS) -> None:
-    """Write records with :func:`write_records` to ``path``, or to stdout
-    for None or '-'."""
-    if path is None or path == "-":
-        write_records(records, fmt, sys.stdout, fields)
-        return
-    with open(path, "w", newline="") as fh:
-        write_records(records, fmt, fh, fields)
+def _write_out(payload: bytes, path: str) -> None:
+    """Write ``payload`` to ``path``, or to stdout for '-'."""
+    if path == "-":
+        sys.stdout.write(payload.decode())
+    else:
+        with open(path, "wb") as fh:
+            fh.write(payload)
 
 
 def _check_writable(path: str | None, flag: str) -> None:
@@ -93,20 +92,27 @@ def _check_writable(path: str | None, flag: str) -> None:
         raise ValueError(f"{flag} {path}: not a writable file path")
 
 
-#: the sweep's flags and config keys with their defaults
-_SWEEP_DEFAULTS = {"mode": "single_qubit", "n": "1", "k": "1", "phi": 0.0,
-                   "trials": 100_000, "seed": 42, "format": "csv", "z_max": 4.0,
-                   "workers": 1, "out": None}
+#: the cell flags of analytic, mc and sweep, which are also sweep's config
+#: keys: key -> (default, argparse options).  The options' type (str if
+#: none) also converts a config file's text; n and k are ranges
+_CELL_FLAGS = {
+    "mode": ("single_qubit", {"choices": MODES}),
+    "n": ("1", {"help": "N values: '4', '2,4,10', or '2..10..2'"}),
+    "k": ("1", {"help": "k values, same syntax as --n"}),
+    "phi": (SweepConfig.phi, {"type": float,
+                              "help": "Kraus offset angle in radians (single_qubit only)"}),
+    "format": (SweepConfig.fmt, {"choices": FORMATS}),
+    "out": ("-", {"type": lambda path: path or "-", "help": "output path ('-' or '' = stdout)"}),
+    "trials": (SweepConfig.trials, {"type": int}),
+    "seed": (SweepConfig.seed, {"type": int}),
+    "z_max": (SweepConfig.z_max, {"type": float,
+                                  "help": "exit nonzero when any |z| exceeds this"}),
+    "workers": (SweepConfig.workers, {"type": int}),
+}
+_ANALYTIC_KEYS = ("mode", "n", "k", "phi", "format", "out")
 
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--mode", choices=MODES, default="single_qubit")
-    p.add_argument("--n", default="1", help="N values: '4', '2,4,10', or '2..10..2'")
-    p.add_argument("--k", default="1", help="k values, same syntax as --n")
-    p.add_argument("--phi", type=float, default=0.0,
-                   help="Kraus offset angle in radians (single_qubit only)")
-    p.add_argument("--format", choices=FORMATS, default="csv")
-    p.add_argument("--out", default=None, help="output path ('-' = stdout)")
+#: SweepConfig's field for each cell flag whose name differs
+_FIELDS = {"n": "n_values", "k": "k_values", "format": "fmt"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,43 +121,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sequential-observer direction estimation: closed forms "
                     "and seeded Monte Carlo verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analytic", help="print closed-form shrink factors/fidelities")
-    _add_common(p)
-
-    p = sub.add_parser("mc", help="Monte Carlo estimate for one (mode, N, k) cell")
-    p.add_argument("--mode", choices=MODES, default="single_qubit")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--format", choices=FORMATS, default="csv")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("sweep", help="analytic-vs-MC sweep over (N, k) grid")
-    _add_common(p)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--z-max", type=float, help="exit nonzero when any |z| exceeds this")
-    p.add_argument("--workers", type=int)
+    for command, keys, text in (
+            ("analytic", _ANALYTIC_KEYS, "print closed-form shrink factors/fidelities"),
+            ("mc", _ANALYTIC_KEYS + ("trials", "seed"),
+             "Monte Carlo estimate for one (mode, N, k) cell"),
+            ("sweep", tuple(_CELL_FLAGS), "analytic-vs-MC sweep over (N, k) grid")):
+        p = sub.add_parser(command, help=text)
+        for key in keys:
+            # a flag left out reads None, so that --config or the default fills it in
+            p.add_argument("--" + key.replace("_", "-"), default=None, **_CELL_FLAGS[key][1])
     p.add_argument("--config", default=None,
                    help="key=value file; explicit flags override it")
     p.add_argument("--plot-script", default=None,
                    help="also write a standalone plotting script referencing "
                         "the CSV written by --out")
-    # a flag left out reads None, so that --config or _SWEEP_DEFAULTS fills it in
-    p.set_defaults(**dict.fromkeys(_SWEEP_DEFAULTS))
 
     p = sub.add_parser("encode", help="emit the optimal encoding for one even N")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=FORMATS, default="jsonl")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="-")
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--criteria", default=None,
                    help="comma-separated criterion numbers (default: all)")
     return parser
+
+
+def _merge(args) -> tuple[dict, dict]:
+    """The subcommand's cell flags, converted, and the name an error gives
+    each: its default, then the ``--config`` file, then the command line.
+    A key is named ``config key key`` when the file gave it, else ``--key``."""
+    keys = [key for key in _CELL_FLAGS if hasattr(args, key)]
+    file_vals = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = set(file_vals) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    values, names = {}, {}
+    for key in keys:
+        (default, opts), value = _CELL_FLAGS[key], getattr(args, key)
+        name = f"config key {key}" if value is None and key in file_vals else (
+            "--" + key.replace("_", "-"))
+        value = file_vals.get(key, default) if value is None else value
+        if key in ("n", "k"):
+            value = parse_int_range(value, name)
+        else:
+            try:
+                value = opts.get("type", str)(value)
+            except ValueError as exc:
+                raise ValueError(f"{name} {value}: {exc}") from None
+        values[key], names[key] = value, name
+    return values, names
 
 
 _ANALYTIC_FIELDS = ("mode", "N", "k", "phi", "delta", "fidelity")
@@ -164,73 +183,40 @@ _ENCODING_FIELDS = {
 
 
 def cmd_analytic(args) -> int:
-    k_values = parse_int_range(args.k, "--k")
-    n_values = parse_int_range(args.n, "--n")
-    check_grid(n_values, k_values, "--n", "--k")
-    rows = []
-    for n in n_values:
-        for k in k_values:
-            delta = analytic_delta(args.mode, n, k, args.phi)
-            rows.append({"mode": args.mode, "N": n, "k": k,
-                         "phi": args.phi if args.mode == "single_qubit" else None,
-                         "delta": delta, "fidelity": fidelity_from_delta(delta)})
-    # opened only once every row is valid, so a rejected call leaves --out alone
-    _write_out(rows, args.format, args.out, _ANALYTIC_FIELDS)
+    cell, names = _merge(args)
+    check_grid(cell["n"], cell["k"], names["n"], names["k"])
+    mode, phi = cell["mode"], cell["phi"]
+    deltas = [(n, k, analytic_delta(mode, n, k, phi)) for n in cell["n"] for k in cell["k"]]
+    rows = [{"mode": mode, "N": n, "k": k, "phi": phi if mode == "single_qubit" else None,
+             "delta": delta, "fidelity": fidelity_from_delta(delta)} for n, k, delta in deltas]
+    # written only once every row is valid, so a rejected call leaves --out alone
+    _write_out(records_to_bytes(rows, cell["format"], _ANALYTIC_FIELDS), cell["out"])
     return 0
-
-
-def cmd_mc(args) -> int:
-    cfg = SweepConfig(mode=args.mode, n_values=(args.n,), k_values=(args.k,),
-                      phi=args.phi, trials=args.trials, seed=args.seed,
-                      fmt=args.format)
-    cfg.validate("--k", "--trials")
-    _check_writable(args.out, "--out")
-    from .sweep import run_sweep
-    _write_out(run_sweep(cfg), args.format, args.out)
-    return 0
-
-
-def _sweep_config(args) -> tuple[SweepConfig, str | None]:
-    """The validated config and output path: defaults, then --config, then flags."""
-    file_vals = parse_config_file(args.config) if args.config else {}
-    unknown = set(file_vals) - set(_SWEEP_DEFAULTS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    given = {key: getattr(args, key) for key in _SWEEP_DEFAULTS
-             if getattr(args, key) is not None}
-    # flags given on the command line win over the file, the file over the defaults
-    base = {**_SWEEP_DEFAULTS, **file_vals, **given}
-    name = {key: f"--{key}" if key in given else f"config key {key}" for key in base}
-    cfg = SweepConfig(
-        mode=str(base["mode"]),
-        n_values=parse_int_range(str(base["n"]), name["n"]),
-        k_values=parse_int_range(str(base["k"]), name["k"]),
-        phi=float(base["phi"]),
-        trials=int(base["trials"]),
-        seed=int(base["seed"]),
-        fmt=str(base["format"]),
-        z_max=float(base["z_max"]),
-        workers=int(base["workers"]),
-    )
-    cfg.validate(name["k"], name["trials"], name["n"])
-    return cfg, (base["out"] if base["out"] not in (None, "") else None)
 
 
 def cmd_sweep(args) -> int:
-    cfg, out = _sweep_config(args)
-    if args.plot_script and (cfg.fmt != "csv" or out in (None, "-")):
+    """A sweep, or mc: a sweep of one (N, k) cell whose z-gate never fails."""
+    values, names = _merge(args)
+    out = values.pop("out")
+    if args.command == "mc":
+        for key in ("n", "k"):
+            if len(values[key]) > 1:
+                raise ValueError(f"{names[key]} {getattr(args, key)}: mc takes one value")
+        values["z_max"] = float("inf")
+    cfg = SweepConfig(**{_FIELDS.get(key, key): value for key, value in values.items()})
+    cfg.validate(names["k"], names["trials"], names["n"])
+    plot = getattr(args, "plot_script", None)
+    if plot and (cfg.fmt != "csv" or out == "-"):
         raise ValueError("--plot-script needs --format csv and --out FILE")
+    if plot and Path(plot).resolve() == Path(out).resolve():
+        raise ValueError(f"--plot-script {plot}: the same file as --out {out}")
     _check_writable(out, "--out")
-    _check_writable(args.plot_script, "--plot-script")
+    _check_writable(plot, "--plot-script")
     from .sweep import run_sweep, write_plot_script
     records = run_sweep(cfg)
-    payload = records_to_bytes(records, cfg.fmt)
-    if out is None or out == "-":
-        sys.stdout.write(payload.decode())
-    else:
-        Path(out).write_bytes(payload)
-    if args.plot_script:
-        write_plot_script(out, args.plot_script)
+    _write_out(records_to_bytes(records, cfg.fmt), out)
+    if plot:
+        write_plot_script(out, plot)
     worst = max_abs_z(records)
     if worst > cfg.z_max:
         print(f"error: max |z| = {worst:.2f} exceeds z-max = {cfg.z_max}",
@@ -243,7 +229,7 @@ def cmd_encode(args) -> int:
     payload = emit_encoding(args.n)
     rows = [payload] if args.format == "jsonl" else [
         {**payload, "J": j, "phi_J": coeff} for j, coeff in enumerate(payload["phi"])]
-    _write_out(rows, args.format, args.out, _ENCODING_FIELDS[args.format])
+    _write_out(records_to_bytes(rows, args.format, _ENCODING_FIELDS[args.format]), args.out)
     return 0
 
 
@@ -264,13 +250,8 @@ def cmd_selftest(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {
-        "analytic": cmd_analytic,
-        "mc": cmd_mc,
-        "sweep": cmd_sweep,
-        "encode": cmd_encode,
-        "selftest": cmd_selftest,
-    }[args.command]
+    handler = {"analytic": cmd_analytic, "mc": cmd_sweep, "sweep": cmd_sweep,
+               "encode": cmd_encode, "selftest": cmd_selftest}[args.command]
     try:
         return handler(args)
     except (ValueError, OSError, OverflowError, MemoryError) as exc:

@@ -165,33 +165,21 @@ def max_abs_z(records: list[dict]) -> float:
     return max(zs) if zs else 0.0
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def write_records(records: list[dict], fmt: str, fh,
-                  fields: tuple[str, ...] = RECORD_FIELDS) -> None:
-    """Serialize the ``fields`` of records as RFC-4180 CSV (17 significant
-    digits) or JSONL."""
+def records_to_bytes(records: list[dict], fmt: str,
+                     fields: tuple[str, ...] = RECORD_FIELDS) -> bytes:
+    """The ``fields`` of records as RFC-4180 CSV (17 significant digits) or
+    JSONL, UTF-8 encoded: the one writer of every subcommand."""
+    buf = io.StringIO(newline="")
     if fmt == "csv":
-        writer = csv.writer(fh)
+        writer = csv.writer(buf)
         writer.writerow(fields)
-        for rec in records:
-            writer.writerow([_fmt(rec[f]) for f in fields])
+        # csv writes None as an empty field; floats keep 17 significant digits
+        writer.writerows([f"{rec[f]:.17g}" if isinstance(rec[f], float) else rec[f]
+                          for f in fields] for rec in records)
     elif fmt == "jsonl":
-        for rec in records:
-            fh.write(json.dumps({f: rec[f] for f in fields}) + "\n")
+        buf.writelines(json.dumps({f: rec[f] for f in fields}) + "\n" for rec in records)
     else:
         raise ValueError(f"format must be one of {FORMATS}")
-
-
-def records_to_bytes(records: list[dict], fmt: str) -> bytes:
-    buf = io.StringIO(newline="")
-    write_records(records, fmt, buf)
     return buf.getvalue().encode()
 
 

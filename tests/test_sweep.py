@@ -475,6 +475,118 @@ class TestCli:
         assert float(row["analytic"]) == pytest.approx(2 / 3, rel=1e-14)
         assert abs(float(row["z"])) < 6.0
 
+    MC_ARGV = ["mc", "--mode", "nspin_parallel", "--n", "4", "--k", "2", "--trials", "2000",
+               "--seed", "11"]
+    HEADER = b"mode,N,k,phi,analytic,mc_mean,mc_stderr,z,trials,seed,build\r\n"
+    N4_ROW = (b"nspin_parallel,4,2,,0.44444444444444442,0.45826379592992639,"
+              b"0.0095840084058774044,1.4419177133658641,2000,11,test-build\r\n")
+
+    def _stdout(self, argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out.encode(), err
+
+    def test_mc_and_sweep_bytes(self, monkeypatch, capsys):
+        import spinrelay.sweep as sweep_mod
+        monkeypatch.setattr(sweep_mod, "build_id", lambda: "test-build")
+        assert self._stdout(self.MC_ARGV, capsys) == (0, self.HEADER + self.N4_ROW, "")
+        sweep = ["sweep", "--mode", "nspin_parallel", "--n", "2,4", "--k", "2",
+                 "--trials", "2000", "--seed", "11"]
+        n2_row = (b"nspin_parallel,2,2,,0.25,0.23942769371118461,0.01207711337109285,"
+                  b"-0.87540010298493298,2000,11,test-build\r\n")
+        assert self._stdout(sweep, capsys) == (0, self.HEADER + n2_row + self.N4_ROW, "")
+        jsonl = (b'{"mode": "nspin_parallel", "N": 2, "k": 2, "phi": null, "analytic": 0.25, '
+                 b'"mc_mean": 0.2394276937111846, "mc_stderr": 0.01207711337109285, '
+                 b'"z": -0.875400102984933, "trials": 2000, "seed": 11, "build": "test-build"}\n'
+                 b'{"mode": "nspin_parallel", "N": 4, "k": 2, "phi": null, '
+                 b'"analytic": 0.4444444444444444, "mc_mean": 0.4582637959299264, '
+                 b'"mc_stderr": 0.009584008405877404, "z": 1.441917713365864, '
+                 b'"trials": 2000, "seed": 11, "build": "test-build"}\n')
+        assert self._stdout(sweep + ["--format", "jsonl"], capsys) == (0, jsonl, "")
+
+    def test_mc_is_a_one_cell_sweep_whose_gate_never_fails(self, capsys):
+        cell = self.MC_ARGV[1:]
+        assert (self._stdout(self.MC_ARGV, capsys)
+                == self._stdout(["sweep", *cell, "--z-max", "inf"], capsys))
+        # |z| = 6.65 at three trials fails a sweep's default gate of 4, but not mc
+        tiny = ["--mode", "nspin_parallel", "--n", "4", "--k", "2", "--trials", "3", "--seed", "1"]
+        assert self._stdout(["sweep", *tiny], capsys)[0] == 1
+        assert self._stdout(["mc", *tiny], capsys)[0] == 0
+
+    def test_mc_takes_one_value_of_n_and_k(self, monkeypatch, capsys):
+        import spinrelay.sweep as sweep_mod
+        # a range of one value is one cell; '' as --out is stdout
+        one = ["mc", "--mode", "nspin_parallel", "--n", "4..4", "--k", "2", "--trials",
+               "2000", "--seed", "11", "--out", ""]
+        assert self._stdout(one, capsys) == self._stdout(self.MC_ARGV, capsys)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("run_sweep called on a rejected mc call")
+
+        monkeypatch.setattr(sweep_mod, "run_sweep", fail)
+        cases = [(["mc", "--n", "2,4"], "--n 2,4: mc takes one value"),
+                 (["mc", "--k", "1..3"], "--k 1..3: mc takes one value"),
+                 (["mc", "--k", "2.5"], "--k 2.5: invalid literal for int() with base 10: '2.5'")]
+        for argv, message in cases:
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {message}\n", argv
+
+    def test_analytic_out_empty_is_stdout(self, capsys):
+        argv = ["analytic", "--mode", "nspin_parallel", "--n", "2", "--k", "1..2"]
+        assert main(argv + ["--out", ""]) == 0
+        assert capsys.readouterr().out == (
+            "mode,N,k,phi,delta,fidelity\r\n"
+            "nspin_parallel,2,1,,0.5,0.75\r\nnspin_parallel,2,2,,0.25,0.625\r\n")
+
+    def test_defaults_are_named_as_flags(self, tmp_path, capsys):
+        # a key neither the command line nor the file gives is named as its flag
+        config = tmp_path / "mode.cfg"
+        config.write_text("mode = nspin_parallel\nn = 2\n")
+        huge = "2305843009213693952"
+        cases = [(["sweep", "--trials", huge], f"--k 1 with --trials {huge}"),
+                 (["sweep", "--config", str(config), "--trials", huge],
+                  f"--k 1 with --trials {huge}"),
+                 (["sweep", "--k", huge], f"--k {huge} with --trials 100000")]
+        for argv, names in cases:
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err == (f"error: {names}: "
+                                         "more overlaps than a float64 array can index\n")
+
+    def test_config_values_that_fail_to_convert_name_their_key(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        cases = [("trials = 1e5", "config key trials 1e5: invalid literal for int() "
+                                  "with base 10: '1e5'"),
+                 ("phi = abc", "config key phi abc: could not convert string to float: 'abc'"),
+                 ("seed = 4.2", "config key seed 4.2: invalid literal for int() "
+                                "with base 10: '4.2'"),
+                 ("z_max = x", "config key z_max x: could not convert string to float: 'x'")]
+        for line, message in cases:
+            config.write_text(f"mode = nspin_parallel\nn = 2\n{line}\n")
+            assert main(["sweep", "--config", str(config)]) == 2, line
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {message}\n", line
+
+    def test_plot_script_cannot_overwrite_out(self, tmp_path, monkeypatch, capsys):
+        import spinrelay.sweep as sweep_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("run_sweep called before the output paths were checked")
+
+        monkeypatch.setattr(sweep_mod, "run_sweep", fail)
+        monkeypatch.chdir(tmp_path)
+        kept = tmp_path / "run.csv"
+        kept.write_text("earlier output\n")
+        for out, script in (("run.csv", "run.csv"), ("run.csv", "./run.csv"),
+                            (str(kept), "run.csv")):
+            argv = ["sweep", "--trials", "100", "--out", out, "--plot-script", script]
+            assert main(argv) == 2, argv
+            out_text, err = capsys.readouterr()
+            assert out_text == "" and err == (
+                f"error: --plot-script {script}: the same file as --out {out}\n")
+        assert kept.read_text() == "earlier output\n"
+
     def test_sweep_to_file_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["sweep", "--mode", "single_qubit", "--k", "1..3",
