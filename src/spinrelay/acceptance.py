@@ -16,11 +16,11 @@ from numpy.polynomial import legendre as npleg
 
 from .encoding import (
     chain_dots_nspin,
-    classical_threshold,
     jacobi_matrix,
     optimal_encoding,
     outcome_density,
 )
+from .laws import classical_threshold
 from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
 from .qubit import disturbance_constant, eta_from_c, stern_gerlach
 from .records import McEstimate

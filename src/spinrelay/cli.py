@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from .encoding import MODES, analytic_delta, fidelity_from_delta
+from .laws import MODES, analytic_delta, fidelity_from_delta
 from .sweep import (
     FORMATS,
     MAX_RANGE_VALUES,
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="emit the optimal encoding for one even N")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=FORMATS, default="jsonl")
-    p.add_argument("--out", default="-")
+    p.add_argument("--out", default="-", **_CELL_FLAGS["out"][1])
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--criteria", default=None,

@@ -18,18 +18,13 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .encoding import (
-    MODES,
-    analytic_delta,
-    chain_dots_nspin,
-    chain_laws,
-    optimal_encoding,
-    optimal_tilde_delta,
-    parallel_tilde_delta,
-)
-from .records import McEstimate, MomentFold
-from .rng import RandomStream
+from .laws import MODES, analytic_delta, chain_laws, optimal_tilde_delta, parallel_tilde_delta
+
+if TYPE_CHECKING:  # numpy-backed; imported where a chain or an encoding runs
+    from .records import McEstimate
+    from .rng import RandomStream
 
 FORMATS = ("csv", "jsonl")
 
@@ -90,9 +85,12 @@ class SweepConfig:
         if not self.n_values or not self.k_values:
             raise ValueError("N and k ranges must be non-empty")
         check_grid(self.n_values, self.k_values, n_name, k_name)
+        # whether chain_laws accepts (N, k) depends on N and on k separately,
+        # so a pass over k and one over N raise the first error of every cell
+        for k in self.k_values:
+            chain_laws(self.mode, self.n_values[0], k, self.phi)
         for n in self.n_values:
-            for k in self.k_values:
-                chain_laws(self.mode, n, k, self.phi)
+            chain_laws(self.mode, n, self.k_values[0], self.phi)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if max(self.k_values) * self.trials > sys.maxsize // 8:
@@ -114,12 +112,15 @@ def mc_estimate_delta(mode: str, n_spins: int, k_values, phi: float, trials: int
     """Monte Carlo estimates of observer k's shrink factor (or of the overlap
     it hands on) for each k of ``k_values``, folded block by block from one
     chain of length max(k), whose first j columns are the length-j chain."""
+    from .encoding import chain_dots_nspin
+    from .records import MomentFold
     fold = MomentFold(max(k_values))
     chain_dots_nspin(n_spins, max(k_values), mode, rng, trials, phi, overlap, fold)
     return [fold.estimate(k - 1) for k in k_values]
 
 
 def _cell_stream(cfg: SweepConfig, n_spins: int) -> RandomStream:
+    from .rng import RandomStream
     # content-derived: the same (mode, N) gets the same stream in any config
     return RandomStream(cfg.seed).child(MODES.index(cfg.mode)).child(n_spins).child(1)
 
@@ -228,6 +229,7 @@ def emit_encoding(n_spins: int) -> dict:
     ``optimal_tilde_delta`` is also the top eigenvalue of the encoding's
     Jacobi matrix.
     """
+    from .encoding import optimal_encoding
     return {
         "N": n_spins,
         "phi": [float(c) for c in optimal_encoding(n_spins).phi],

@@ -9,20 +9,22 @@ import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
-from spinrelay import encoding
+from spinrelay import encoding, laws
 from spinrelay.cli import main
 from spinrelay.encoding import (
     EncodingSpec,
-    analytic_delta,
     chain_dots_nspin,
+    jacobi_matrix,
+    optimal_encoding,
+    outcome_density,
+)
+from spinrelay.laws import (
+    analytic_delta,
     chain_laws,
     classical_threshold,
     fidelity_from_delta,
     fk_asymptotic,
-    jacobi_matrix,
-    optimal_encoding,
     optimal_tilde_delta,
-    outcome_density,
     parallel_tilde_delta,
 )
 from spinrelay.legendre import legendre_largest_zero
@@ -960,7 +962,7 @@ class TestClassicalThreshold:
         # a single qubit has no ensemble size to search: the mode is named,
         # not an N the caller never gave, and no closed form is asked for
         asked = []
-        monkeypatch.setattr(encoding, "analytic_delta", lambda *args: asked.append(args))
+        monkeypatch.setattr(laws, "analytic_delta", lambda *args: asked.append(args))
         for k, target in [(2, 0.6), (1, 0.9)]:
             with pytest.raises(ValueError, match="^single_qubit mode has no ensemble size"):
                 classical_threshold(k, target, "single_qubit")

@@ -16,12 +16,8 @@ import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
-from spinrelay.encoding import (
-    EncodingSpec,
-    optimal_encoding,
-    optimal_tilde_delta,
-    outcome_density,
-)
+from spinrelay.encoding import EncodingSpec, optimal_encoding, outcome_density
+from spinrelay.laws import optimal_tilde_delta
 
 #: Gauss-Legendre nodes in x = cos theta at which the densities are compared
 X_NODES = npleg.leggauss(12)[0]

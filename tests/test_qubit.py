@@ -7,7 +7,8 @@ import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
-from spinrelay.encoding import analytic_delta, chain_dots_nspin, fidelity_from_delta
+from spinrelay.encoding import chain_dots_nspin
+from spinrelay.laws import analytic_delta, fidelity_from_delta
 from spinrelay.qubit import disturbance_constant, eta_from_c, stern_gerlach
 from spinrelay.rng import RandomStream
 

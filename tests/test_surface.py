@@ -1,9 +1,14 @@
-"""The package surface: no 3-D chain in the library, and every module the
-benchmark's tracer hooks still imports."""
+"""The package surface: no 3-D chain in the library, every module the
+benchmark's tracer hooks still imports, the lazy public names, and the CLI
+paths that start without numpy."""
 
+import ast
 import importlib
 import importlib.util
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +40,51 @@ def test_every_hooked_module_imports():
     assert modules
     for name in sorted(modules):
         importlib.import_module(name)
+
+
+def test_every_public_name_resolves():
+    for name in spinrelay.__all__:
+        assert getattr(spinrelay, name) is not None, name
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        spinrelay.no_such_name
+
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_imports_resolve(demo):
+    imports = [node for node in ast.walk(ast.parse(demo.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.module == "spinrelay"]
+    assert imports
+    for node in imports:
+        exec(compile(ast.Module([node], []), str(demo), "exec"), {})
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv", [
+    *(["analytic", "--mode", mode, "--n", n, "--k", "1..3"]
+      for mode, n in (("single_qubit", "1"), ("nspin_parallel", "1..4"),
+                      ("nspin_optimal", "2..10..2"), ("parallel_start", "2,4"))),
+    ["--help"],
+    ["mc", "--n", "2,4"],
+    ["sweep", "--mode", "nspin_optimal", "--n", "3"],
+], ids=" ".join)
+def test_cli_paths_that_start_without_numpy(argv):
+    # the closed forms, help and usage errors never need an array
+    script = ("import sys\n"
+              "from spinrelay.cli import main\n"
+              "try:\n"
+              "    code = main(sys.argv[1:])\n"
+              "except SystemExit as exc:\n"
+              "    code = exc.code\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    code = 0 if argv[0] in ("analytic", "--help") else 2
+    assert out.stdout.splitlines()[-1] == f"{code} False"

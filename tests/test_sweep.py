@@ -17,8 +17,8 @@ import pytest
 
 import spinrelay
 from spinrelay.cli import MAX_RANGE_VALUES, main, parse_config_file, parse_int_range
-from spinrelay.encoding import (_CHAIN_ROWS, MODES, OutcomeDensity, analytic_delta,
-                                chain_dots_nspin)
+from spinrelay.encoding import _CHAIN_ROWS, OutcomeDensity, chain_dots_nspin
+from spinrelay.laws import MODES, analytic_delta, chain_laws
 from spinrelay.records import McEstimate, MomentFold
 from spinrelay.rng import RandomStream
 from spinrelay.sweep import (
@@ -331,6 +331,28 @@ class TestRunSweep:
         ):
             with pytest.raises(ValueError):
                 cfg.validate()
+
+    @pytest.mark.parametrize("mode, n_values, k_values, phi", [
+        ("nspin_optimal", (3, 2, 4), (1, 2), 0.0),   # a bad N first
+        ("nspin_optimal", (2, 4, 5), (1, 2), 0.0),   # a bad N last
+        ("nspin_optimal", (7,), (1,), 0.0),          # a bad N alone
+        ("nspin_optimal", (2, 4), (0, 1), 0.0),      # a k < 1 first
+        ("nspin_optimal", (2, 3), (1, 2, -1), 0.0),  # a k < 1 later, and a bad N
+        ("nspin_parallel", (2, 0), (1, 0), 0.0),     # both bad, each later
+        ("single_qubit", (1,), (1, 2), 4.0),         # a bad phi
+        ("single_qubit", (2, 1), (1,), -1.0),        # a bad N before a bad phi
+        ("sequential", (2,), (1,), 0.0),             # a bad mode
+    ])
+    def test_validate_raises_the_nested_loops_first_error(self, mode, n_values, k_values, phi):
+        # validation lists each N and each k once; it must still raise the
+        # error that a pass over every cell in (N, k) order meets first
+        with pytest.raises(ValueError) as expected:
+            for n in n_values:
+                for k in k_values:
+                    chain_laws(mode, n, k, phi)
+        with pytest.raises(ValueError) as got:
+            SweepConfig(mode, n_values, k_values, phi=phi).validate()
+        assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
@@ -820,12 +842,13 @@ class TestCli:
             assert out == "" and err == (f"error: {names}: {cells} cells, "
                                          "more than 1000000\n")
         assert not out_file.exists()
-        # at the bound every cell's chain is listed; one more N is rejected
+        # at the bound each N and each k is listed once, not each cell; one
+        # more N is rejected
         listed = []
         monkeypatch.setattr(sweep_mod, "chain_laws", lambda *args: listed.append(args))
         thousand = tuple(range(1, 1001))
         SweepConfig("nspin_parallel", thousand, thousand, trials=1).validate()
-        assert len(listed) == MAX_RANGE_VALUES
+        assert len(listed) <= 2000
         with pytest.raises(ValueError, match="^n and k: 1001000 cells, more than 1000000$"):
             SweepConfig("nspin_parallel", thousand + (1001,), thousand, trials=1).validate()
 
@@ -862,6 +885,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 3
         assert err == "error: inverse-CDF table refinement did not converge\n"
+
+    def test_encode_out_empty_is_stdout(self, capsys):
+        assert main(["encode", "--n", "2", "--out", "-"]) == 0
+        dash = capsys.readouterr().out
+        assert main(["encode", "--n", "2", "--out", ""]) == 0
+        assert capsys.readouterr().out == dash != ""
 
     def test_encode_jsonl(self, capsys):
         assert main(["encode", "--n", "2"]) == 0
