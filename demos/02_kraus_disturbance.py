@@ -16,7 +16,7 @@ overlap of the k-th handed-on state with the truth matches eta^k.
 
 import numpy as np
 
-from spinrelay import RandomStream, chain_dots_nspin, disturbance_constant, eta_from_c
+from spinrelay import RandomStream, disturbance_constant, eta_from_c, mc_estimate_delta
 
 TRIALS = 100_000
 K = 3
@@ -27,13 +27,10 @@ print(f"{'phi/pi':>7} {'c':>6} {'eta':>8} {'eta^3':>9} "
 for i, phi in enumerate(np.linspace(0.0, np.pi, 9)):
     c = disturbance_constant(float(phi))
     eta = eta_from_c(c)
-    dots = chain_dots_nspin(1, K, "single_qubit", RandomStream(10).child(i), TRIALS,
-                            float(phi), "prepared")
-    col = dots[:, K - 1]
-    se = col.std(ddof=1) / np.sqrt(TRIALS)
-    z = (col.mean() - eta ** K) / se
+    [est] = mc_estimate_delta("single_qubit", 1, (K,), float(phi), TRIALS,
+                              RandomStream(10).child(i), "prepared")
     print(f"{phi/np.pi:>7.3f} {c:>6.3f} {eta:>+8.4f} {eta**K:>+9.5f} "
-          f"{col.mean():>+22.5f} {z:>+6.2f}")
+          f"{est.mean:>+22.5f} {est.z_score(eta ** K):>+6.2f}")
 
 print("\nc runs from 2 (dimension bound, gentlest touch) down to 0")
 print("(traceless Kraus operators); eta = (c-1)/3 covers [-1/3, 1/3].")

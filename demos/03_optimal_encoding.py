@@ -21,12 +21,13 @@ import numpy.polynomial.legendre as npleg
 from spinrelay import (
     RandomStream,
     analytic_delta,
+    mc_estimate_delta,
     optimal_encoding,
     optimal_tilde_delta,
     outcome_density,
     parallel_tilde_delta,
 )
-from spinrelay.encoding import chain_dots_nspin, jacobi_matrix
+from spinrelay.encoding import jacobi_matrix
 
 print(f"{'N':>4} {'parallel N/(N+2)':>17} {'optimal x_(N/2+1)':>18} {'gain':>7}")
 for n in (2, 4, 6, 10, 20, 50, 100):
@@ -54,14 +55,12 @@ print(f"closed-form vs dense eigenvector: max |diff| = "
 
 # mixed protocol: parallel source, optimal re-preparation from observer 1 on
 TRIALS = 300_000
-dots = chain_dots_nspin(4, 3, "parallel_start", RandomStream(5), TRIALS)
+ests = mc_estimate_delta("parallel_start", 4, (1, 2, 3), 0.0, TRIALS, RandomStream(5))
 print(f"\nMixed protocol, N = 4 ({TRIALS:,} trajectories):")
 print(f"{'k':>2} {'closed form':>12} {'MC':>10} {'z':>6}")
-for k in (1, 2, 3):
+for k, est in zip((1, 2, 3), ests):
     ref = analytic_delta("parallel_start", 4, k)
-    col = dots[:, k - 1]
-    se = col.std(ddof=1) / np.sqrt(TRIALS)
-    print(f"{k:>2} {ref:>12.6f} {col.mean():>10.6f} {(col.mean()-ref)/se:>+6.2f}")
+    print(f"{k:>2} {ref:>12.6f} {est.mean:>10.6f} {est.z_score(ref):>+6.2f}")
 
 print("\nEntanglement in the encoding buys robustness: the optimal shrink")
 print("factor approaches 1 like 1 - 2 xi0^2/N^2 instead of 1 - 2/N.")

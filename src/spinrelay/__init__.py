@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 
 #: public name -> the submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(("EncodingSpec", "OutcomeDensity", "chain_dots_nspin", "optimal_encoding",
-                     "outcome_density"), "encoding"),
+    **dict.fromkeys(("EncodingSpec", "OutcomeDensity", "optimal_encoding", "outcome_density"),
+                    "encoding"),
     **dict.fromkeys(("analytic_delta", "chain_laws", "classical_threshold",
                      "fidelity_from_delta", "fk_asymptotic", "optimal_tilde_delta",
                      "parallel_tilde_delta"), "laws"),

@@ -14,16 +14,10 @@ import time
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .encoding import (
-    chain_dots_nspin,
-    jacobi_matrix,
-    optimal_encoding,
-    outcome_density,
-)
+from .encoding import jacobi_matrix, optimal_encoding, outcome_density
 from .laws import classical_threshold
 from .legendre import BESSEL_J0_FIRST_ZERO, legendre_largest_zero
 from .qubit import disturbance_constant, eta_from_c, stern_gerlach
-from .records import McEstimate
 from .rng import RandomStream
 from .sweep import SweepConfig, mc_estimate_delta, records_to_bytes, run_sweep
 
@@ -71,10 +65,9 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     """The Stern-Gerlach chain and the covariant one agree."""
     cov = mc_estimate_delta("single_qubit", 1, (1, 2, 3), 0.0, 10 ** 5, _chain_stream(3, 0))
-    sg = chain_dots_nspin(1, 3, "single_qubit", _chain_stream(3, 1), 10 ** 5,
-                          measure=stern_gerlach)
-    zs = [(a.mean - b.mean) / math.hypot(a.stderr, b.stderr)
-          for a, b in zip(cov, map(McEstimate.from_samples, sg.T))]
+    sg = mc_estimate_delta("single_qubit", 1, (1, 2, 3), 0.0, 10 ** 5, _chain_stream(3, 1),
+                           measure=stern_gerlach)
+    zs = [(a.mean - b.mean) / math.hypot(a.stderr, b.stderr) for a, b in zip(cov, sg)]
     passed = all(abs(z) <= 3.0 for z in zs)
     detail = f"combined z = {', '.join(f'{z:+.2f}' for z in zs)} for k=1..3"
     return CriterionResult(3, "scheme equivalence (SG vs covariant)", passed, detail)

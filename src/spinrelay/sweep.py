@@ -9,13 +9,11 @@ between them, and provenance fields.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 import csv
 import io
 import json
-import subprocess
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -37,6 +35,7 @@ def build_id() -> str:
     """git-describe-style provenance string of the work tree that tracks
     this package's own files; ``spinrelay-<version>`` when none does, as
     when the package sits untracked under another work tree."""
+    import subprocess
     here = Path(__file__).resolve()
     try:
         tracked = subprocess.run(
@@ -48,7 +47,7 @@ def build_id() -> str:
                 cwd=here.parent, capture_output=True, text=True, timeout=5)
             if out.returncode == 0 and out.stdout.strip():
                 return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or a hung one
         pass
     from . import __version__
     return f"spinrelay-{__version__}"
@@ -108,14 +107,16 @@ class SweepConfig:
 
 
 def mc_estimate_delta(mode: str, n_spins: int, k_values, phi: float, trials: int,
-                      rng: RandomStream, overlap: str = "estimate") -> list[McEstimate]:
+                      rng: RandomStream, overlap: str = "estimate",
+                      measure=None) -> list[McEstimate]:
     """Monte Carlo estimates of observer k's shrink factor (or of the overlap
     it hands on) for each k of ``k_values``, folded block by block from one
-    chain of length max(k), whose first j columns are the length-j chain."""
+    chain of length max(k), whose first j columns are the length-j chain;
+    ``measure`` is the chain's tilt sampler, as in ``chain_dots_nspin``."""
     from .encoding import chain_dots_nspin
     from .records import MomentFold
     fold = MomentFold(max(k_values))
-    chain_dots_nspin(n_spins, max(k_values), mode, rng, trials, phi, overlap, fold)
+    chain_dots_nspin(n_spins, max(k_values), mode, rng, trials, phi, overlap, fold, measure)
     return [fold.estimate(k - 1) for k in k_values]
 
 
@@ -143,6 +144,7 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
     if workers == 1:
         estimates = [run_unit(n) for n in cfg.n_values]
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             estimates = list(pool.map(run_unit, cfg.n_values))
 

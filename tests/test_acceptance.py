@@ -27,16 +27,15 @@ def test_criteria_chains_share_no_stream(monkeypatch):
     # criterion 9 repeats its sweep on purpose, so a repeat counts once
     seen, number = {}, None
 
-    def recorded(real, rng_index):
+    def recorded(real):
         def run(*args, **kwargs):
-            seen[number, args[rng_index]] = -(-args[4] // encoding._CHAIN_ROWS)
+            seen[number, args[5]] = -(-args[4] // encoding._CHAIN_ROWS)
             # two trials keep the run short; the streams are the same
             return real(*args[:4], 2, *args[5:], **kwargs)
         return run
 
-    monkeypatch.setattr(acceptance, "mc_estimate_delta", recorded(sweep.mc_estimate_delta, 5))
-    monkeypatch.setattr(sweep, "mc_estimate_delta", recorded(sweep.mc_estimate_delta, 5))
-    monkeypatch.setattr(acceptance, "chain_dots_nspin", recorded(encoding.chain_dots_nspin, 3))
+    monkeypatch.setattr(acceptance, "mc_estimate_delta", recorded(sweep.mc_estimate_delta))
+    monkeypatch.setattr(sweep, "mc_estimate_delta", recorded(sweep.mc_estimate_delta))
     for number in _CRITERIA:
         _CRITERIA[number]()
     streams = [rng for _, rng in seen]

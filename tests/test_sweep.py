@@ -19,6 +19,7 @@ import spinrelay
 from spinrelay.cli import MAX_RANGE_VALUES, main, parse_config_file, parse_int_range
 from spinrelay.encoding import _CHAIN_ROWS, OutcomeDensity, chain_dots_nspin
 from spinrelay.laws import MODES, analytic_delta, chain_laws
+from spinrelay.qubit import stern_gerlach
 from spinrelay.records import McEstimate, MomentFold
 from spinrelay.rng import RandomStream
 from spinrelay.sweep import (
@@ -98,30 +99,37 @@ class TestMomentFold:
     """A sweep folds each block of its chain into per-k moments as the block
     is filled, instead of holding the (trials, k) overlaps."""
 
-    CHAINS = [("single_qubit", 1, 0.7, "estimate"), ("single_qubit", 1, 0.7, "prepared"),
-              ("nspin_parallel", 4, 0.0, "estimate"), ("nspin_optimal", 4, 0.0, "estimate"),
-              ("parallel_start", 4, 0.0, "estimate"), ("nspin_optimal", 280, 0.0, "estimate")]
+    # the kernel's own tilt samplers (measure None, left out of the ids) ...
+    CHAINS = [pytest.param(*chain, None, id="-".join(map(str, chain))) for chain in (
+        ("single_qubit", 1, 0.7, "estimate"), ("single_qubit", 1, 0.7, "prepared"),
+        ("nspin_parallel", 4, 0.0, "estimate"), ("nspin_optimal", 4, 0.0, "estimate"),
+        ("parallel_start", 4, 0.0, "estimate"), ("nspin_optimal", 280, 0.0, "estimate"))]
+    # ... and the sampler mc_estimate_delta forwards for criterion 3 and demo 01
+    CHAINS.append(pytest.param("single_qubit", 1, 0.7, "estimate", stern_gerlach,
+                               id="single_qubit-1-0.7-estimate-stern_gerlach"))
 
     @staticmethod
-    def _columns(mode, n, phi, overlap, trials):
-        ests = mc_estimate_delta(mode, n, (1, 2, 3), phi, trials, RandomStream(17), overlap)
-        dots = chain_dots_nspin(n, 3, mode, RandomStream(17), trials, phi, overlap)
+    def _columns(mode, n, phi, overlap, measure, trials):
+        ests = mc_estimate_delta(mode, n, (1, 2, 3), phi, trials, RandomStream(17), overlap,
+                                 measure=measure)
+        dots = chain_dots_nspin(n, 3, mode, RandomStream(17), trials, phi, overlap,
+                                measure=measure)
         return zip(ests, dots.T)
 
-    @pytest.mark.parametrize("mode, n, phi, overlap", CHAINS)
-    def test_one_block_is_from_samples_bit_for_bit(self, mode, n, phi, overlap):
+    @pytest.mark.parametrize("mode, n, phi, overlap, measure", CHAINS)
+    def test_one_block_is_from_samples_bit_for_bit(self, mode, n, phi, overlap, measure):
         trials = _CHAIN_ROWS
-        for est, col in self._columns(mode, n, phi, overlap, trials):
+        for est, col in self._columns(mode, n, phi, overlap, measure, trials):
             assert est == McEstimate.from_samples(col)
             # numpy's own 1-D mean and std, independent of the fold
             assert est.mean == col.mean()
             assert est.stderr == col.std(ddof=1) / np.sqrt(trials)
             assert est.stderr == np.sqrt(((col - est.mean) ** 2).sum() / (trials - 1)) / np.sqrt(trials)
 
-    @pytest.mark.parametrize("mode, n, phi, overlap", CHAINS)
-    def test_many_blocks_match_from_samples(self, mode, n, phi, overlap):
+    @pytest.mark.parametrize("mode, n, phi, overlap, measure", CHAINS)
+    def test_many_blocks_match_from_samples(self, mode, n, phi, overlap, measure):
         trials = 2 * _CHAIN_ROWS + 5  # three blocks, the last of five rows
-        for est, col in self._columns(mode, n, phi, overlap, trials):
+        for est, col in self._columns(mode, n, phi, overlap, measure, trials):
             whole = McEstimate.from_samples(col)
             assert est.trials == whole.trials == trials
             assert est.mean == pytest.approx(whole.mean, rel=1e-14)
@@ -266,7 +274,7 @@ class TestRunSweep:
 
     def test_workers_capped_at_the_number_of_chains(self, monkeypatch):
         # a stand-in pool that runs the work inline and records its size
-        import spinrelay.sweep as sweep_mod
+        import concurrent.futures
         pools = []
 
         class InlinePool:
@@ -282,7 +290,8 @@ class TestRunSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(sweep_mod, "ThreadPoolExecutor", InlinePool)
+        # run_sweep imports the pool where it needs one
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         cfg = dict(mode="nspin_parallel", k_values=(1, 2), trials=500, workers=8)
         two = run_sweep(SweepConfig(n_values=(2, 4), **cfg))
         assert pools == [2]
@@ -353,6 +362,23 @@ class TestRunSweep:
         with pytest.raises(ValueError) as got:
             SweepConfig(mode, n_values, k_values, phi=phi).validate()
         assert str(got.value) == str(expected.value)
+
+
+def test_build_id_survives_a_hung_git(monkeypatch, capsys):
+    # build_id runs git with a timeout; a git that outlives it falls back to
+    # the package version instead of ending the run in a traceback
+    def hung(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(subprocess, "run", hung)
+    build_id.cache_clear()
+    try:
+        fallback = f"spinrelay-{spinrelay.__version__}"
+        assert build_id() == fallback
+        assert main(["mc", "--trials", "10"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(f",{fallback}")
+    finally:
+        build_id.cache_clear()
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
