@@ -55,7 +55,7 @@ def parse_int_range(text: str, name: str = "range") -> tuple[int, ...]:
 
 
 def parse_config_file(path: str) -> dict:
-    """Read 'key = value' lines; '#' starts a comment."""
+    """Read 'key = value' lines, each key at most once; '#' starts a comment."""
     values = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -64,6 +64,8 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key in values:
+            raise ValueError(f"config key {key} given twice")
         values[key] = val
     return values
 

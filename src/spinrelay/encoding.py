@@ -255,16 +255,14 @@ def outcome_density(encoding: EncodingSpec) -> OutcomeDensity:
     return OutcomeDensity(encoding, np.sqrt(2.0 * degrees + 1.0) * encoding.phi)
 
 
-def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overlap: str,
-           consume=None):
+def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overlap: str):
     """The set-up of :func:`chain_dots_nspin` and of its 3-D test oracle:
     check the overlap, the chain (:func:`chain_laws`), ``trials`` and the
-    RandomStream ``rng`` before any draw or density build; allocate the
-    column-major (trials, k) overlaps, or with ``consume`` one chunk's, which
-    every chunk reuses and then hands to ``consume(block)``; return them,
-    each observer's (tilt sampler, hand-on offset), whether the handed-on
-    state's overlap is recorded, and the lazy chunks of at most _CHAIN_ROWS
-    rows, each with a fresh Generator: chunk 0 draws from ``rng`` and chunk
+    RandomStream ``rng`` before any draw or density build; list each
+    observer's (tilt sampler, hand-on offset) and whether the handed-on
+    state's overlap is recorded; and yield the lazy chunks of at most
+    _CHAIN_ROWS rows as (block, Generator): every block is the head of one
+    column-major (rows, k) buffer, and chunk 0 draws from ``rng`` and chunk
     c >= 1 from ``rng.child(c)``.  A sampler takes ``(gen, size)``; the
     optimal one builds its density on first use."""
     if overlap not in ("estimate", "prepared"):
@@ -274,20 +272,15 @@ def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overla
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not isinstance(rng, RandomStream):
         raise TypeError(f"rng must be a RandomStream, got {type(rng).__name__}")
-    dots = np.empty((k, trials if consume is None else min(trials, _CHAIN_ROWS))).T
+    dots = np.empty((k, min(trials, _CHAIN_ROWS))).T
     # listed after the allocation, which rejects a k too large to index
     density = cache(lambda: outcome_density(optimal_encoding(n_spins)))
     samplers = {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size),
                 "optimal": lambda gen, size: density().sample(gen, size)}
     steps = [(samplers[law], offset) for law, offset, count in laws for _ in range(count)]
-
-    def blocks():
-        for c, lo in enumerate(range(0, trials, _CHAIN_ROWS)):
-            block = dots[lo:lo + _CHAIN_ROWS] if consume is None else dots[:trials - lo]
-            yield block, (rng.child(c) if c else rng).generator()
-            if consume is not None:
-                consume(block)
-    return dots, steps, overlap == "prepared", blocks()
+    blocks = ((dots[:trials - lo], (rng.child(c) if c else rng).generator())
+              for c, lo in enumerate(range(0, trials, _CHAIN_ROWS)))
+    return steps, overlap == "prepared", blocks
 
 
 def _azimuth_table() -> tuple[np.ndarray, np.ndarray]:
@@ -346,15 +339,15 @@ def _turn(c, x, gen, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int,
-                     phi: float = 0.0, overlap: str = "estimate", consume=None,
-                     measure=None) -> np.ndarray:
+def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int, phi: float,
+                     overlap: str, consume, measure=None) -> None:
     """Vectorized covariant observer chains of any mode from the RandomStream
-    ``rng``; (trials, k) column-major overlaps with the true direction of each
+    ``rng``, handed to ``consume(block)`` chunk by chunk in row order: the
+    chunk's column-major (rows, k) overlaps with the true direction of each
     observer's estimate, or with ``overlap="prepared"`` of the state it hands
-    on; with ``consume``, the block buffer that :func:`_chain` hands to it.
-    A ``measure`` sampler ``(gen, size)``, such as
-    :func:`spinrelay.qubit.stern_gerlach`, replaces every step's tilt sampler.
+    on, in the one buffer that every chunk reuses.  A ``measure`` sampler
+    ``(gen, size)``, such as :func:`spinrelay.qubit.stern_gerlach`, replaces
+    every step's tilt sampler.
 
     The overlap alone is a Markov chain: a tilt by x at azimuth psi takes
     c to c x + sqrt((1 - c^2)(1 - x^2)) cos psi, from c = 1, and a nonzero
@@ -366,7 +359,7 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int,
     keeps its words and every k = 1 estimate is the 3-D chain's to
     rounding; then per observer it draws its tilt (two fills for the
     Stern-Gerlach sampler), its azimuth and any re-preparation azimuth."""
-    dots, steps, prepared, blocks = _chain(n_spins, k, mode, rng, trials, phi, overlap, consume)
+    steps, prepared, blocks = _chain(n_spins, k, mode, rng, trials, phi, overlap)
     for block, gen in blocks:
         rows = block.shape[0]
         # the true directions' two fills are 2 * rows words of the chunk's
@@ -380,4 +373,4 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int,
                         np.empty(rows) if offset and prepared else tracked)
             c = est if offset == 0.0 else _turn(est, math.cos(offset), gen,
                                                 tracked if prepared else np.empty(rows))
-    return dots
+        consume(block)

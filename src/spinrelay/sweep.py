@@ -113,6 +113,9 @@ def mc_estimate_delta(mode: str, n_spins: int, k_values, phi: float, trials: int
     it hands on) for each k of ``k_values``, folded block by block from one
     chain of length max(k), whose first j columns are the length-j chain;
     ``measure`` is the chain's tilt sampler, as in ``chain_dots_nspin``."""
+    if not k_values:
+        raise ValueError("k_values must be non-empty")
+    chain_laws(mode, n_spins, min(k_values), phi)
     from .encoding import chain_dots_nspin
     from .records import MomentFold
     fold = MomentFold(max(k_values))
@@ -129,10 +132,10 @@ def _cell_stream(cfg: SweepConfig, n_spins: int) -> RandomStream:
 def run_sweep(cfg: SweepConfig) -> list[dict]:
     """All records of a sweep, in deterministic (N, k) order.
 
-    Each N is one unit of work, one chain that serves every requested k.
-    Units are independent, so they may run on any number of workers, at
-    most one per unit; the assembled record list never depends on
-    scheduling.
+    Each distinct N is one unit of work, one chain that serves every k and
+    every repeat of that N.  Units are independent, so they may run on any
+    number of workers, at most one per unit; the assembled record list
+    never depends on scheduling.
     """
     cfg.validate()
 
@@ -140,19 +143,20 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
         return mc_estimate_delta(cfg.mode, n, cfg.k_values, cfg.phi, cfg.trials,
                                  _cell_stream(cfg, n))
 
-    workers = min(cfg.workers, len(cfg.n_values))
+    n_distinct = list(dict.fromkeys(cfg.n_values))
+    workers = min(cfg.workers, len(n_distinct))
     if workers == 1:
-        estimates = [run_unit(n) for n in cfg.n_values]
+        estimates = {n: run_unit(n) for n in n_distinct}
     else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(run_unit, cfg.n_values))
+            estimates = dict(zip(n_distinct, pool.map(run_unit, n_distinct)))
 
     bid = build_id()
     phi = cfg.phi if cfg.mode == "single_qubit" else None
     records = []
-    for n, unit in zip(cfg.n_values, estimates):
-        for k, est in zip(cfg.k_values, unit):
+    for n in cfg.n_values:
+        for k, est in zip(cfg.k_values, estimates[n]):
             if est.stderr is None:
                 print(f"warning: trials=1 leaves mc_stderr undefined for cell "
                       f"(mode={cfg.mode}, N={n}, k={k})", file=sys.stderr)

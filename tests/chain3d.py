@@ -10,6 +10,8 @@ over leading axes.  The samplers draw arrays of an int ``size`` through
 vectors, so a patched ``encoding._CHAIN_ROWS`` applies to both kernels.
 With ``measure=stern_gerlach`` it runs the Stern-Gerlach chain with a 3-D
 random axis, the oracle of the library's scalar Stern-Gerlach sampler.
+Both kernels hand each chunk's overlaps to a consumer; :func:`collected`
+turns either into a function that returns all of a chain's overlaps.
 """
 
 from __future__ import annotations
@@ -91,21 +93,21 @@ def stern_gerlach(state_dirs: np.ndarray, gen) -> np.ndarray:
     return axes
 
 
-def chain_dots_3d(n_spins: int, k: int, mode: str, rng, trials: int, phi: float = 0.0,
-                  overlap: str = "estimate", measure=None) -> np.ndarray:
-    """The 3-D twin of ``chain_dots_nspin``, with its arguments and output,
-    plus ``measure``: each observer estimates the direction by tilting the
-    state it is handed by a draw from its step's law at a uniform azimuth,
-    or by ``measure(state, gen)`` when given, and hands on that estimate
-    turned by its offset angle at a uniform azimuth; a zero offset hands on
-    the estimate itself and draws nothing.
+def chain_dots_3d(n_spins: int, k: int, mode: str, rng, trials: int, phi: float,
+                  overlap: str, consume, measure=None) -> None:
+    """The 3-D twin of ``chain_dots_nspin``, with its arguments and its
+    hand-off of each chunk's block to ``consume``, plus ``measure``: each
+    observer estimates the direction by tilting the state it is handed by a
+    draw from its step's law at a uniform azimuth, or by
+    ``measure(state, gen)`` when given, and hands on that estimate turned by
+    its offset angle at a uniform azimuth; a zero offset hands on the
+    estimate itself and draws nothing.
 
     It runs the same chain steps in the same chunks and makes the same
     fills in the same order: the true directions, then per observer its
     tilt draw (or the measurement's), its azimuth and any re-preparation
     azimuth."""
-    dots, steps, prepared, blocks = encoding._chain(n_spins, k, mode, rng, trials, phi,
-                                                    overlap)
+    steps, prepared, blocks = encoding._chain(n_spins, k, mode, rng, trials, phi, overlap)
     for block, gen in blocks:
         rows = block.shape[0]
         state = true_dirs = sample_uniform_sphere(gen, rows)
@@ -116,4 +118,21 @@ def chain_dots_3d(n_spins: int, k: int, mode: str, rng, trials: int, phi: float 
                 est = measure(state, gen)
             state = est if offset == 0.0 else tilt_step(est, math.cos(offset), gen)
             block[:, j] = np.sum((state if prepared else est) * true_dirs, axis=-1)
-    return dots
+        consume(block)
+
+
+def collected(chain):
+    """``chain``, either kernel, returning its column-major (trials, k)
+    overlaps: a copy of every block it hands on, stacked in row order,
+    with phi = 0 and the estimate's overlap unless given."""
+    def run(n_spins, k, mode, rng, trials, phi=0.0, overlap="estimate", measure=None):
+        blocks = []
+        chain(n_spins, k, mode, rng, trials, phi, overlap,
+              lambda block: blocks.append(block.T.copy()), measure)
+        return np.concatenate(blocks, axis=1).T
+    return run
+
+
+#: the two kernels as the tests call them, returning all of a chain's overlaps
+collected_nspin = collected(encoding.chain_dots_nspin)
+collected_3d = collected(chain_dots_3d)

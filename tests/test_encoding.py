@@ -13,7 +13,6 @@ from spinrelay import encoding, laws
 from spinrelay.cli import main
 from spinrelay.encoding import (
     EncodingSpec,
-    chain_dots_nspin,
     jacobi_matrix,
     optimal_encoding,
     outcome_density,
@@ -32,7 +31,7 @@ from spinrelay.qubit import stern_gerlach
 from spinrelay.rng import RandomStream
 
 import chain3d
-from chain3d import chain_dots_3d
+from chain3d import collected_3d as chain_dots_3d, collected_nspin as chain_dots_nspin
 
 
 def _mean_se(samples):

@@ -7,13 +7,12 @@ import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
-from spinrelay.encoding import chain_dots_nspin
 from spinrelay.laws import analytic_delta, fidelity_from_delta
 from spinrelay.qubit import disturbance_constant, eta_from_c, stern_gerlach
 from spinrelay.rng import RandomStream
 
 import chain3d
-from chain3d import chain_dots_3d
+from chain3d import collected_3d as chain_dots_3d, collected_nspin as chain_dots_nspin
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 

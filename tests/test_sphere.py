@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from spinrelay import encoding
-from spinrelay.encoding import chain_dots_nspin
 from spinrelay.qubit import stern_gerlach
 from spinrelay.rng import RandomStream
 from spinrelay.sphere import sample_cos_tilt
 
 import chain3d
-from chain3d import chain_dots_3d, rotate_towards, sample_uniform_sphere, tilt_step
+from chain3d import collected_3d as chain_dots_3d, collected_nspin as chain_dots_nspin
+from chain3d import rotate_towards, sample_uniform_sphere, tilt_step
 
 # one-sample Kolmogorov-Smirnov critical value at the 1% level
 KS_CRIT_1PCT = 1.62762
@@ -363,10 +363,23 @@ class TestChainBlocks:
         assert np.array_equal(longer[:2 * rows],
                               chain(n_spins, 2, mode, stream, 2 * rows, 0.7, "prepared"))
 
-    def test_dots_are_column_major(self):
-        for chain, mode, n_spins in self.CHAINS:
-            dots = chain(n_spins, 3, mode, RandomStream(8), 26, 0.7)
-            assert all(dots[:, j].flags.c_contiguous for j in range(3))
+    def test_dots_are_column_major(self, monkeypatch):
+        # the block each chunk hands to consume, which MomentFold reduces
+        # column by column, the last chunk's short one included
+        kernels = [(kernel, mode, n_spins, None) for mode, n_spins in self.MODES
+                   for kernel in (encoding.chain_dots_nspin, chain3d.chain_dots_3d)]
+        kernels += [(chain3d.chain_dots_3d, "single_qubit", 1, chain3d.stern_gerlach),
+                    (encoding.chain_dots_nspin, "single_qubit", 1, stern_gerlach)]
+        monkeypatch.setattr(encoding, "_CHAIN_ROWS", 7)
+        for kernel, mode, n_spins, measure in kernels:
+            rows = []
+
+            def consume(block):
+                assert all(block[:, j].flags.c_contiguous for j in range(3))
+                rows.append(block.shape[0])
+            assert kernel(n_spins, 3, mode, RandomStream(8), 26, 0.7, "estimate", consume,
+                          measure) is None
+            assert rows == [7, 7, 7, 5]
 
     @pytest.mark.parametrize("rng", [8, np.int64(8), RandomStream(8).generator(), None])
     def test_rng_must_be_a_stream(self, rng):
@@ -376,13 +389,13 @@ class TestChainBlocks:
             chain_dots_nspin(6, 2, "nspin_optimal", rng, 10)
 
     def test_peak_memory(self):
-        # a 300k-trial chain may hold its overlaps and block-sized arrays,
-        # not (trials, 3) arrays per step
+        # a 300k-trial chain holds block-sized arrays only, not (trials, k)
+        # overlaps or (trials, 3) arrays per step
         tracemalloc.start()
         try:
-            dots = chain_dots_nspin(1, 6, "single_qubit", RandomStream(3), 300_000, np.pi / 2)
+            encoding.chain_dots_nspin(1, 6, "single_qubit", RandomStream(3), 300_000, np.pi / 2,
+                                      "estimate", lambda block: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert dots.shape == (300_000, 6)
-        assert peak <= dots.nbytes + 6 * 2 ** 20
+        assert peak <= 6 * 2 ** 20

@@ -7,6 +7,7 @@ import json
 import math
 import os
 from pathlib import Path
+import re
 import shutil
 import subprocess
 import sys
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 
 import spinrelay
+from spinrelay import encoding
 from spinrelay.cli import MAX_RANGE_VALUES, main, parse_config_file, parse_int_range
-from spinrelay.encoding import _CHAIN_ROWS, OutcomeDensity, chain_dots_nspin
+from spinrelay.encoding import _CHAIN_ROWS, OutcomeDensity
 from spinrelay.laws import MODES, analytic_delta, chain_laws
 from spinrelay.qubit import stern_gerlach
 from spinrelay.records import McEstimate, MomentFold
@@ -32,6 +34,8 @@ from spinrelay.sweep import (
     records_to_bytes,
     run_sweep,
 )
+
+from chain3d import collected_nspin as chain_dots_nspin
 
 
 class TestAnalyticColumn:
@@ -93,6 +97,20 @@ class TestMcEstimate:
         a = mc_estimate_delta("nspin_parallel", 4, (2,), 0.0, 2000, RandomStream(5))
         b = mc_estimate_delta("nspin_parallel", 4, (2,), 0.0, 2000, RandomStream(5))
         assert a == b and len(a) == 1
+
+    @pytest.mark.parametrize("k_values, message", [
+        ((0, 3), "chain length must be >= 1, got 0"),
+        ((-1, 3), "chain length must be >= 1, got -1"),
+        ((), "k_values must be non-empty")])
+    def test_k_below_one_or_none_rejected_before_the_chain(self, monkeypatch, k_values,
+                                                             message):
+        # fold.estimate(k - 1) would index a k below 1 from the end
+        def fail(*args):
+            raise AssertionError("the chain ran")
+
+        monkeypatch.setattr(encoding, "chain_dots_nspin", fail)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mc_estimate_delta("nspin_parallel", 2, k_values, 0.0, 1000, RandomStream(1))
 
 
 class TestMomentFold:
@@ -298,6 +316,25 @@ class TestRunSweep:
         one = run_sweep(SweepConfig(n_values=(4,), **cfg))
         assert pools == [2]  # one chain runs inline, with no pool
         assert one == two[2:]
+        assert run_sweep(SweepConfig(n_values=(4, 4), **cfg)) == one + one
+        assert pools == [2]  # so does a repeated one
+
+    def test_a_repeated_n_runs_its_chain_once(self, monkeypatch):
+        import spinrelay.sweep as sweep_mod
+        calls = []
+
+        def counted(mode, n_spins, *args, **kwargs):
+            calls.append(n_spins)
+            return mc_estimate_delta(mode, n_spins, *args, **kwargs)
+
+        cfg = dict(mode="nspin_optimal", k_values=(1, 2), trials=500, seed=3)
+        alone = {n: run_sweep(SweepConfig(n_values=(n,), **cfg)) for n in (2, 4)}
+        monkeypatch.setattr(sweep_mod, "mc_estimate_delta", counted)
+        repeated = run_sweep(SweepConfig(n_values=(4, 2, 4), **cfg))
+        assert calls == [4, 2]
+        # one record per requested (N, k), in request order
+        assert (records_to_bytes(repeated, "csv")
+                == records_to_bytes(alone[4] + alone[2] + alone[4], "csv"))
 
     def test_csv_dialect(self):
         cfg = SweepConfig(mode="single_qubit", n_values=(1,), k_values=(1,), trials=2000)
@@ -663,6 +700,19 @@ class TestCli:
         assert out.startswith("mode,N,k,")
         row = next(csv.DictReader(io.StringIO(out)))
         assert row["seed"] == "3" and row["mode"] == "nspin_parallel"
+
+    def test_config_key_given_twice_exits_2_before_any_cell(self, tmp_path, monkeypatch,
+                                                             capsys):
+        import spinrelay.sweep as sweep_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("run_sweep called for a config with a repeated key")
+
+        monkeypatch.setattr(sweep_mod, "run_sweep", fail)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = nspin_parallel\nn = 2\nk = 1\nk = 2\ntrials = 800\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", "error: config key k given twice\n")
 
     def test_sweep_plot_script(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
