@@ -16,14 +16,11 @@ __version__ = "0.1.0"
 
 #: public name -> the submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(("EncodingSpec", "OutcomeDensity", "optimal_encoding", "outcome_density"),
-                    "encoding"),
-    **dict.fromkeys(("analytic_delta", "chain_laws", "classical_threshold",
-                     "fidelity_from_delta", "fk_asymptotic", "optimal_tilde_delta",
-                     "parallel_tilde_delta"), "laws"),
+    **dict.fromkeys(("optimal_encoding", "outcome_density"), "encoding"),
+    **dict.fromkeys(("analytic_delta", "classical_threshold", "fidelity_from_delta",
+                     "fk_asymptotic", "optimal_tilde_delta", "parallel_tilde_delta"), "laws"),
     **dict.fromkeys(("BESSEL_J0_FIRST_ZERO", "legendre_largest_zero"), "legendre"),
     **dict.fromkeys(("disturbance_constant", "eta_from_c", "stern_gerlach"), "qubit"),
-    "McEstimate": "records",
     "RandomStream": "rng",
     **dict.fromkeys(("SweepConfig", "emit_encoding", "mc_estimate_delta", "run_sweep"),
                     "sweep"),

@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--criteria", default=None,
-                   help="comma-separated criterion numbers (default: all)")
+                   help="criterion numbers, as 1,3 or 1..4 (default: all)")
     return parser
 
 
@@ -237,10 +237,8 @@ def cmd_encode(args) -> int:
 
 def cmd_selftest(args) -> int:
     from .acceptance import run_criteria
-    numbers = None
-    if args.criteria:
-        numbers = tuple(int(c) for c in args.criteria.split(","))
-    results = run_criteria(numbers)
+    results = run_criteria(parse_int_range(args.criteria, "--criteria")
+                           if args.criteria else None)
     failures = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -14,11 +14,12 @@ Two families are covered:
   phi_J proportional to sqrt(2J+1) P_J(x) (Golub-Welsch).
 
 The closed forms of both, and the steps of every chain the CLI names,
-are in :mod:`spinrelay.laws`.  :func:`chain_dots_nspin`, the one chain
-kernel, runs those steps as the scalar Markov chain of the overlap, in
-chunks that each draw from their own stream.  Its ``measure`` swaps
-every step's tilt sampler for another ``(gen, size)`` sampler, such as
-:func:`spinrelay.qubit.stern_gerlach`.
+are in :mod:`spinrelay.laws`.  :func:`_chain` lists them as turns in draw
+order, each observer's tilt and then any hand-on turn by its offset, and
+:func:`chain_dots_nspin`, the one chain kernel, runs the turns as the
+scalar Markov chain of the overlap, in chunks that each draw from their
+own stream.  Its ``measure``, such as :func:`spinrelay.qubit.stern_gerlach`,
+replaces every tilt turn's sampler.
 """
 
 from __future__ import annotations
@@ -255,16 +256,19 @@ def outcome_density(encoding: EncodingSpec) -> OutcomeDensity:
     return OutcomeDensity(encoding, np.sqrt(2.0 * degrees + 1.0) * encoding.phi)
 
 
-def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overlap: str):
+def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overlap: str,
+           measure=None):
     """The set-up of :func:`chain_dots_nspin` and of its 3-D test oracle:
     check the overlap, the chain (:func:`chain_laws`), ``trials`` and the
-    RandomStream ``rng`` before any draw or density build; list each
-    observer's (tilt sampler, hand-on offset) and whether the handed-on
-    state's overlap is recorded; and yield the lazy chunks of at most
-    _CHAIN_ROWS rows as (block, Generator): every block is the head of one
-    column-major (rows, k) buffer, and chunk 0 draws from ``rng`` and chunk
-    c >= 1 from ``rng.child(c)``.  A sampler takes ``(gen, size)``; the
-    optimal one builds its density on first use."""
+    RandomStream ``rng`` before any draw or density build; list the chain's
+    turns (x, column) in draw order; and yield the lazy chunks of at most
+    _CHAIN_ROWS rows as (block, Generator), each block the head of one
+    column-major (rows, k) buffer, chunk 0 drawing from ``rng`` and chunk
+    c >= 1 from ``rng.child(c)``.  Each observer adds a tilt turn, whose x
+    is ``measure`` or its law's ``(gen, size)`` sampler (the optimal one
+    builds its density on first use), then at a nonzero offset a hand-on
+    turn with x = cos(offset).  column is the block column of the turn's
+    overlap, or None: the tilt turn's, or under "prepared" the last turn's."""
     if overlap not in ("estimate", "prepared"):
         raise ValueError("overlap must be 'estimate' or 'prepared'")
     laws = chain_laws(mode, n_spins, k, phi)
@@ -277,10 +281,15 @@ def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overla
     density = cache(lambda: outcome_density(optimal_encoding(n_spins)))
     samplers = {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size),
                 "optimal": lambda gen, size: density().sample(gen, size)}
-    steps = [(samplers[law], offset) for law, offset, count in laws for _ in range(count)]
+    prepared, turns = overlap == "prepared", []
+    steps = [(law, offset) for law, offset, count in laws for _ in range(count)]
+    for j, (law, offset) in enumerate(steps):
+        turns.append((measure or samplers[law], None if offset and prepared else j))
+        if offset:
+            turns.append((math.cos(offset), j if prepared else None))
     blocks = ((dots[:trials - lo], (rng.child(c) if c else rng).generator())
               for c, lo in enumerate(range(0, trials, _CHAIN_ROWS)))
-    return steps, overlap == "prepared", blocks
+    return turns, blocks
 
 
 def _azimuth_table() -> tuple[np.ndarray, np.ndarray]:
@@ -329,9 +338,10 @@ def _cos_2pi(u: np.ndarray) -> np.ndarray:
 def _turn(c, x, gen, out: np.ndarray) -> np.ndarray:
     """c x + sqrt((1 - c^2)(1 - x^2)) cos psi into ``out``, with psi = 2 pi u
     for a ``gen.random`` draw u: the overlap of a direction at overlap c,
-    tilted by x at a uniform azimuth.  cos psi comes from the table of
-    :func:`_cos_2pi`, and u is the fill that the 3-D oracle chain's tilt
-    step turns into its azimuth 2 pi u."""
+    tilted by x, a number or a ``(gen, size)`` sampler drawn before u, at a
+    uniform azimuth.  cos psi comes from the table of :func:`_cos_2pi`, and
+    u is the fill that the 3-D oracle chain's tilt step turns into 2 pi u."""
+    x = x(gen, out.shape[0]) if callable(x) else x
     cos_psi = _cos_2pi(gen.random(out.shape[0]))
     s = (1.0 - c * c) * (1.0 - x * x)
     np.multiply(c, x, out=out)
@@ -347,19 +357,17 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int, phi: flo
     observer's estimate, or with ``overlap="prepared"`` of the state it hands
     on, in the one buffer that every chunk reuses.  A ``measure`` sampler
     ``(gen, size)``, such as :func:`spinrelay.qubit.stern_gerlach`, replaces
-    every step's tilt sampler.
+    every observer's tilt sampler.
 
-    The overlap alone is a Markov chain: a tilt by x at azimuth psi takes
-    c to c x + sqrt((1 - c^2)(1 - x^2)) cos psi, from c = 1, and a nonzero
-    hand-on offset is one more such step, with x = cos(offset), and each
-    step takes cos psi from the table of :func:`_cos_2pi`, with no libm call.
-    Each chunk of :func:`_chain` reads the fills of the 3-D oracle chain: it
-    passes over the true directions' two, which the overlap does not use,
-    by advancing its fresh Philox 2 * rows words, so that every later fill
-    keeps its words and every k = 1 estimate is the 3-D chain's to
-    rounding; then per observer it draws its tilt (two fills for the
-    Stern-Gerlach sampler), its azimuth and any re-preparation azimuth."""
-    steps, prepared, blocks = _chain(n_spins, k, mode, rng, trials, phi, overlap)
+    The overlap alone is a Markov chain: each turn of :func:`_chain` takes c
+    to c x + sqrt((1 - c^2)(1 - x^2)) cos psi (:func:`_turn`, no libm call),
+    from c = 1, into its block column or into scratch.  Each chunk reads the
+    fills of the 3-D oracle chain: it passes over the true directions' two,
+    which the overlap does not use, by advancing its fresh Philox 2 * rows
+    words, so that every later fill keeps its words and every k = 1
+    estimate is the 3-D chain's to rounding; then per turn it draws a tilt
+    turn's tilt (two fills for the Stern-Gerlach sampler) and the azimuth."""
+    turns, blocks = _chain(n_spins, k, mode, rng, trials, phi, overlap, measure)
     for block, gen in blocks:
         rows = block.shape[0]
         # the true directions' two fills are 2 * rows words of the chunk's
@@ -367,10 +375,6 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int, phi: flo
         gen.bit_generator.advance(rows // 2)
         gen.bit_generator.random_raw(2 * (rows % 2))
         c = 1.0
-        for j, (sample, offset) in enumerate(steps):
-            tracked = block[:, j]
-            est = _turn(c, (measure or sample)(gen, rows), gen,
-                        np.empty(rows) if offset and prepared else tracked)
-            c = est if offset == 0.0 else _turn(est, math.cos(offset), gen,
-                                                tracked if prepared else np.empty(rows))
+        for x, column in turns:
+            c = _turn(c, x, gen, np.empty(rows) if column is None else block[:, column])
         consume(block)

@@ -92,9 +92,10 @@ class SweepConfig:
             chain_laws(self.mode, n, self.k_values[0], self.phi)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if max(self.k_values) * self.trials > sys.maxsize // 8:
+        # a plain limit: it names an absurd k before a chain allocates (k, rows)
+        if max(self.k_values) * self.trials > 2 ** 60 - 1:
             raise ValueError(f"{k_name} {max(self.k_values)} with {trials_name} {self.trials}: "
-                             f"more overlaps than a float64 array can index")
+                             f"more than 2^60 - 1 overlaps")
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
         if not self.z_max > 0:  # also rejects nan, which no |z| exceeds

@@ -5,7 +5,7 @@ vector or ``(..., 3)`` for batches.  The geometric functions broadcast
 over leading axes.  The samplers draw arrays of an int ``size`` through
 ``random(size)`` alone, from the NumPy ``Generator`` they are given.
 
-:func:`chain_dots_3d` runs the steps, chunks and streams of
+:func:`chain_dots_3d` runs the turns, chunks and streams of
 :func:`spinrelay.encoding._chain`, as ``chain_dots_nspin`` does, on unit
 vectors, so a patched ``encoding._CHAIN_ROWS`` applies to both kernels.
 With ``measure=stern_gerlach`` it runs the Stern-Gerlach chain with a 3-D
@@ -15,8 +15,6 @@ turns either into a function that returns all of a chain's overlaps.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -103,21 +101,21 @@ def chain_dots_3d(n_spins: int, k: int, mode: str, rng, trials: int, phi: float,
     its offset angle at a uniform azimuth; a zero offset hands on the
     estimate itself and draws nothing.
 
-    It runs the same chain steps in the same chunks and makes the same
-    fills in the same order: the true directions, then per observer its
-    tilt draw (or the measurement's), its azimuth and any re-preparation
-    azimuth."""
-    steps, prepared, blocks = encoding._chain(n_spins, k, mode, rng, trials, phi, overlap)
+    It walks the same turns of ``encoding._chain`` in the same chunks, fills
+    the same columns and makes the same fills in the same order: the true
+    directions, then per turn the tilt draw of a tilt turn (or the
+    measurement's, which replaces tilt turns only) and the azimuth."""
+    turns, blocks = encoding._chain(n_spins, k, mode, rng, trials, phi, overlap)
     for block, gen in blocks:
         rows = block.shape[0]
         state = true_dirs = sample_uniform_sphere(gen, rows)
-        for j, (sample, offset) in enumerate(steps):
-            if measure is None:
-                est = tilt_step(state, sample(gen, rows), gen)
+        for x, column in turns:
+            if measure is not None and callable(x):  # a tilt turn, measured
+                state = measure(state, gen)
             else:
-                est = measure(state, gen)
-            state = est if offset == 0.0 else tilt_step(est, math.cos(offset), gen)
-            block[:, j] = np.sum((state if prepared else est) * true_dirs, axis=-1)
+                state = tilt_step(state, x(gen, rows) if callable(x) else x, gen)
+            if column is not None:
+                block[:, column] = np.sum(state * true_dirs, axis=-1)
         consume(block)
 
 

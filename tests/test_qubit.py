@@ -130,16 +130,17 @@ class TestObservers:
                 for overlap in ("estimate", "prepared")]
 
     def test_covariant_identity_prepare(self):
-        # a zero offset hands on the estimate itself and draws nothing more
-        for chain in (chain_dots_3d, chain_dots_nspin):
-            est, prep = self._both(chain, 0.0, k=3)
-            np.testing.assert_array_equal(prep, est)
-        est, prep = (chain_dots_3d(1, 3, "single_qubit", RandomStream(3), 1000, 0.0, overlap,
-                                   chain3d.stern_gerlach)
-                     for overlap in ("estimate", "prepared"))
-        np.testing.assert_array_equal(prep, est)
-        est, prep = self._both(partial(chain_dots_nspin, measure=stern_gerlach), 0.0, k=3)
-        np.testing.assert_array_equal(prep, est)
+        # in every mode a zero offset hands on the estimate itself and draws
+        # nothing more, on both kernels, covariant or Stern-Gerlach
+        kernels = (chain_dots_3d, chain_dots_nspin,
+                   partial(chain_dots_3d, measure=chain3d.stern_gerlach),
+                   partial(chain_dots_nspin, measure=stern_gerlach))
+        for mode, n_spins in (("single_qubit", 1), ("nspin_parallel", 3),
+                              ("nspin_optimal", 4), ("parallel_start", 4)):
+            for chain in kernels:
+                est, prep = (chain(n_spins, 3, mode, RandomStream(3), 1000, 0.0, overlap)
+                             for overlap in ("estimate", "prepared"))
+                np.testing.assert_array_equal(prep, est, err_msg=mode)
 
     def test_covariant_worst_prepare_flips(self):
         for chain in (chain_dots_3d, chain_dots_nspin):

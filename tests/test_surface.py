@@ -64,6 +64,22 @@ def test_demo_imports_resolve(demo):
         exec(compile(ast.Module([node], []), str(demo), "exec"), {})
 
 
+def test_every_public_name_is_used_by_a_demo_or_the_cli():
+    # the public API is what the demos import and what the CLI and the
+    # acceptance gate use; everything else stays in its module
+    used = set()
+    for demo in DEMOS:
+        used |= {alias.name for node in ast.walk(ast.parse(demo.read_text()))
+                 if isinstance(node, ast.ImportFrom) and node.module == "spinrelay"
+                 for alias in node.names}
+    for module in ("cli.py", "acceptance.py"):
+        source = Path(spinrelay.__file__).with_name(module).read_text()
+        for node in ast.walk(ast.parse(source)):
+            used |= {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)}
+    assert [name for name in spinrelay.__all__ if name not in used] == []
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

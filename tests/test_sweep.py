@@ -637,7 +637,7 @@ class TestCli:
             assert main(argv) == 2, argv
             out, err = capsys.readouterr()
             assert out == "" and err == (f"error: {names}: "
-                                         "more overlaps than a float64 array can index\n")
+                                         "more than 2^60 - 1 overlaps\n")
 
     def test_config_values_that_fail_to_convert_name_their_key(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -865,8 +865,8 @@ class TestCli:
             "error: config key k 1,,3: invalid literal for int() with base 10: ''\n")
 
     def test_huge_k_names_k_and_trials_before_any_work(self, tmp_path, monkeypatch, capsys):
-        # a single --k is not a range, so k * trials is bounded by the
-        # (k, trials) float64 array's index, checked before any cell runs
+        # a single --k is not a range, so the plain limit on k * trials is
+        # what rejects it, before any cell runs or any chain allocates
         import spinrelay.sweep as sweep_mod
 
         def fail(*args, **kwargs):
@@ -887,8 +887,8 @@ class TestCli:
             assert main(argv) == 2, argv
             out, err = capsys.readouterr()
             assert out == "" and err == (f"error: {k_name} {huge} with {trials_name} 10: "
-                                         "more overlaps than a float64 array can index\n")
-        # at the bound: 2^60 - 1 overlaps take 2^63 - 8 bytes, 2^60 do not fit
+                                         "more than 2^60 - 1 overlaps\n")
+        # at the bound: 2^60 - 1 overlaps pass, 2^60 do not
         SweepConfig("nspin_parallel", (2,), (2 ** 60 - 1,), trials=1).validate()
         with pytest.raises(ValueError, match="^k 1152921504606846976 with trials 1: "):
             SweepConfig("nspin_parallel", (2,), (2 ** 60,), trials=1).validate()
@@ -978,3 +978,26 @@ class TestCli:
         assert main(["selftest", "--criteria", "8"]) == 0
         out = capsys.readouterr().out
         assert "[8] PASS" in out and "1/1 criteria passed" in out
+
+    def test_selftest_criteria_error_names_its_flag(self, monkeypatch, capsys):
+        import spinrelay.acceptance as acceptance_mod
+
+        def fail(numbers=None):
+            raise AssertionError("a criterion ran on a rejected --criteria")
+
+        monkeypatch.setattr(acceptance_mod, "run_criteria", fail)
+        assert main(["selftest", "--criteria", "1,x"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: --criteria 1,x: invalid literal for int() "
+                                     "with base 10: 'x'\n")
+        # an empty --criteria, like an absent one, asks for every criterion
+        asked = []
+
+        def record(numbers=None):
+            asked.append(numbers)
+            return []
+
+        monkeypatch.setattr(acceptance_mod, "run_criteria", record)
+        assert main(["selftest", "--criteria", ""]) == 0
+        assert main(["selftest"]) == 0
+        assert asked == [None, None]
