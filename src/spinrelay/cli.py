@@ -80,7 +80,8 @@ def _write_out(payload: bytes, path: str) -> None:
 
 
 def _check_writable(path: str | None, flag: str) -> None:
-    """Reject an output path whose directory is missing or read-only.
+    """Reject an output path whose directory is missing or read-only, or
+    an existing file that cannot be written.
 
     Runs before any cell is simulated; the file itself is neither created
     nor truncated here.
@@ -90,7 +91,8 @@ def _check_writable(path: str | None, flag: str) -> None:
     folder = Path(path).parent
     if not folder.is_dir():
         raise ValueError(f"{flag} {path}: directory {str(folder)!r} does not exist")
-    if Path(path).is_dir() or not os.access(folder, os.W_OK | os.X_OK):
+    if (Path(path).is_dir() or not os.access(folder, os.W_OK | os.X_OK)
+            or Path(path).exists() and not os.access(path, os.W_OK)):
         raise ValueError(f"{flag} {path}: not a writable file path")
 
 

@@ -25,12 +25,10 @@ replaces every tilt turn's sampler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 import math
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
-from numpy.polynomial import legendre as npleg
 
 from .laws import _require_even, chain_laws
 from .legendre import legendre_largest_zero
@@ -46,10 +44,10 @@ _GUIDE_CELLS = 4096
 _AZIMUTH_CELLS = 4096
 _AZIMUTH_STEP = 2.0 * np.pi / _AZIMUTH_CELLS
 
-#: trials per chunk of a chain, so that a chain step holds a few arrays
-#: of this many rows however many trials run, small enough to stay in a
-#: 2 MB L2 cache; chunk c draws from its own stream, so this fixes which
-#: draws every trial past the first chunk gets
+#: trials per chunk of a chain, so that a chain's block and the seven
+#: arrays of its step scratch hold this many rows however many trials run,
+#: small enough to stay in a 2 MB L2 cache; chunk c draws from its own
+#: stream, so this fixes which draws every trial past the first chunk gets
 _CHAIN_ROWS = 2 ** 14
 
 #: the inverse-CDF table is refined until its linear interpolation of the
@@ -97,6 +95,7 @@ def optimal_encoding(n_spins: int) -> EncodingSpec:
     proportional to sqrt(2J+1) P_J(x) (Golub & Welsch, Math. Comp. 23,
     1969), all positive because x lies above every zero of P_J, J <= N/2.
     """
+    from numpy.polynomial import legendre as npleg
     _require_even(n_spins)
     half = n_spins // 2
     x = legendre_largest_zero(half + 1)
@@ -151,9 +150,11 @@ class OutcomeDensity:
     amplitude: np.ndarray = field(repr=False)
 
     def pdf(self, x):
+        from numpy.polynomial import legendre as npleg
         return 0.5 * npleg.legval(x, self.amplitude) ** 2
 
     def cdf(self, x):
+        from numpy.polynomial import chebyshev as npcheb
         return np.clip(1.0 - npcheb.chebval(x, self._survival), 0.0, 1.0)
 
     def mean_tilt(self) -> float:
@@ -171,6 +172,7 @@ class OutcomeDensity:
         FFT of the even extension gives its Chebyshev coefficients, and
         chebint the CDF's.
         """
+        from numpy.polynomial import chebyshev as npcheb
         k = 2 * self.amplitude.size
         theta = np.arange(k + 1) * (np.pi / k)
         values = 0.5 * _amplitude_at_angles(self.amplitude, theta) ** 2
@@ -225,27 +227,34 @@ class OutcomeDensity:
         guide[:-1][guide[:-1] != np.searchsorted(table_g, edges[1:]) - 1] = -1
         return table_g, theta, slope, guide
 
-    def sample(self, gen, size: int) -> np.ndarray:
-        q = gen.random(size)
+    def sample(self, gen, size: int, out=None, work=None) -> np.ndarray:
+        """``size`` tilt cosines, drawn into and returned in ``out`` when
+        given, with ``work`` the scratch of :meth:`_tilt_angle`."""
+        q = gen.random(size) if out is None else gen.random(size, out=out)
         # q = 1 - u is exact for u >= 1/2, so the tail near x = 1, where
         # the optimal density puts its mass, keeps full resolution
         np.subtract(1.0, q, out=q)
-        return np.cos(self._tilt_angle(q), out=q)
+        return np.cos(self._tilt_angle(q, work), out=q)
 
-    def _tilt_angle(self, q: np.ndarray) -> np.ndarray:
+    def _tilt_angle(self, q: np.ndarray, work=None) -> np.ndarray:
         """theta at survival q (1-D, in [0, 1]), overwriting q: the value
-        of np.interp(q, G, theta), bit for bit, from a guide-table lookup."""
+        of np.interp(q, G, theta), bit for bit, from a guide-table lookup.
+        ``work`` is (float, intp, intp) scratch of q's length, or None to
+        allocate it."""
         table_g, table_theta, slope, guide = self._inverse_table
+        t, cell, j = work or (np.empty_like(q), *np.empty((2, q.size), dtype=np.intp))
         # each q's interval from its guide cell, or by binary search in a
-        # split cell; q * M is exact, so the cell index is exact too
-        t = q * _GUIDE_CELLS
-        j = guide[t.astype(np.intp)]
+        # split cell; q * M is exact, so the cell index is exact too.  Every
+        # index is in range, and a "clip" take writes straight into out=
+        np.multiply(q, _GUIDE_CELLS, out=t)
+        np.copyto(cell, t, casting="unsafe")
+        guide.take(cell, out=j, mode="clip")
         split = np.flatnonzero(j < 0)
         j[split] = np.searchsorted(table_g, q[split], side="right") - 1
         # np.interp's arithmetic, slope * (q - G[j]) + theta[j]
-        q -= table_g.take(j, out=t)
-        q *= slope.take(j, out=t)
-        q += table_theta.take(j, out=t)
+        q -= table_g.take(j, out=t, mode="clip")
+        q *= slope.take(j, out=t, mode="clip")
+        q += table_theta.take(j, out=t, mode="clip")
         return q
 
 
@@ -265,10 +274,11 @@ def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overla
     _CHAIN_ROWS rows as (block, Generator), each block the head of one
     column-major (rows, k) buffer, chunk 0 drawing from ``rng`` and chunk
     c >= 1 from ``rng.child(c)``.  Each observer adds a tilt turn, whose x
-    is ``measure`` or its law's ``(gen, size)`` sampler (the optimal one
-    builds its density on first use), then at a nonzero offset a hand-on
-    turn with x = cos(offset).  column is the block column of the turn's
-    overlap, or None: the tilt turn's, or under "prepared" the last turn's."""
+    is a sampler ``(gen, size, out=None, work=None)``: ``measure(gen,
+    size)``, or its law's, whose optimal density and table are built here,
+    after the checks; then at a nonzero offset a hand-on turn with x =
+    cos(offset).  column is the block column of the turn's overlap, or
+    None: the tilt turn's, or under "prepared" the last turn's."""
     if overlap not in ("estimate", "prepared"):
         raise ValueError("overlap must be 'estimate' or 'prepared'")
     laws = chain_laws(mode, n_spins, k, phi)
@@ -278,13 +288,17 @@ def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overla
         raise TypeError(f"rng must be a RandomStream, got {type(rng).__name__}")
     dots = np.empty((k, min(trials, _CHAIN_ROWS))).T
     # listed after the allocation, which rejects a k too large to index
-    density = cache(lambda: outcome_density(optimal_encoding(n_spins)))
-    samplers = {"parallel": lambda gen, size: sample_cos_tilt(gen, n_spins, size),
-                "optimal": lambda gen, size: density().sample(gen, size)}
+    samplers = {"parallel": lambda gen, size, out=None, work=None:
+                sample_cos_tilt(gen, n_spins, size, out)}
+    if not measure and any(law == "optimal" for law, _, _ in laws):
+        density = outcome_density(optimal_encoding(n_spins))
+        density._inverse_table  # the lazy table's one build, before any step buffer
+        samplers["optimal"] = density.sample
+    measured = measure and (lambda gen, size, out=None, work=None: measure(gen, size))
     prepared, turns = overlap == "prepared", []
     steps = [(law, offset) for law, offset, count in laws for _ in range(count)]
     for j, (law, offset) in enumerate(steps):
-        turns.append((measure or samplers[law], None if offset and prepared else j))
+        turns.append((measured or samplers[law], None if offset and prepared else j))
         if offset:
             turns.append((math.cos(offset), j if prepared else None))
     blocks = ((dots[:trials - lo], (rng.child(c) if c else rng).generator())
@@ -306,8 +320,8 @@ def _azimuth_table() -> tuple[np.ndarray, np.ndarray]:
 _AZIMUTH_COS, _AZIMUTH_SIN = _azimuth_table()
 
 
-def _cos_2pi(u: np.ndarray) -> np.ndarray:
-    """cos(2 pi u) for u in [0, 1], overwriting u, with no libm call.
+def _cos_2pi(u: np.ndarray, work=None) -> np.ndarray:
+    """cos(2 pi u) for u in [0, 1] (1-D), overwriting u, with no libm call.
 
     The table gives cos a and sin a at the nearest a = 2 pi j / M, and
     h = 2 pi u - a, |h| <= pi / M, turns them by the angle-addition formula
@@ -315,13 +329,17 @@ def _cos_2pi(u: np.ndarray) -> np.ndarray:
     cos(a + h) = cos a - [cos a (h^2/2 - h^4/24) + sin a (h - h^3/6)].
     The remainders are below 3e-18, so the error is the rounding of the
     table and of the last subtraction.  At u = j / M it is the table entry.
+    ``work`` is (float, float, float, intp) scratch of u's length, or None
+    to allocate it; the result is in its second array.
     """
+    j, cos_a, sin_a, idx = work or (*np.empty((3, u.size)), np.empty(u.size, dtype=np.intp))
     u *= _AZIMUTH_CELLS
-    j = np.rint(u)
+    np.rint(u, out=j)
     u -= j  # exact, as u * M was
     u *= _AZIMUTH_STEP
-    idx = j.astype(np.intp)
-    cos_a, sin_a = _AZIMUTH_COS.take(idx), _AZIMUTH_SIN.take(idx)
+    np.copyto(idx, j, casting="unsafe")
+    _AZIMUTH_COS.take(idx, out=cos_a, mode="clip")
+    _AZIMUTH_SIN.take(idx, out=sin_a, mode="clip")
     h2 = np.multiply(u, u, out=j)
     sin_a *= u
     np.multiply(h2, -1.0 / 6.0, out=u)
@@ -335,17 +353,33 @@ def _cos_2pi(u: np.ndarray) -> np.ndarray:
     return np.subtract(cos_a, u, out=cos_a)
 
 
-def _turn(c, x, gen, out: np.ndarray) -> np.ndarray:
+def _one_minus_square(v, out: np.ndarray):
+    """1 - v^2: a float for a float v, else written into ``out``."""
+    if isinstance(v, float):
+        return 1.0 - v * v
+    np.multiply(v, v, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
+def _turn(c, x, gen, out: np.ndarray, work) -> np.ndarray:
     """c x + sqrt((1 - c^2)(1 - x^2)) cos psi into ``out``, with psi = 2 pi u
     for a ``gen.random`` draw u: the overlap of a direction at overlap c,
-    tilted by x, a number or a ``(gen, size)`` sampler drawn before u, at a
-    uniform azimuth.  cos psi comes from the table of :func:`_cos_2pi`, and
-    u is the fill that the 3-D oracle chain's tilt step turns into 2 pi u."""
-    x = x(gen, out.shape[0]) if callable(x) else x
-    cos_psi = _cos_2pi(gen.random(out.shape[0]))
-    s = (1.0 - c * c) * (1.0 - x * x)
+    tilted by x, a number or a sampler of :func:`_chain` drawn before u, at
+    a uniform azimuth.  cos psi comes from the table of :func:`_cos_2pi`,
+    and u is the fill that the 3-D oracle chain's tilt step turns into
+    2 pi u.  A sampled x is drawn into ``out``, which must not hold c, and
+    c x overwrites it there; ``work``, four float rows and two intp rows of
+    out's length, holds u and every temporary, so a turn allocates nothing."""
+    (u, h, cos_a, sin_a), (cell, j) = work
+    rows = out.shape[0]
+    x = x(gen, rows, out, (u, cell, j)) if callable(x) else x
+    cos_psi = _cos_2pi(gen.random(rows, out=u), (h, cos_a, sin_a, cell))
+    # u and h are free again, for (1 - c^2)(1 - x^2)
+    s = np.multiply(_one_minus_square(c, u), _one_minus_square(x, h), out=u)
+    np.sqrt(np.maximum(s, 0.0, out=s), out=s)
+    s *= cos_psi
     np.multiply(c, x, out=out)
-    out += np.sqrt(np.maximum(s, 0.0, out=s), out=s) * cos_psi
+    out += s
     return out
 
 
@@ -368,13 +402,19 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int, phi: flo
     estimate is the 3-D chain's to rounding; then per turn it draws a tilt
     turn's tilt (two fills for the Stern-Gerlach sampler) and the azimuth."""
     turns, blocks = _chain(n_spins, k, mode, rng, trials, phi, overlap, measure)
+    # one step scratch per chain, sized to its first chunk; a shorter last
+    # chunk runs on the head of every row
+    floats = np.empty((5, min(trials, _CHAIN_ROWS)))
+    ints = np.empty((2, floats.shape[1]), dtype=np.intp)
     for block, gen in blocks:
         rows = block.shape[0]
+        handed, *step = floats[:, :rows]
+        work = step, ints[:, :rows]
         # the true directions' two fills are 2 * rows words of the chunk's
         # fresh Philox, whose counter steps 4 words at a time
         gen.bit_generator.advance(rows // 2)
         gen.bit_generator.random_raw(2 * (rows % 2))
         c = 1.0
         for x, column in turns:
-            c = _turn(c, x, gen, np.empty(rows) if column is None else block[:, column])
+            c = _turn(c, x, gen, handed if column is None else block[:, column], work)
         consume(block)

@@ -36,19 +36,29 @@ class MomentFold:
     """Per-column count, mean and centred M2 of (rows, columns) blocks, merged
     in call order (Chan, Golub & LeVeque, Am. Stat. 37, 1983).  Each block is
     centred on its own mean: raw sums of squares cancel at a small spread.
-    One column-major block gives numpy's 1-D mean and std(ddof=1), bit for bit."""
+    One column-major block gives numpy's 1-D mean and std(ddof=1), bit for bit.
+    The squared deviations of one column at a time go through one reused
+    buffer, so a fold of blocks no longer than the first allocates nothing
+    of a block's size."""
 
     def __init__(self, columns: int):
         self.count, self.mean, self.m2 = 0, np.zeros(columns), np.zeros(columns)
+        self._squares = np.empty(0)
 
     def __call__(self, block: np.ndarray):
         rows, count = block.shape[0], self.count + block.shape[0]
         if rows < 1:
             raise ValueError("need at least one sample")
+        if self._squares.size < rows:
+            self._squares = np.empty(rows)
+        squares, sums = self._squares[:rows], np.empty(block.shape[1])
         mean = block.mean(axis=0)
+        for column, centre in enumerate(mean):
+            np.subtract(block[:, column], centre, out=squares)
+            sums[column] = np.square(squares, out=squares).sum()
         delta = mean - self.mean
         self.mean += delta * (rows / count)
-        self.m2 += ((block - mean) ** 2).sum(axis=0) + delta * delta * (self.count * rows / count)
+        self.m2 += sums + delta * delta * (self.count * rows / count)
         self.count = count
 
     def estimate(self, column: int) -> McEstimate:

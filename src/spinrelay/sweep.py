@@ -114,6 +114,7 @@ def mc_estimate_delta(mode: str, n_spins: int, k_values, phi: float, trials: int
     it hands on) for each k of ``k_values``, folded block by block from one
     chain of length max(k), whose first j columns are the length-j chain;
     ``measure`` is the chain's tilt sampler, as in ``chain_dots_nspin``."""
+    k_values = tuple(k_values)
     if not k_values:
         raise ValueError("k_values must be non-empty")
     chain_laws(mode, n_spins, min(k_values), phi)

@@ -4,12 +4,13 @@ from collections import Counter
 from functools import partial
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
-from spinrelay import encoding, laws
+from spinrelay import encoding, laws, records
 from spinrelay.cli import main
 from spinrelay.encoding import (
     EncodingSpec,
@@ -29,6 +30,8 @@ from spinrelay.laws import (
 from spinrelay.legendre import legendre_largest_zero
 from spinrelay.qubit import stern_gerlach
 from spinrelay.rng import RandomStream
+from spinrelay.sphere import sample_cos_tilt
+from spinrelay.sweep import mc_estimate_delta
 
 import chain3d
 from chain3d import collected_3d as chain_dots_3d, collected_nspin as chain_dots_nspin
@@ -679,9 +682,9 @@ class TestNspinChains:
         drawn, generator = [], RandomStream.generator
 
         class Counted(np.random.Generator):
-            def random(self, size):
+            def random(self, size, out=None):
                 drawn[-1].append(size)
-                return super().random(size)
+                return super().random(size, out=out)
 
         monkeypatch.setattr(RandomStream, "generator",
                             lambda self: drawn.append([]) or Counted(generator(self).bit_generator))
@@ -725,6 +728,83 @@ class TestNspinChains:
         a = chain_dots_nspin(2, 2, "nspin_optimal", RandomStream(45), 1000)
         b = chain_dots_nspin(2, 2, "nspin_optimal", RandomStream(45), 1000)
         np.testing.assert_array_equal(a, b)
+
+
+class TestStepScratch:
+    """A chain runs every step in one scratch per chain, sized to its first
+    chunk, and its samplers write into the buffers they are given."""
+
+    MODES = [("single_qubit", 1), ("nspin_parallel", 4), ("nspin_optimal", 4),
+             ("parallel_start", 4)]
+
+    @pytest.mark.parametrize("fold", [False, True], ids=["kernel", "mc_estimate_delta"])
+    @pytest.mark.parametrize("overlap", ["estimate", "prepared"])
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    @pytest.mark.parametrize("mode, n_spins", MODES)
+    def test_chain_steps_allocate_nothing(self, monkeypatch, mode, n_spins, phi, overlap,
+                                          fold):
+        # six chunks, the last short: past the first, a chunk's steps (and
+        # its fold) raise the traced peak by no more than the split cells'
+        # small index arrays, against 128 KiB for one temporary of a chunk
+        extra = []
+
+        def sample(block=None):
+            current, peak = tracemalloc.get_traced_memory()
+            extra.append(peak - current)
+            tracemalloc.reset_peak()
+
+        class Sampled(records.MomentFold):
+            def __call__(self, block):
+                super().__call__(block)
+                sample()
+
+        monkeypatch.setattr(records, "MomentFold", Sampled)
+        trials = 5 * encoding._CHAIN_ROWS + 7
+        tracemalloc.start()
+        try:
+            if fold:
+                mc_estimate_delta(mode, n_spins, (1, 2, 3), phi, trials, RandomStream(6),
+                                  overlap)
+            else:
+                encoding.chain_dots_nspin(n_spins, 3, mode, RandomStream(6), trials, phi,
+                                          overlap, sample)
+        finally:
+            tracemalloc.stop()
+        assert len(extra) == 6
+        assert max(extra[1:]) < 64 * 1024, extra
+
+    @staticmethod
+    def _garbage(floats, ints, size):
+        # scratch as a reused buffer leaves it: nothing may be read from it
+        return *np.full((floats, size), np.nan), *np.full((ints, size), -7, dtype=np.intp)
+
+    @pytest.mark.parametrize("n_copies", [1, 4, 50])
+    def test_parallel_sampler_fills_its_buffer(self, n_copies):
+        [out] = self._garbage(1, 0, 10 ** 4)
+        got = sample_cos_tilt(RandomStream(n_copies).generator(), n_copies, out.size, out)
+        assert got is out
+        assert np.array_equal(got, sample_cos_tilt(RandomStream(n_copies).generator(),
+                                                   n_copies, out.size))
+
+    @pytest.mark.parametrize("n_spins", [2, 40, 280])
+    def test_optimal_sampler_fills_its_buffer(self, optimal_densities, n_spins):
+        density, size = optimal_densities[n_spins], 10 ** 5
+        out, *work = self._garbage(2, 2, size)
+        got = density.sample(RandomStream(n_spins).generator(), size, out, work)
+        assert got is out
+        assert np.array_equal(got, density.sample(RandomStream(n_spins).generator(), size))
+        # some draws fall in guide cells that a knot splits, which the
+        # lookup finishes by binary search
+        guide = density._inverse_table[3]
+        q = 1.0 - RandomStream(n_spins).generator().random(size)
+        assert np.any(guide[(q * encoding._GUIDE_CELLS).astype(np.intp)] < 0)
+
+    def test_azimuth_cosine_fills_its_buffer(self):
+        u = RandomStream(16).generator().random(10 ** 4)
+        work = self._garbage(3, 1, u.size)
+        got = encoding._cos_2pi(u.copy(), work)
+        assert got is work[1]
+        assert np.array_equal(got, encoding._cos_2pi(u.copy()))
 
 
 class TestAzimuthCosine:

@@ -93,6 +93,12 @@ class TestMcEstimate:
         [est] = mc_estimate_delta("nspin_optimal", 2, (1,), 0.0, 100_000, RandomStream(43))
         assert abs(est.mean - 1 / math.sqrt(3)) < 3 * est.stderr
 
+    def test_k_values_may_be_any_iterable(self):
+        # a generator is read once, before the checks that min() and max() make
+        ks = (k for k in (1, 2))
+        assert (mc_estimate_delta("nspin_parallel", 2, ks, 0.0, 1000, RandomStream(1))
+                == mc_estimate_delta("nspin_parallel", 2, (1, 2), 0.0, 1000, RandomStream(1)))
+
     def test_cell_deterministic(self):
         a = mc_estimate_delta("nspin_parallel", 4, (2,), 0.0, 2000, RandomStream(5))
         b = mc_estimate_delta("nspin_parallel", 4, (2,), 0.0, 2000, RandomStream(5))
@@ -790,6 +796,19 @@ class TestCli:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
         assert kept.read_text() == "earlier output\n"
+        # an existing file that cannot be written, in a writable folder;
+        # os.access is patched because root passes the mode-bit check
+        access = os.access
+        monkeypatch.setattr(os, "access",
+                            lambda path, mode: Path(path) != kept and access(path, mode))
+        fresh = str(tmp_path / "fresh.csv")
+        for argv in (["sweep", "--out", str(kept)], ["mc", "--out", str(kept)],
+                     ["sweep", "--out", fresh, "--plot-script", str(kept)]):
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {argv[-2]} {kept}: not a writable file path\n"
+        assert kept.read_text() == "earlier output\n"
+        assert not Path(fresh).exists()
 
     def test_analytic_rejects_bad_chains(self, tmp_path, capsys):
         cases = [(mode, "1" if mode == "single_qubit" else "2", "0", "0") for mode in MODES]
