@@ -44,8 +44,8 @@ _GUIDE_CELLS = 4096
 _AZIMUTH_CELLS = 4096
 _AZIMUTH_STEP = 2.0 * np.pi / _AZIMUTH_CELLS
 
-#: trials per chunk of a chain, so that a chain's block and the seven
-#: arrays of its step scratch hold this many rows however many trials run,
+#: trials per chunk of a chain, so that the eight arrays of a chain's
+#: scratch hold this many rows however many trials or observers run,
 #: small enough to stay in a 2 MB L2 cache; chunk c draws from its own
 #: stream, so this fixes which draws every trial past the first chunk gets
 _CHAIN_ROWS = 2 ** 14
@@ -269,16 +269,17 @@ def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overla
            measure=None):
     """The set-up of :func:`chain_dots_nspin` and of its 3-D test oracle:
     check the overlap, the chain (:func:`chain_laws`), ``trials`` and the
-    RandomStream ``rng`` before any draw or density build; list the chain's
-    turns (x, column) in draw order; and yield the lazy chunks of at most
-    _CHAIN_ROWS rows as (block, Generator), each block the head of one
-    column-major (rows, k) buffer, chunk 0 drawing from ``rng`` and chunk
-    c >= 1 from ``rng.child(c)``.  Each observer adds a tilt turn, whose x
-    is a sampler ``(gen, size, out=None, work=None)``: ``measure(gen,
-    size)``, or its law's, whose optimal density and table are built here,
-    after the checks; then at a nonzero offset a hand-on turn with x =
-    cos(offset).  column is the block column of the turn's overlap, or
-    None: the tilt turn's, or under "prepared" the last turn's."""
+    RandomStream ``rng`` before any draw or density build; return the
+    chain's turns (x, column) in draw order, as a function that lists them
+    anew from the at most two runs of :func:`chain_laws` on every call, and
+    the lazy chunks of at most _CHAIN_ROWS rows as (rows, Generator), chunk
+    0 drawing from ``rng`` and chunk c >= 1 from ``rng.child(c)``.  Each
+    observer adds a tilt turn, whose x is a sampler ``(gen, size, out=None,
+    work=None)``: ``measure(gen, size)``, or its law's, whose optimal
+    density and table are built here, after the checks; then at a nonzero
+    offset a hand-on turn with x = cos(offset).  column is the observer
+    whose overlap the turn records, or None: the tilt turn's, or under
+    "prepared" the last turn's."""
     if overlap not in ("estimate", "prepared"):
         raise ValueError("overlap must be 'estimate' or 'prepared'")
     laws = chain_laws(mode, n_spins, k, phi)
@@ -286,8 +287,6 @@ def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overla
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not isinstance(rng, RandomStream):
         raise TypeError(f"rng must be a RandomStream, got {type(rng).__name__}")
-    dots = np.empty((k, min(trials, _CHAIN_ROWS))).T
-    # listed after the allocation, which rejects a k too large to index
     samplers = {"parallel": lambda gen, size, out=None, work=None:
                 sample_cos_tilt(gen, n_spins, size, out)}
     if not measure and any(law == "optimal" for law, _, _ in laws):
@@ -295,15 +294,18 @@ def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overla
         density._inverse_table  # the lazy table's one build, before any step buffer
         samplers["optimal"] = density.sample
     measured = measure and (lambda gen, size, out=None, work=None: measure(gen, size))
-    prepared, turns = overlap == "prepared", []
-    steps = [(law, offset) for law, offset, count in laws for _ in range(count)]
-    for j, (law, offset) in enumerate(steps):
-        turns.append((measured or samplers[law], None if offset and prepared else j))
-        if offset:
-            turns.append((math.cos(offset), j if prepared else None))
-    blocks = ((dots[:trials - lo], (rng.child(c) if c else rng).generator())
+    prepared = overlap == "prepared"
+
+    def turns():
+        steps = ((law, offset) for law, offset, count in laws for _ in range(count))
+        for j, (law, offset) in enumerate(steps):
+            yield measured or samplers[law], None if offset and prepared else j
+            if offset:
+                yield math.cos(offset), j if prepared else None
+
+    chunks = ((min(_CHAIN_ROWS, trials - lo), (rng.child(c) if c else rng).generator())
               for c, lo in enumerate(range(0, trials, _CHAIN_ROWS)))
-    return turns, blocks
+    return turns, chunks
 
 
 def _azimuth_table() -> tuple[np.ndarray, np.ndarray]:
@@ -386,35 +388,40 @@ def _turn(c, x, gen, out: np.ndarray, work) -> np.ndarray:
 def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int, phi: float,
                      overlap: str, consume, measure=None) -> None:
     """Vectorized covariant observer chains of any mode from the RandomStream
-    ``rng``, handed to ``consume(block)`` chunk by chunk in row order: the
-    chunk's column-major (rows, k) overlaps with the true direction of each
-    observer's estimate, or with ``overlap="prepared"`` of the state it hands
-    on, in the one buffer that every chunk reuses.  A ``measure`` sampler
-    ``(gen, size)``, such as :func:`spinrelay.qubit.stern_gerlach`, replaces
-    every observer's tilt sampler.
+    ``rng``, handed to ``consume(column, overlaps)`` as each turn that
+    records an observer's overlap writes them: chunk by chunk in row order,
+    columns in increasing order within a chunk, ``overlaps`` the chunk's
+    (rows,) overlaps with the true direction of observer column + 1's
+    estimate, or with ``overlap="prepared"`` of the state it hands on.  It
+    is a view of scratch that the kernel reuses two turns later, so a
+    consumer that keeps it copies it.  A ``measure`` sampler ``(gen,
+    size)``, such as :func:`spinrelay.qubit.stern_gerlach`, replaces every
+    observer's tilt sampler.
 
     The overlap alone is a Markov chain: each turn of :func:`_chain` takes c
     to c x + sqrt((1 - c^2)(1 - x^2)) cos psi (:func:`_turn`, no libm call),
-    from c = 1, into its block column or into scratch.  Each chunk reads the
-    fills of the 3-D oracle chain: it passes over the true directions' two,
-    which the overlap does not use, by advancing its fresh Philox 2 * rows
-    words, so that every later fill keeps its words and every k = 1
-    estimate is the 3-D chain's to rounding; then per turn it draws a tilt
-    turn's tilt (two fills for the Stern-Gerlach sampler) and the azimuth."""
-    turns, blocks = _chain(n_spins, k, mode, rng, trials, phi, overlap, measure)
-    # one step scratch per chain, sized to its first chunk; a shorter last
-    # chunk runs on the head of every row
-    floats = np.empty((5, min(trials, _CHAIN_ROWS)))
+    from c = 1, into whichever of two overlap rows does not hold c.  Each
+    chunk reads the fills of the 3-D oracle chain: it passes over the true
+    directions' two, which the overlap does not use, by advancing its fresh
+    Philox 2 * rows words, so that every later fill keeps its words and
+    every k = 1 estimate is the 3-D chain's to rounding; then per turn it
+    draws a tilt turn's tilt (two fills for the Stern-Gerlach sampler) and
+    the azimuth."""
+    turns, chunks = _chain(n_spins, k, mode, rng, trials, phi, overlap, measure)
+    # one scratch per chain, sized to its first chunk: two overlap rows and
+    # the four float and two intp rows of a step; a shorter last chunk runs
+    # on the head of every row
+    floats = np.empty((6, min(trials, _CHAIN_ROWS)))
     ints = np.empty((2, floats.shape[1]), dtype=np.intp)
-    for block, gen in blocks:
-        rows = block.shape[0]
-        handed, *step = floats[:, :rows]
+    for rows, gen in chunks:
+        a, b, *step = floats[:, :rows]
         work = step, ints[:, :rows]
         # the true directions' two fills are 2 * rows words of the chunk's
         # fresh Philox, whose counter steps 4 words at a time
         gen.bit_generator.advance(rows // 2)
         gen.bit_generator.random_raw(2 * (rows % 2))
         c = 1.0
-        for x, column in turns:
-            c = _turn(c, x, gen, handed if column is None else block[:, column], work)
-        consume(block)
+        for x, column in turns():
+            c = _turn(c, x, gen, b if c is a else a, work)
+            if column is not None:
+                consume(column, c)

@@ -19,8 +19,8 @@ shrank the Bloch vector k times; observer k's guess has mean overlap
 
 Both chains are the scalar overlap recurrence of :mod:`spinrelay.encoding`:
 the covariant chain is ``chain_dots_nspin(1, k, "single_qubit", rng,
-trials, phi, overlap, consume)``, which hands each chunk's overlaps to
-``consume``, and the Stern-Gerlach chain the same call with
+trials, phi, overlap, consume)``, which hands each observer's overlaps to
+``consume`` chunk by chunk, and the Stern-Gerlach chain the same call with
 ``measure=stern_gerlach``, which draws every observer's tilt by the Born
 rule in place of the inverse CDF.
 """

@@ -1,4 +1,4 @@
-"""Monte Carlo estimates, and the fold that builds them block by block."""
+"""Monte Carlo estimates, and the fold that builds them chunk by chunk."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ class McEstimate:
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "McEstimate":
         fold = MomentFold(1)
-        fold(np.asarray(samples, dtype=float).reshape(-1, 1))
+        fold(0, np.asarray(samples, dtype=float).reshape(-1))
         return fold.estimate(0)
 
     def z_score(self, reference: float) -> float | None:
@@ -33,35 +33,40 @@ class McEstimate:
 
 
 class MomentFold:
-    """Per-column count, mean and centred M2 of (rows, columns) blocks, merged
-    in call order (Chan, Golub & LeVeque, Am. Stat. 37, 1983).  Each block is
+    """Per-column count, mean and centred M2 of chunks of samples, merged in
+    call order (Chan, Golub & LeVeque, Am. Stat. 37, 1983).  Each chunk is
     centred on its own mean: raw sums of squares cancel at a small spread.
-    One column-major block gives numpy's 1-D mean and std(ddof=1), bit for bit.
-    The squared deviations of one column at a time go through one reused
-    buffer, so a fold of blocks no longer than the first allocates nothing
-    of a block's size."""
+    One chunk gives numpy's 1-D mean and std(ddof=1), bit for bit.  The
+    squared deviations go through one reused buffer, so a fold of chunks no
+    longer than the first allocates nothing of a chunk's size."""
 
     def __init__(self, columns: int):
-        self.count, self.mean, self.m2 = 0, np.zeros(columns), np.zeros(columns)
+        self.count = np.zeros(columns, dtype=np.int64)
+        self.mean, self.m2 = np.zeros(columns), np.zeros(columns)
         self._squares = np.empty(0)
 
-    def __call__(self, block: np.ndarray):
-        rows, count = block.shape[0], self.count + block.shape[0]
+    def __call__(self, column: int, overlaps: np.ndarray):
+        """Merge the 1-D chunk ``overlaps`` into ``column``'s moments."""
+        if not 0 <= column < self.mean.size:
+            raise IndexError(f"column {column} out of range for {self.mean.size} columns")
+        rows = overlaps.shape[0]
         if rows < 1:
             raise ValueError("need at least one sample")
         if self._squares.size < rows:
             self._squares = np.empty(rows)
-        squares, sums = self._squares[:rows], np.empty(block.shape[1])
-        mean = block.mean(axis=0)
-        for column, centre in enumerate(mean):
-            np.subtract(block[:, column], centre, out=squares)
-            sums[column] = np.square(squares, out=squares).sum()
-        delta = mean - self.mean
-        self.mean += delta * (rows / count)
-        self.m2 += sums + delta * delta * (self.count * rows / count)
-        self.count = count
+        # overlaps.mean(), bit for bit, without its Python wrapper, which
+        # costs more than the sum itself at few rows and many observers
+        squares, mean = self._squares[:rows], np.add.reduce(overlaps) / rows
+        np.subtract(overlaps, mean, out=squares)
+        m2 = np.add.reduce(np.square(squares, out=squares))
+        before = int(self.count[column])
+        count = before + rows
+        delta = mean - self.mean[column]
+        self.mean[column] += delta * (rows / count)
+        self.m2[column] += m2 + delta * delta * (before * rows / count)
+        self.count[column] = count
 
     def estimate(self, column: int) -> McEstimate:
-        n, m2 = self.count, self.m2[column]
+        n, m2 = int(self.count[column]), self.m2[column]
         stderr = float(np.sqrt(m2 / (n - 1)) / np.sqrt(n)) if n > 1 else None
         return McEstimate(mean=float(self.mean[column]), stderr=stderr, trials=n)

@@ -92,7 +92,7 @@ class SweepConfig:
             chain_laws(self.mode, n, self.k_values[0], self.phi)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        # a plain limit: it names an absurd k before a chain allocates (k, rows)
+        # a plain limit: it names an absurd k before a fold allocates its k moments
         if max(self.k_values) * self.trials > 2 ** 60 - 1:
             raise ValueError(f"{k_name} {max(self.k_values)} with {trials_name} {self.trials}: "
                              f"more than 2^60 - 1 overlaps")
@@ -111,8 +111,8 @@ def mc_estimate_delta(mode: str, n_spins: int, k_values, phi: float, trials: int
                       rng: RandomStream, overlap: str = "estimate",
                       measure=None) -> list[McEstimate]:
     """Monte Carlo estimates of observer k's shrink factor (or of the overlap
-    it hands on) for each k of ``k_values``, folded block by block from one
-    chain of length max(k), whose first j columns are the length-j chain;
+    it hands on) for each k of ``k_values``, folded observer by observer from
+    one chain of length max(k), whose first j columns are the length-j chain;
     ``measure`` is the chain's tilt sampler, as in ``chain_dots_nspin``."""
     k_values = tuple(k_values)
     if not k_values:

@@ -10,7 +10,7 @@ over leading axes.  The samplers draw arrays of an int ``size`` through
 vectors, so a patched ``encoding._CHAIN_ROWS`` applies to both kernels.
 With ``measure=stern_gerlach`` it runs the Stern-Gerlach chain with a 3-D
 random axis, the oracle of the library's scalar Stern-Gerlach sampler.
-Both kernels hand each chunk's overlaps to a consumer; :func:`collected`
+Both kernels hand each observer's overlaps to a consumer; :func:`collected`
 turns either into a function that returns all of a chain's overlaps.
 """
 
@@ -94,40 +94,38 @@ def stern_gerlach(state_dirs: np.ndarray, gen) -> np.ndarray:
 def chain_dots_3d(n_spins: int, k: int, mode: str, rng, trials: int, phi: float,
                   overlap: str, consume, measure=None) -> None:
     """The 3-D twin of ``chain_dots_nspin``, with its arguments and its
-    hand-off of each chunk's block to ``consume``, plus ``measure``: each
-    observer estimates the direction by tilting the state it is handed by a
-    draw from its step's law at a uniform azimuth, or by
+    hand-off of each recorded overlap to ``consume(column, overlaps)``, plus
+    ``measure``: each observer estimates the direction by tilting the state
+    it is handed by a draw from its step's law at a uniform azimuth, or by
     ``measure(state, gen)`` when given, and hands on that estimate turned by
     its offset angle at a uniform azimuth; a zero offset hands on the
     estimate itself and draws nothing.
 
-    It walks the same turns of ``encoding._chain`` in the same chunks, fills
-    the same columns and makes the same fills in the same order: the true
-    directions, then per turn the tilt draw of a tilt turn (or the
+    It walks the same turns of ``encoding._chain`` in the same chunks, hands
+    on the same columns and makes the same fills in the same order: the
+    true directions, then per turn the tilt draw of a tilt turn (or the
     measurement's, which replaces tilt turns only) and the azimuth."""
-    turns, blocks = encoding._chain(n_spins, k, mode, rng, trials, phi, overlap)
-    for block, gen in blocks:
-        rows = block.shape[0]
+    turns, chunks = encoding._chain(n_spins, k, mode, rng, trials, phi, overlap)
+    for rows, gen in chunks:
         state = true_dirs = sample_uniform_sphere(gen, rows)
-        for x, column in turns:
+        for x, column in turns():
             if measure is not None and callable(x):  # a tilt turn, measured
                 state = measure(state, gen)
             else:
                 state = tilt_step(state, x(gen, rows) if callable(x) else x, gen)
             if column is not None:
-                block[:, column] = np.sum(state * true_dirs, axis=-1)
-        consume(block)
+                consume(column, np.sum(state * true_dirs, axis=-1))
 
 
 def collected(chain):
     """``chain``, either kernel, returning its column-major (trials, k)
-    overlaps: a copy of every block it hands on, stacked in row order,
-    with phi = 0 and the estimate's overlap unless given."""
+    overlaps: a copy of every chunk of every column it hands on, stacked
+    in row order, with phi = 0 and the estimate's overlap unless given."""
     def run(n_spins, k, mode, rng, trials, phi=0.0, overlap="estimate", measure=None):
-        blocks = []
+        columns = [[] for _ in range(k)]
         chain(n_spins, k, mode, rng, trials, phi, overlap,
-              lambda block: blocks.append(block.T.copy()), measure)
-        return np.concatenate(blocks, axis=1).T
+              lambda column, overlaps: columns[column].append(overlaps.copy()), measure)
+        return np.array([np.concatenate(chunks) for chunks in columns]).T
     return run
 
 

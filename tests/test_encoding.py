@@ -743,19 +743,20 @@ class TestStepScratch:
     @pytest.mark.parametrize("mode, n_spins", MODES)
     def test_chain_steps_allocate_nothing(self, monkeypatch, mode, n_spins, phi, overlap,
                                           fold):
-        # six chunks, the last short: past the first, a chunk's steps (and
-        # its fold) raise the traced peak by no more than the split cells'
-        # small index arrays, against 128 KiB for one temporary of a chunk
+        # six chunks of three columns, the last short: past the first
+        # column, each turn's steps (and its fold) raise the traced peak by
+        # no more than the split cells' small index arrays, against 128 KiB
+        # for one temporary of a chunk
         extra = []
 
-        def sample(block=None):
+        def sample(column=None, overlaps=None):
             current, peak = tracemalloc.get_traced_memory()
             extra.append(peak - current)
             tracemalloc.reset_peak()
 
         class Sampled(records.MomentFold):
-            def __call__(self, block):
-                super().__call__(block)
+            def __call__(self, column, overlaps):
+                super().__call__(column, overlaps)
                 sample()
 
         monkeypatch.setattr(records, "MomentFold", Sampled)
@@ -770,8 +771,43 @@ class TestStepScratch:
                                           overlap, sample)
         finally:
             tracemalloc.stop()
-        assert len(extra) == 6
+        assert len(extra) == 6 * 3
         assert max(extra[1:]) < 64 * 1024, extra
+
+    @staticmethod
+    def _peak(run):
+        """The traced peak of ``run()`` above what was held before it."""
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("overlap", ["estimate", "prepared"])
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    @pytest.mark.parametrize("mode, n_spins", MODES)
+    def test_memory_does_not_grow_with_k(self, mode, n_spins, phi, overlap):
+        # each observer's overlaps go to the fold as its turn writes them,
+        # so 60 more observers add only the fold's count, mean and M2 of
+        # each, against 128 KiB per observer for a (rows, k) block
+        def peak(k):
+            return self._peak(lambda: mc_estimate_delta(
+                mode, n_spins, (k,), phi, 2 * encoding._CHAIN_ROWS + 5, RandomStream(6),
+                overlap))
+
+        peak(4)  # first-call allocations
+        assert peak(64) <= peak(4) + 64 * 1024 + 24 * 64
+
+    @pytest.mark.parametrize("mode, n_spins, phi, overlap", [
+        ("single_qubit", 1, 0.7, "prepared"), ("parallel_start", 4, 0.0, "estimate")])
+    def test_long_chain_holds_nothing_per_observer(self, mode, n_spins, phi, overlap):
+        # 10^4 observers of two trials: no per-observer list of turns or
+        # column of overlaps, against 3 MB for the listed turns and block
+        assert self._peak(lambda: encoding.chain_dots_nspin(
+            n_spins, 10 ** 4, mode, RandomStream(6), 2, phi, overlap,
+            lambda column, overlaps: None)) < 256 * 1024
 
     @staticmethod
     def _garbage(floats, ints, size):

@@ -363,23 +363,26 @@ class TestChainBlocks:
         assert np.array_equal(longer[:2 * rows],
                               chain(n_spins, 2, mode, stream, 2 * rows, 0.7, "prepared"))
 
-    def test_dots_are_column_major(self, monkeypatch):
-        # the block each chunk hands to consume, which MomentFold reduces
-        # column by column, the last chunk's short one included
+    def test_overlaps_reach_consume_in_order(self, monkeypatch):
+        # every recorded turn hands its chunk's (rows,) overlaps to consume,
+        # which MomentFold reduces: chunk by chunk in row order, columns in
+        # increasing order within a chunk, the last chunk's short one included
         kernels = [(kernel, mode, n_spins, None) for mode, n_spins in self.MODES
                    for kernel in (encoding.chain_dots_nspin, chain3d.chain_dots_3d)]
         kernels += [(chain3d.chain_dots_3d, "single_qubit", 1, chain3d.stern_gerlach),
                     (encoding.chain_dots_nspin, "single_qubit", 1, stern_gerlach)]
         monkeypatch.setattr(encoding, "_CHAIN_ROWS", 7)
         for kernel, mode, n_spins, measure in kernels:
-            rows = []
+            for overlap in ("estimate", "prepared"):
+                calls = []
 
-            def consume(block):
-                assert all(block[:, j].flags.c_contiguous for j in range(3))
-                rows.append(block.shape[0])
-            assert kernel(n_spins, 3, mode, RandomStream(8), 26, 0.7, "estimate", consume,
-                          measure) is None
-            assert rows == [7, 7, 7, 5]
+                def consume(column, overlaps):
+                    assert overlaps.ndim == 1 and overlaps.flags.c_contiguous
+                    calls.append((column, overlaps.size))
+                assert kernel(n_spins, 3, mode, RandomStream(8), 26, 0.7, overlap, consume,
+                              measure) is None
+                assert calls == [(column, rows) for rows in [7, 7, 7, 5]
+                                 for column in range(3)], (kernel, mode, overlap)
 
     @pytest.mark.parametrize("rng", [8, np.int64(8), RandomStream(8).generator(), None])
     def test_rng_must_be_a_stream(self, rng):
@@ -389,13 +392,14 @@ class TestChainBlocks:
             chain_dots_nspin(6, 2, "nspin_optimal", rng, 10)
 
     def test_peak_memory(self):
-        # a 300k-trial chain holds block-sized arrays only, not (trials, k)
-        # overlaps or (trials, 3) arrays per step
+        # a 300k-trial chain holds its scratch of eight chunk-sized rows,
+        # 1 MiB, and no (rows, k) block, (trials, k) overlaps or (trials, 3)
+        # arrays per step
         tracemalloc.start()
         try:
             encoding.chain_dots_nspin(1, 6, "single_qubit", RandomStream(3), 300_000, np.pi / 2,
-                                      "estimate", lambda block: None)
+                                      "estimate", lambda column, overlaps: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 2 ** 20
+        assert peak <= 1.25 * 2 ** 20, peak

@@ -120,8 +120,8 @@ class TestMcEstimate:
 
 
 class TestMomentFold:
-    """A sweep folds each block of its chain into per-k moments as the block
-    is filled, instead of holding the (trials, k) overlaps."""
+    """A sweep folds each observer's overlaps into per-k moments as its turn
+    writes them, instead of holding the (trials, k) overlaps."""
 
     # the kernel's own tilt samplers (measure None, left out of the ids) ...
     CHAINS = [pytest.param(*chain, None, id="-".join(map(str, chain))) for chain in (
@@ -152,7 +152,7 @@ class TestMomentFold:
 
     @pytest.mark.parametrize("mode, n, phi, overlap, measure", CHAINS)
     def test_many_blocks_match_from_samples(self, mode, n, phi, overlap, measure):
-        trials = 2 * _CHAIN_ROWS + 5  # three blocks, the last of five rows
+        trials = 2 * _CHAIN_ROWS + 5  # three chunks, the last of five rows
         for est, col in self._columns(mode, n, phi, overlap, measure, trials):
             whole = McEstimate.from_samples(col)
             assert est.trials == whole.trials == trials
@@ -161,11 +161,11 @@ class TestMomentFold:
 
     def test_tiny_spread_against_exact_fractions(self):
         # values within 1e-9 of 1: raw sums of squares lose every digit of
-        # the spread, centred block moments keep it
+        # the spread, centred chunk moments keep it
         col = 1.0 - 1e-9 * RandomStream(3).generator().random(3 * _CHAIN_ROWS + 5)
         fold = MomentFold(1)
         for lo in range(0, col.size, _CHAIN_ROWS):
-            fold(col[lo:lo + _CHAIN_ROWS, None])
+            fold(0, col[lo:lo + _CHAIN_ROWS])
         exact = [Fraction(x) for x in col]
         n, s1 = len(exact), sum(exact)
         m2 = sum(x * x for x in exact) - s1 * s1 / n
@@ -189,14 +189,28 @@ class TestMomentFold:
 
         peak(10)  # first-call allocations
         trials = 8 * _CHAIN_ROWS + 5
-        # one block of overlaps and the chain step's own block temporaries,
-        # about 0.8 MB, against 3.1 MB for the (trials, 3) overlaps alone
+        # the chain's scratch of eight chunk-sized rows, about 1 MB, against
+        # 3.1 MB for the (trials, 3) overlaps alone
         assert peak(trials) < trials * 3 * 8 / 2
         assert peak(trials) < peak(2 * _CHAIN_ROWS) + 64 * 1024
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError, match="at least one sample"):
             McEstimate.from_samples(np.array([]))
+        fold = MomentFold(3)
+        with pytest.raises(ValueError, match="at least one sample"):
+            fold(2, np.array([]))
+        assert fold.estimate(2) == McEstimate(mean=0.0, stderr=None, trials=0)
+
+    def test_out_of_range_column_rejected(self):
+        # no negative index wraps round to the last column
+        fold = MomentFold(3)
+        for column in (-1, -3, 3):
+            with pytest.raises(IndexError, match=f"column {column} out of range for 3"):
+                fold(column, np.array([0.5, 0.25]))
+        assert fold.count.tolist() == [0, 0, 0]
+        fold(2, np.array([0.5, 0.25]))
+        assert fold.count.tolist() == [0, 0, 2] and fold.estimate(2).mean == 0.375
 
 
 class TestRunSweep:
@@ -228,7 +242,7 @@ class TestRunSweep:
 
     def test_byte_identical_across_runs_and_workers(self):
         # two (mode, N) units, so that four workers run two threads, and
-        # three blocks per chain, so that each thread folds several
+        # three chunks per chain, so that each thread folds several
         cfg = dict(mode="nspin_optimal", n_values=(2, 4), k_values=(1, 2),
                    trials=2 * _CHAIN_ROWS + 5)
         base = records_to_bytes(run_sweep(SweepConfig(**cfg)), "csv")
