@@ -44,8 +44,8 @@ _GUIDE_CELLS = 4096
 _AZIMUTH_CELLS = 4096
 _AZIMUTH_STEP = 2.0 * np.pi / _AZIMUTH_CELLS
 
-#: trials per chunk of a chain, so that the eight arrays of a chain's
-#: scratch hold this many rows however many trials or observers run,
+#: trials per chunk of a chain, so that the six rows of a chain's
+#: scratch hold this many values however many trials or observers run,
 #: small enough to stay in a 2 MB L2 cache; chunk c draws from its own
 #: stream, so this fixes which draws every trial past the first chunk gets
 _CHAIN_ROWS = 2 ** 14
@@ -239,10 +239,11 @@ class OutcomeDensity:
     def _tilt_angle(self, q: np.ndarray, work=None) -> np.ndarray:
         """theta at survival q (1-D, in [0, 1]), overwriting q: the value
         of np.interp(q, G, theta), bit for bit, from a guide-table lookup.
-        ``work`` is (float, intp, intp) scratch of q's length, or None to
-        allocate it."""
+        ``work`` is three 64-bit rows of q's length, or None to allocate
+        them; the last two hold int64 indices, whatever their dtype."""
         table_g, table_theta, slope, guide = self._inverse_table
-        t, cell, j = work or (np.empty_like(q), *np.empty((2, q.size), dtype=np.intp))
+        t, cell, j = work or np.empty((3, q.size))
+        cell, j = cell.view(np.int64), j.view(np.int64)
         # each q's interval from its guide cell, or by binary search in a
         # split cell; q * M is exact, so the cell index is exact too.  Every
         # index is in range, and a "clip" take writes straight into out=
@@ -331,18 +332,19 @@ def _cos_2pi(u: np.ndarray, work=None) -> np.ndarray:
     cos(a + h) = cos a - [cos a (h^2/2 - h^4/24) + sin a (h - h^3/6)].
     The remainders are below 3e-18, so the error is the rounding of the
     table and of the last subtraction.  At u = j / M it is the table entry.
-    ``work`` is (float, float, float, intp) scratch of u's length, or None
-    to allocate it; the result is in its second array.
+    ``work`` is (j, cos_a, r), float rows of u's length, or None to allocate
+    them; r holds the int64 index, then h^2, j then sin a; the result is in cos_a.
     """
-    j, cos_a, sin_a, idx = work or (*np.empty((3, u.size)), np.empty(u.size, dtype=np.intp))
+    j, cos_a, r = work or np.empty((3, u.size))
+    idx = r.view(np.int64)
     u *= _AZIMUTH_CELLS
     np.rint(u, out=j)
     u -= j  # exact, as u * M was
     u *= _AZIMUTH_STEP
     np.copyto(idx, j, casting="unsafe")
     _AZIMUTH_COS.take(idx, out=cos_a, mode="clip")
-    _AZIMUTH_SIN.take(idx, out=sin_a, mode="clip")
-    h2 = np.multiply(u, u, out=j)
+    sin_a = _AZIMUTH_SIN.take(idx, out=j, mode="clip")
+    h2 = np.multiply(u, u, out=r)
     sin_a *= u
     np.multiply(h2, -1.0 / 6.0, out=u)
     u += 1.0
@@ -370,12 +372,12 @@ def _turn(c, x, gen, out: np.ndarray, work) -> np.ndarray:
     a uniform azimuth.  cos psi comes from the table of :func:`_cos_2pi`,
     and u is the fill that the 3-D oracle chain's tilt step turns into
     2 pi u.  A sampled x is drawn into ``out``, which must not hold c, and
-    c x overwrites it there; ``work``, four float rows and two intp rows of
-    out's length, holds u and every temporary, so a turn allocates nothing."""
-    (u, h, cos_a, sin_a), (cell, j) = work
+    c x overwrites it there; ``work``, four float rows of out's length,
+    holds u and every temporary, so a turn allocates nothing."""
+    u, h, cos_a, r = work
     rows = out.shape[0]
-    x = x(gen, rows, out, (u, cell, j)) if callable(x) else x
-    cos_psi = _cos_2pi(gen.random(rows, out=u), (h, cos_a, sin_a, cell))
+    x = x(gen, rows, out, (u, h, r)) if callable(x) else x
+    cos_psi = _cos_2pi(gen.random(rows, out=u), (h, cos_a, r))
     # u and h are free again, for (1 - c^2)(1 - x^2)
     s = np.multiply(_one_minus_square(c, u), _one_minus_square(x, h), out=u)
     np.sqrt(np.maximum(s, 0.0, out=s), out=s)
@@ -393,7 +395,8 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int, phi: flo
     columns in increasing order within a chunk, ``overlaps`` the chunk's
     (rows,) overlaps with the true direction of observer column + 1's
     estimate, or with ``overlap="prepared"`` of the state it hands on.  It
-    is a view of scratch that the kernel reuses two turns later, so a
+    is a row of the chain's one (6, rows) float64 scratch, two overlap rows
+    and a step's four, which the kernel reuses two turns later, so a
     consumer that keeps it copies it.  A ``measure`` sampler ``(gen,
     size)``, such as :func:`spinrelay.qubit.stern_gerlach`, replaces every
     observer's tilt sampler.
@@ -408,14 +411,10 @@ def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int, phi: flo
     draws a tilt turn's tilt (two fills for the Stern-Gerlach sampler) and
     the azimuth."""
     turns, chunks = _chain(n_spins, k, mode, rng, trials, phi, overlap, measure)
-    # one scratch per chain, sized to its first chunk: two overlap rows and
-    # the four float and two intp rows of a step; a shorter last chunk runs
-    # on the head of every row
-    floats = np.empty((6, min(trials, _CHAIN_ROWS)))
-    ints = np.empty((2, floats.shape[1]), dtype=np.intp)
+    # sized to the first chunk; a shorter last chunk runs on each row's head
+    scratch = np.empty((6, min(trials, _CHAIN_ROWS)))
     for rows, gen in chunks:
-        a, b, *step = floats[:, :rows]
-        work = step, ints[:, :rows]
+        a, b, *work = scratch[:, :rows]
         # the true directions' two fills are 2 * rows words of the chunk's
         # fresh Philox, whose counter steps 4 words at a time
         gen.bit_generator.advance(rows // 2)

@@ -92,7 +92,7 @@ class SweepConfig:
             chain_laws(self.mode, n, self.k_values[0], self.phi)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        # a plain limit: it names an absurd k before a fold allocates its k moments
+        # a plain limit: it names an absurd k before a chain runs its k turns
         if max(self.k_values) * self.trials > 2 ** 60 - 1:
             raise ValueError(f"{k_name} {max(self.k_values)} with {trials_name} {self.trials}: "
                              f"more than 2^60 - 1 overlaps")
@@ -112,17 +112,20 @@ def mc_estimate_delta(mode: str, n_spins: int, k_values, phi: float, trials: int
                       measure=None) -> list[McEstimate]:
     """Monte Carlo estimates of observer k's shrink factor (or of the overlap
     it hands on) for each k of ``k_values``, folded observer by observer from
-    one chain of length max(k), whose first j columns are the length-j chain;
-    ``measure`` is the chain's tilt sampler, as in ``chain_dots_nspin``."""
+    one chain of length max(k), whose first j columns are the length-j chain,
+    into one slot per distinct k; ``measure`` is the chain's tilt sampler."""
     k_values = tuple(k_values)
     if not k_values:
         raise ValueError("k_values must be non-empty")
     chain_laws(mode, n_spins, min(k_values), phi)
     from .encoding import chain_dots_nspin
     from .records import MomentFold
-    fold = MomentFold(max(k_values))
-    chain_dots_nspin(n_spins, max(k_values), mode, rng, trials, phi, overlap, fold, measure)
-    return [fold.estimate(k - 1) for k in k_values]
+    slots = {k - 1: slot for slot, k in enumerate(dict.fromkeys(k_values))}
+    fold = MomentFold(len(slots))
+    chain_dots_nspin(n_spins, max(k_values), mode, rng, trials, phi, overlap,
+                     lambda column, c: fold(slots[column], c) if column in slots else None,
+                     measure)
+    return [fold.estimate(slots[k - 1]) for k in k_values]
 
 
 def _cell_stream(cfg: SweepConfig, n_spins: int) -> RandomStream:
@@ -131,13 +134,40 @@ def _cell_stream(cfg: SweepConfig, n_spins: int) -> RandomStream:
     return RandomStream(cfg.seed).child(MODES.index(cfg.mode)).child(n_spins).child(1)
 
 
+def _thread_map(fn, items: list, workers: int) -> dict:
+    """{item: fn(item)} from ``workers`` threads that take the items in turn
+    under a lock, none after a failure; then raises the earliest failure."""
+    import threading
+    lock, pending, results, failures = threading.Lock(), iter(enumerate(items)), {}, {}
+
+    def take():
+        with lock:
+            return None if failures else next(pending, None)
+
+    def work():
+        for i, item in iter(take, None):
+            try:
+                results[item] = fn(item)
+            except BaseException as exc:  # raised again by the calling thread
+                failures[i] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def run_sweep(cfg: SweepConfig) -> list[dict]:
     """All records of a sweep, in deterministic (N, k) order.
 
     Each distinct N is one unit of work, one chain that serves every k and
     every repeat of that N.  Units are independent, so they may run on any
-    number of workers, at most one per unit; the assembled record list
-    never depends on scheduling.
+    number of workers, at most one per unit, which this thread only starts
+    and joins (:func:`_thread_map`); the records never depend on scheduling.
     """
     cfg.validate()
 
@@ -147,12 +177,8 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
 
     n_distinct = list(dict.fromkeys(cfg.n_values))
     workers = min(cfg.workers, len(n_distinct))
-    if workers == 1:
-        estimates = {n: run_unit(n) for n in n_distinct}
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = dict(zip(n_distinct, pool.map(run_unit, n_distinct)))
+    estimates = (_thread_map(run_unit, n_distinct, workers) if workers > 1
+                 else {n: run_unit(n) for n in n_distinct})
 
     bid = build_id()
     phi = cfg.phi if cfg.mode == "single_qubit" else None

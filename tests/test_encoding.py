@@ -800,6 +800,25 @@ class TestStepScratch:
         peak(4)  # first-call allocations
         assert peak(64) <= peak(4) + 64 * 1024 + 24 * 64
 
+    @pytest.mark.parametrize("mode, n_spins", MODES)
+    def test_one_chunk_chain_holds_six_rows(self, monkeypatch, mode, n_spins):
+        # the chain's scratch is one (6, rows) float block whose step rows
+        # also hold the int64 indices: two intp rows beside it would add
+        # 256 KiB.  The fold adds its one row of squared deviations, and a
+        # step at most the 64 KiB above; the optimal density is built
+        # before the trace
+        density = encoding.outcome_density(encoding.optimal_encoding(4))
+        density._inverse_table
+        monkeypatch.setattr(encoding, "outcome_density", lambda spec: density)
+        rows = encoding._CHAIN_ROWS
+
+        def run():
+            mc_estimate_delta(mode, n_spins, (1, 2, 3), 0.7 if n_spins == 1 else 0.0, rows,
+                              RandomStream(6))
+
+        run()  # first-call allocations
+        assert self._peak(run) <= (6 + 1) * rows * 8 + 64 * 1024
+
     @pytest.mark.parametrize("mode, n_spins, phi, overlap", [
         ("single_qubit", 1, 0.7, "prepared"), ("parallel_start", 4, 0.0, "estimate")])
     def test_long_chain_holds_nothing_per_observer(self, mode, n_spins, phi, overlap):
@@ -837,7 +856,7 @@ class TestStepScratch:
 
     def test_azimuth_cosine_fills_its_buffer(self):
         u = RandomStream(16).generator().random(10 ** 4)
-        work = self._garbage(3, 1, u.size)
+        work = self._garbage(3, 0, u.size)
         got = encoding._cos_2pi(u.copy(), work)
         assert got is work[1]
         assert np.array_equal(got, encoding._cos_2pi(u.copy()))

@@ -392,8 +392,8 @@ class TestChainBlocks:
             chain_dots_nspin(6, 2, "nspin_optimal", rng, 10)
 
     def test_peak_memory(self):
-        # a 300k-trial chain holds its scratch of eight chunk-sized rows,
-        # 1 MiB, and no (rows, k) block, (trials, k) overlaps or (trials, 3)
+        # a 300k-trial chain holds its scratch of six chunk-sized rows,
+        # 768 KiB, and no (rows, k) block, (trials, k) overlaps or (trials, 3)
         # arrays per step
         tracemalloc.start()
         try:

@@ -189,7 +189,7 @@ class TestMomentFold:
 
         peak(10)  # first-call allocations
         trials = 8 * _CHAIN_ROWS + 5
-        # the chain's scratch of eight chunk-sized rows, about 1 MB, against
+        # the chain's scratch of six chunk-sized rows, 768 KiB, against
         # 3.1 MB for the (trials, 3) overlaps alone
         assert peak(trials) < trials * 3 * 8 / 2
         assert peak(trials) < peak(2 * _CHAIN_ROWS) + 64 * 1024
@@ -311,33 +311,68 @@ class TestRunSweep:
             assert (full[n, 1]["mc_mean"], full[n, 1]["mc_stderr"]) == (est.mean, est.stderr)
 
     def test_workers_capped_at_the_number_of_chains(self, monkeypatch):
-        # a stand-in pool that runs the work inline and records its size
-        import concurrent.futures
-        pools = []
+        # the pool starts one plain thread per worker, at most one per chain
+        import threading
+        started = []
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        # run_sweep imports the pool where it needs one
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+        # run_sweep reads threading.Thread where it needs a pool
+        monkeypatch.setattr(threading, "Thread", Counted)
         cfg = dict(mode="nspin_parallel", k_values=(1, 2), trials=500, workers=8)
         two = run_sweep(SweepConfig(n_values=(2, 4), **cfg))
-        assert pools == [2]
+        assert len(started) == 2
         one = run_sweep(SweepConfig(n_values=(4,), **cfg))
-        assert pools == [2]  # one chain runs inline, with no pool
+        assert len(started) == 2  # one chain runs inline, with no thread
         assert one == two[2:]
         assert run_sweep(SweepConfig(n_values=(4, 4), **cfg)) == one + one
-        assert pools == [2]  # so does a repeated one
+        assert len(started) == 2  # so does a repeated one
+        three = run_sweep(SweepConfig(n_values=(2, 4, 6), **dict(cfg, workers=2)))
+        assert len(started) == 4  # two workers for three chains
+        assert three[:4] == two
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_a_failing_unit_raises_the_earliest_failing_n(self, monkeypatch):
+        # N = 6 fails first, while N = 4 waits for it and then fails too:
+        # run_sweep raises N = 4's error, as Executor.map would, and no
+        # thread takes N = 8 after a failure
+        import threading
+        import spinrelay.sweep as sweep_mod
+        taken, six_ran = [], threading.Event()
+
+        def unit(mode, n_spins, *args, **kwargs):
+            taken.append(n_spins)
+            if n_spins == 4:
+                six_ran.wait(timeout=10)
+            if n_spins == 6:
+                six_ran.set()
+            if n_spins in (4, 6):
+                raise RuntimeError(f"unit N = {n_spins} failed")
+            return mc_estimate_delta(mode, n_spins, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "mc_estimate_delta", unit)
+        cfg = SweepConfig("nspin_parallel", (2, 4, 6, 8), (1,), trials=500, workers=2)
+        with pytest.raises(RuntimeError, match="unit N = 4 failed"):
+            run_sweep(cfg)
+        assert six_ran.is_set()
+        assert sorted(taken) == [2, 4, 6]
+
+    def test_many_threads_lose_no_unit(self):
+        # more workers than cores, switching threads every microsecond:
+        # every unit's estimates land under its own N
+        cfg = dict(mode="nspin_parallel", n_values=tuple(range(1, 17)), k_values=(1, 2),
+                   trials=50, seed=4)
+        inline = run_sweep(SweepConfig(**cfg))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_sweep(SweepConfig(**cfg, workers=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == inline
 
     def test_a_repeated_n_runs_its_chain_once(self, monkeypatch):
         import spinrelay.sweep as sweep_mod
