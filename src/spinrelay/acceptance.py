@@ -154,7 +154,7 @@ def criterion_8() -> CriterionResult:
 def criterion_9() -> CriterionResult:
     """Identical sweeps are byte-identical, whatever the worker count."""
     def output(workers: int) -> bytes:
-        # three N, so that three workers run three chains at once; seed 9, as
+        # three one-chunk chains, so that three workers run at once; seed 9, as
         # at 42 cell N's stream would be chunk 1 of criterion 2's chain N
         cfg = SweepConfig(mode="nspin_optimal", n_values=(2, 4, 6), k_values=(1, 2, 3, 4),
                           trials=10 ** 4, seed=9, fmt="csv", workers=workers)

@@ -15,17 +15,18 @@ Two families are covered:
 
 The closed forms of both, and the steps of every chain the CLI names,
 are in :mod:`spinrelay.laws`.  :func:`_chain` lists them as turns in draw
-order, each observer's tilt and then any hand-on turn by its offset, and
-:func:`chain_dots_nspin`, the one chain kernel, runs the turns as the
-scalar Markov chain of the overlap, in chunks that each draw from their
-own stream.  Its ``measure``, such as :func:`spinrelay.qubit.stern_gerlach`,
-replaces every tilt turn's sampler.
+order, each observer's tilt and then any hand-on turn by its offset.
+:func:`_run_chunk`, the one chain kernel, runs them on a chunk of trials as
+the scalar Markov chain of the overlap, and :func:`_run_units` runs chunks,
+each on its own stream, on one worker or several.  A ``measure``, such as
+:func:`spinrelay.qubit.stern_gerlach`, replaces every tilt sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+import itertools
 import math
 
 import numpy as np
@@ -210,18 +211,20 @@ class OutcomeDensity:
         while True:
             exact = np.fft.irfft(intervals * spectrum, 4 * intervals)[:2 * intervals + 1]
             exact[0], exact[-1] = 0.0, 1.0
-            knots = np.minimum(1.0, np.maximum.accumulate(exact[::2]))
-            gap = np.abs(exact[1::2] - 0.5 * (knots[:-1] + knots[1:]))
-            if float(gap.max()) <= _TABLE_TOL:
+            knots = np.maximum.accumulate(exact[::2])
+            np.minimum(knots, 1.0, out=knots)
+            gap = np.add(knots[:-1], knots[1:])
+            np.subtract(exact[1::2], np.multiply(gap, 0.5, out=gap), out=gap)
+            if float(np.abs(gap, out=gap).max()) <= _TABLE_TOL:
                 break
             if 2 * (intervals + 1) > 2 ** 21:
                 raise RuntimeError("inverse-CDF table refinement did not converge")
             intervals *= 2
-        keep = np.empty(knots.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = np.diff(knots) > 0.0
+        del exact, gap
+        keep = np.concatenate(([True], knots[1:] > knots[:-1]))
         table_g, theta = knots[keep], np.linspace(0.0, np.pi, intervals + 1)[keep]
-        slope = np.append(np.diff(theta) / np.diff(table_g), 0.0)
+        slope = np.zeros(table_g.size)
+        np.divide(np.diff(theta), np.diff(table_g), out=slope[:-1])
         edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
         guide = np.searchsorted(table_g, edges, side="right") - 1
         guide[:-1][guide[:-1] != np.searchsorted(table_g, edges[1:]) - 1] = -1
@@ -250,7 +253,8 @@ class OutcomeDensity:
         np.multiply(q, _GUIDE_CELLS, out=t)
         np.copyto(cell, t, casting="unsafe")
         guide.take(cell, out=j, mode="clip")
-        split = np.flatnonzero(j < 0)
+        # cell is free until the table takes: a bool view of it holds the mask
+        split = np.less(j, 0, out=cell.view(np.bool_)[:q.size])
         j[split] = np.searchsorted(table_g, q[split], side="right") - 1
         # np.interp's arithmetic, slope * (q - G[j]) + theta[j]
         q -= table_g.take(j, out=t, mode="clip")
@@ -387,40 +391,94 @@ def _turn(c, x, gen, out: np.ndarray, work) -> np.ndarray:
     return out
 
 
+def _run_chunk(turns, rows: int, gen, scratch: np.ndarray, consume) -> None:
+    """One chunk of ``rows`` trials of a chain of :func:`_chain`, from its
+    Generator ``gen``, on a (6, >= rows) ``scratch``: each turn takes c from 1
+    to c x + sqrt((1 - c^2)(1 - x^2)) cos psi (:func:`_turn`) in whichever of
+    the first two rows does not hold c, and ``consume(column, c)`` may use the
+    last row.  It skips the 3-D oracle's 2 * rows words of true directions."""
+    a, b, *work = scratch[:, :rows]
+    gen.bit_generator.advance(rows // 2)  # 4 words a counter step
+    gen.bit_generator.random_raw(2 * (rows % 2))
+    c = 1.0
+    for x, column in turns():
+        c = _turn(c, x, gen, b if c is a else a, work)
+        if column is not None:
+            consume(column, c)
+
+
+def _run_units(set_ups: list, trials: int, workers: int = 1) -> list:
+    """The values of chains of ``trials`` trials run chunk by chunk on the
+    calling thread and plain threads, ``workers`` in all, at most one per
+    chunk.  ``set_ups[i]()`` gives chain i as ``(turns, chunks, open, merge,
+    value)``, ``open(scratch)`` a chunk's ``(consume, part)``, merged in chunk
+    order.  A worker takes a chunk, else a set-up (freeing its scratch if it
+    is alone), else waits for one.  The earliest chain's failure is raised."""
+    import threading
+    cond, chunks, failures = threading.Condition(), [iter(())], {}
+    pending = ((i, None, make) for i, make in enumerate(set_ups))
+    values, parts, merged = {}, {}, [0] * len(set_ups)
+    rows = min(trials, _CHAIN_ROWS)
+    workers = min(workers, len(set_ups) * -(-trials // rows))
+
+    def take():
+        with cond:
+            while not failures:
+                task = next(chunks[0], None) or next(pending, None)
+                if task or len(values) == len(set_ups):  # no set-up under way
+                    return task
+                cond.wait()
+
+    def run(i, scratch, unit, chunk):
+        (turns, _, open_chunk, merge, _), (index, (size, gen)) = unit, chunk
+        consume, part = open_chunk(scratch)
+        _run_chunk(turns, size, gen, scratch, consume)
+        with cond:
+            parts[i, index] = part
+            while (i, merged[i]) in parts:
+                merge(parts.pop((i, merged[i])))
+                merged[i] += 1
+
+    def work():
+        scratch = None
+        for i, unit, task in iter(take, None):
+            try:
+                if unit is not None:
+                    scratch = np.empty((6, rows)) if scratch is None else scratch
+                    run(i, scratch, unit, task)
+                    continue
+                scratch = scratch if workers > 1 else None  # alone, spare the set-up's peak
+                unit = task()
+                with cond:  # its chunks go after those of the chains set up before
+                    values[i] = unit[-1]
+                    chunks[0] = itertools.chain(chunks[0], zip(
+                        itertools.repeat(i), itertools.repeat(unit), enumerate(unit[1])))
+            except BaseException as exc:  # raised again by the calling thread
+                failures.setdefault(i, exc)
+            with cond:  # after a set-up or a failure, which the waiting workers await
+                cond.notify_all()
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return [values[i]() for i in range(len(set_ups))]
+
+
 def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int, phi: float,
                      overlap: str, consume, measure=None) -> None:
     """Vectorized covariant observer chains of any mode from the RandomStream
-    ``rng``, handed to ``consume(column, overlaps)`` as each turn that
-    records an observer's overlap writes them: chunk by chunk in row order,
-    columns in increasing order within a chunk, ``overlaps`` the chunk's
-    (rows,) overlaps with the true direction of observer column + 1's
-    estimate, or with ``overlap="prepared"`` of the state it hands on.  It
-    is a row of the chain's one (6, rows) float64 scratch, two overlap rows
-    and a step's four, which the kernel reuses two turns later, so a
-    consumer that keeps it copies it.  A ``measure`` sampler ``(gen,
-    size)``, such as :func:`spinrelay.qubit.stern_gerlach`, replaces every
-    observer's tilt sampler.
-
-    The overlap alone is a Markov chain: each turn of :func:`_chain` takes c
-    to c x + sqrt((1 - c^2)(1 - x^2)) cos psi (:func:`_turn`, no libm call),
-    from c = 1, into whichever of two overlap rows does not hold c.  Each
-    chunk reads the fills of the 3-D oracle chain: it passes over the true
-    directions' two, which the overlap does not use, by advancing its fresh
-    Philox 2 * rows words, so that every later fill keeps its words and
-    every k = 1 estimate is the 3-D chain's to rounding; then per turn it
-    draws a tilt turn's tilt (two fills for the Stern-Gerlach sampler) and
-    the azimuth."""
+    ``rng``, handed on the calling thread to ``consume(column, overlaps)`` as
+    each recording turn writes them, chunk by chunk in row order and columns
+    in increasing order: the (rows,) overlaps with the true direction of
+    observer column + 1's estimate, or with ``overlap="prepared"`` of the
+    state it hands on, in a scratch row (:func:`_run_chunk`) reused two turns
+    later, so a consumer that keeps them copies them.  A ``measure`` sampler
+    ``(gen, size)``, such as ``qubit.stern_gerlach``, replaces every tilt law."""
     turns, chunks = _chain(n_spins, k, mode, rng, trials, phi, overlap, measure)
-    # sized to the first chunk; a shorter last chunk runs on each row's head
-    scratch = np.empty((6, min(trials, _CHAIN_ROWS)))
-    for rows, gen in chunks:
-        a, b, *work = scratch[:, :rows]
-        # the true directions' two fills are 2 * rows words of the chunk's
-        # fresh Philox, whose counter steps 4 words at a time
-        gen.bit_generator.advance(rows // 2)
-        gen.bit_generator.random_raw(2 * (rows % 2))
-        c = 1.0
-        for x, column in turns():
-            c = _turn(c, x, gen, b if c is a else a, work)
-            if column is not None:
-                consume(column, c)
+    _run_units([lambda: (turns, chunks, lambda scratch: (consume, None), lambda part: None,
+                         lambda: None)], trials)

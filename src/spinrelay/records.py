@@ -37,13 +37,12 @@ class MomentFold:
     call order (Chan, Golub & LeVeque, Am. Stat. 37, 1983).  Each chunk is
     centred on its own mean: raw sums of squares cancel at a small spread.
     One chunk gives numpy's 1-D mean and std(ddof=1), bit for bit.  The
-    squared deviations go through one reused buffer, so a fold of chunks no
-    longer than the first allocates nothing of a chunk's size."""
+    squared deviations go through ``squares``, if given, else a new row."""
 
-    def __init__(self, columns: int):
+    def __init__(self, columns: int, squares=None):
         self.count = np.zeros(columns, dtype=np.int64)
         self.mean, self.m2 = np.zeros(columns), np.zeros(columns)
-        self._squares = np.empty(0)
+        self._squares = squares
 
     def __call__(self, column: int, overlaps: np.ndarray):
         """Merge the 1-D chunk ``overlaps`` into ``column``'s moments."""
@@ -52,19 +51,25 @@ class MomentFold:
         rows = overlaps.shape[0]
         if rows < 1:
             raise ValueError("need at least one sample")
-        if self._squares.size < rows:
-            self._squares = np.empty(rows)
+        squares = np.empty(rows) if self._squares is None else self._squares[:rows]
         # overlaps.mean(), bit for bit, without its Python wrapper, which
         # costs more than the sum itself at few rows and many observers
-        squares, mean = self._squares[:rows], np.add.reduce(overlaps) / rows
+        mean = np.add.reduce(overlaps) / rows
         np.subtract(overlaps, mean, out=squares)
-        m2 = np.add.reduce(np.square(squares, out=squares))
-        before = int(self.count[column])
+        self._update(column, rows, mean, np.add.reduce(np.square(squares, out=squares)))
+
+    def merge(self, other: "MomentFold"):
+        """Merge ``other``, a fold of one chunk per column, into every column:
+        bit for bit what folding that chunk here would give."""
+        self._update(slice(None), other.count, other.mean, other.m2)
+
+    def _update(self, at, rows, mean, m2):
+        before = self.count[at]
         count = before + rows
-        delta = mean - self.mean[column]
-        self.mean[column] += delta * (rows / count)
-        self.m2[column] += m2 + delta * delta * (before * rows / count)
-        self.count[column] = count
+        delta = mean - self.mean[at]
+        self.mean[at] += delta * (rows / count)
+        self.m2[at] += m2 + delta * delta * (before * rows / count)
+        self.count[at] = count
 
     def estimate(self, column: int) -> McEstimate:
         n, m2 = int(self.count[column]), self.m2[column]

@@ -2,9 +2,9 @@
 
 Each (mode, N) gets its own content-derived substream and one chain on it,
 whose prefixes give every requested k, so the output is byte-identical for
-a fixed (config, seed) no matter how many workers run the chains.  Records
-carry the analytic value, the MC mean and standard error, the z-score
-between them, and provenance fields.
+a fixed (config, seed) no matter how many workers run the chains' chunks.
+Records carry the analytic value, the MC mean and standard error, the
+z-score between them, and provenance fields.
 """
 
 from __future__ import annotations
@@ -109,23 +109,29 @@ class SweepConfig:
 
 def mc_estimate_delta(mode: str, n_spins: int, k_values, phi: float, trials: int,
                       rng: RandomStream, overlap: str = "estimate",
-                      measure=None) -> list[McEstimate]:
+                      measure=None, run=None) -> list[McEstimate]:
     """Monte Carlo estimates of observer k's shrink factor (or of the overlap
     it hands on) for each k of ``k_values``, folded observer by observer from
     one chain of length max(k), whose first j columns are the length-j chain,
-    into one slot per distinct k; ``measure`` is the chain's tilt sampler."""
+    into one slot per distinct k; ``measure`` is the chain's tilt sampler.
+    ``run``, if given, takes the chain as a unit of ``encoding._run_units``,
+    whose chunks fold apart and merge in order, and returns what this does."""
     k_values = tuple(k_values)
     if not k_values:
         raise ValueError("k_values must be non-empty")
     chain_laws(mode, n_spins, min(k_values), phi)
-    from .encoding import chain_dots_nspin
+    from .encoding import _chain, _run_units
     from .records import MomentFold
     slots = {k - 1: slot for slot, k in enumerate(dict.fromkeys(k_values))}
     fold = MomentFold(len(slots))
-    chain_dots_nspin(n_spins, max(k_values), mode, rng, trials, phi, overlap,
-                     lambda column, c: fold(slots[column], c) if column in slots else None,
-                     measure)
-    return [fold.estimate(slots[k - 1]) for k in k_values]
+
+    def open_chunk(scratch):  # squares in the row a chunk leaves free
+        part = MomentFold(len(slots), scratch[-1])
+        return (lambda column, c: part(slots[column], c) if column in slots else None), part
+
+    unit = (*_chain(n_spins, max(k_values), mode, rng, trials, phi, overlap, measure),
+            open_chunk, fold.merge, lambda: [fold.estimate(slots[k - 1]) for k in k_values])
+    return run(unit) if run else _run_units([lambda: unit], trials)[0]
 
 
 def _cell_stream(cfg: SweepConfig, n_spins: int) -> RandomStream:
@@ -134,51 +140,22 @@ def _cell_stream(cfg: SweepConfig, n_spins: int) -> RandomStream:
     return RandomStream(cfg.seed).child(MODES.index(cfg.mode)).child(n_spins).child(1)
 
 
-def _thread_map(fn, items: list, workers: int) -> dict:
-    """{item: fn(item)} from ``workers`` threads that take the items in turn
-    under a lock, none after a failure; then raises the earliest failure."""
-    import threading
-    lock, pending, results, failures = threading.Lock(), iter(enumerate(items)), {}, {}
-
-    def take():
-        with lock:
-            return None if failures else next(pending, None)
-
-    def work():
-        for i, item in iter(take, None):
-            try:
-                results[item] = fn(item)
-            except BaseException as exc:  # raised again by the calling thread
-                failures[i] = exc
-
-    threads = [threading.Thread(target=work) for _ in range(workers)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[min(failures)]
-    return results
-
-
 def run_sweep(cfg: SweepConfig) -> list[dict]:
     """All records of a sweep, in deterministic (N, k) order.
 
-    Each distinct N is one unit of work, one chain that serves every k and
-    every repeat of that N.  Units are independent, so they may run on any
-    number of workers, at most one per unit, which this thread only starts
-    and joins (:func:`_thread_map`); the records never depend on scheduling.
+    Each distinct N is one chain that serves every k and every repeat of
+    that N.  Its chunks are the units of work: they run on this thread and
+    plain threads, ``workers`` in all and at most one per chunk
+    (``encoding._run_units``), and the records never depend on scheduling.
     """
     cfg.validate()
-
-    def run_unit(n):
-        return mc_estimate_delta(cfg.mode, n, cfg.k_values, cfg.phi, cfg.trials,
-                                 _cell_stream(cfg, n))
+    from .encoding import _run_units
 
     n_distinct = list(dict.fromkeys(cfg.n_values))
-    workers = min(cfg.workers, len(n_distinct))
-    estimates = (_thread_map(run_unit, n_distinct, workers) if workers > 1
-                 else {n: run_unit(n) for n in n_distinct})
+    set_ups = [lambda n=n: mc_estimate_delta(cfg.mode, n, cfg.k_values, cfg.phi, cfg.trials,
+                                             _cell_stream(cfg, n), run=lambda unit: unit)
+               for n in n_distinct]
+    estimates = dict(zip(n_distinct, _run_units(set_ups, cfg.trials, cfg.workers)))
 
     bid = build_id()
     phi = cfg.phi if cfg.mode == "single_qubit" else None

@@ -854,6 +854,23 @@ class TestStepScratch:
         q = 1.0 - RandomStream(n_spins).generator().random(size)
         assert np.any(guide[(q * encoding._GUIDE_CELLS).astype(np.intp)] < 0)
 
+    @pytest.mark.parametrize("n_spins", [2, 4, 40, 280])
+    def test_optimal_sample_allocates_only_for_split_cells(self, n_spins):
+        # one chunk's sample into given buffers: the mask of the draws in
+        # split guide cells lives in a work row, so the traced peak is their
+        # q and found intervals, 16 bytes each; a rows-sized mask and the
+        # index arrays beside it took 50 KB at N = 4 and 70 KB at N = 2
+        density, rows = outcome_density(optimal_encoding(n_spins)), encoding._CHAIN_ROWS
+        out, *work = self._garbage(2, 2, rows)
+        density.sample(RandomStream(n_spins).generator(), rows, out, work)
+        q = 1.0 - RandomStream(n_spins + 1).generator().random(rows)
+        split = np.count_nonzero(density._inverse_table[3][
+            (q * encoding._GUIDE_CELLS).astype(np.intp)] < 0)
+        peak = self._peak(lambda: density.sample(RandomStream(n_spins + 1).generator(), rows,
+                                                 out, work))
+        assert peak < 52 * 1024
+        assert peak <= 16 * split + 2048, (peak, split)
+
     def test_azimuth_cosine_fills_its_buffer(self):
         u = RandomStream(16).generator().random(10 ** 4)
         work = self._garbage(3, 0, u.size)

@@ -212,6 +212,48 @@ class TestMomentFold:
         fold(2, np.array([0.5, 0.25]))
         assert fold.count.tolist() == [0, 0, 2] and fold.estimate(2).mean == 0.375
 
+    @pytest.mark.parametrize("sizes", [(5, 3, 8), (_CHAIN_ROWS, _CHAIN_ROWS, 5), (1, 1, 2)])
+    def test_merge_is_the_sequential_fold_bit_for_bit(self, sizes):
+        # chunks of unequal sizes, each folded on its own and merged in
+        # order into an empty fold, against folding each chunk in turn
+        gen = RandomStream(21).generator()
+        chunks = [1.0 - 1e-3 * gen.random((2, size)) for size in sizes]
+        sequential, merged = MomentFold(2), MomentFold(2)
+        for chunk in chunks:
+            part = MomentFold(2, np.empty(max(sizes)))
+            for column in range(2):
+                sequential(column, chunk[column])
+                part(column, chunk[column])
+            merged.merge(part)
+        for a, b in ((sequential.count, merged.count), (sequential.mean, merged.mean),
+                     (sequential.m2, merged.m2)):
+            assert a.tobytes() == b.tobytes()
+        assert merged.count.tolist() == [sum(sizes)] * 2
+
+    def test_merge_into_an_empty_fold_copies_the_chunk(self):
+        part = MomentFold(1)
+        part(0, np.array([0.25, 0.5, 2.0]))
+        empty = MomentFold(1)
+        empty.merge(part)
+        assert empty.estimate(0) == part.estimate(0) == McEstimate.from_samples(
+            np.array([0.25, 0.5, 2.0]))
+
+    def test_given_squares_row_is_the_only_chunk_sized_buffer(self):
+        squares = np.empty(_CHAIN_ROWS)
+        fold = MomentFold(3, squares)
+        chunk = RandomStream(5).generator().random(_CHAIN_ROWS)
+        fold(0, chunk)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fold(1, chunk)
+            fold(2, chunk[:7])
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024
+        assert fold.estimate(1) == fold.estimate(0) == McEstimate.from_samples(chunk)
+
 
 class TestRunSweep:
     def test_record_layout_and_provenance(self):
@@ -310,8 +352,9 @@ class TestRunSweep:
             est = McEstimate.from_samples(dots[:, 0])
             assert (full[n, 1]["mc_mean"], full[n, 1]["mc_stderr"]) == (est.mean, est.stderr)
 
-    def test_workers_capped_at_the_number_of_chains(self, monkeypatch):
-        # the pool starts one plain thread per worker, at most one per chain
+    def test_workers_capped_at_the_number_of_chunks(self, monkeypatch):
+        # the calling thread is a worker, and the pool starts one plain
+        # thread for each other worker, with at most one worker per chunk
         import threading
         started = []
 
@@ -320,20 +363,75 @@ class TestRunSweep:
                 started.append(self)
                 super().start()
 
-        # run_sweep reads threading.Thread where it needs a pool
+        # the runner reads threading.Thread where it starts its workers
         monkeypatch.setattr(threading, "Thread", Counted)
         cfg = dict(mode="nspin_parallel", k_values=(1, 2), trials=500, workers=8)
         two = run_sweep(SweepConfig(n_values=(2, 4), **cfg))
-        assert len(started) == 2
+        assert len(started) == 1  # two one-chunk chains: two workers
         one = run_sweep(SweepConfig(n_values=(4,), **cfg))
-        assert len(started) == 2  # one chain runs inline, with no thread
+        assert len(started) == 1  # one chunk runs on the calling thread alone
         assert one == two[2:]
         assert run_sweep(SweepConfig(n_values=(4, 4), **cfg)) == one + one
-        assert len(started) == 2  # so does a repeated one
+        assert len(started) == 1  # so does a repeated one
         three = run_sweep(SweepConfig(n_values=(2, 4, 6), **dict(cfg, workers=2)))
-        assert len(started) == 4  # two workers for three chains
+        assert len(started) == 2  # two workers for three chunks
         assert three[:4] == two
+        # one chain of three chunks gets three workers, the caller and two threads
+        long = dict(cfg, n_values=(4,), trials=2 * _CHAIN_ROWS + 5)
+        chunked = run_sweep(SweepConfig(**long))
+        assert len(started) == 4
+        assert chunked == run_sweep(SweepConfig(**dict(long, workers=1)))
+        assert len(started) == 4
         assert not any(thread.is_alive() for thread in started)
+
+    def test_one_chain_runs_its_chunks_on_two_workers_at_once(self, monkeypatch):
+        # while one worker sets the only chain up, slowly, the other waits for
+        # its chunks instead of leaving.  The full chunk then runs only once
+        # the short last one is done, which one worker alone never gets to,
+        # and the chain still merges its folds in chunk order, to the serial
+        # bytes
+        import threading
+        import time
+        last_done, kernel, set_up = threading.Event(), encoding._run_chunk, encoding._chain
+
+        def slow_set_up(*args):
+            time.sleep(0.2)
+            return set_up(*args)
+
+        def chunk(turns, rows, *args):
+            if rows == _CHAIN_ROWS:
+                assert last_done.wait(timeout=10), "no second worker ran the last chunk"
+            kernel(turns, rows, *args)
+            if rows < _CHAIN_ROWS:
+                last_done.set()
+
+        cfg = dict(mode="single_qubit", k_values=(1, 2, 3), phi=0.7, trials=_CHAIN_ROWS + 5,
+                   seed=3)
+        serial = records_to_bytes(run_sweep(SweepConfig(**cfg)), "csv")
+        monkeypatch.setattr(encoding, "_run_chunk", chunk)
+        monkeypatch.setattr(encoding, "_chain", slow_set_up)
+        assert records_to_bytes(run_sweep(SweepConfig(**cfg, workers=2)), "csv") == serial
+        assert last_done.is_set()
+
+    @pytest.mark.parametrize("mode, n_spins, phi", [
+        ("single_qubit", 1, 0.7), ("nspin_optimal", 4, 0.0)])
+    def test_one_chain_on_many_workers_gives_the_serial_bytes(self, mode, n_spins, phi):
+        # three chunks of one chain, the last of five rows, run on one, two
+        # and three workers: every record is the serial one, byte for byte,
+        # and the serial estimates are a plain fold of the kernel's chunks
+        cfg = dict(mode=mode, n_values=(n_spins,), k_values=(1, 2, 3), phi=phi,
+                   trials=2 * _CHAIN_ROWS + 5, seed=11)
+        serial = records_to_bytes(run_sweep(SweepConfig(**cfg)), "csv")
+        for workers in (2, 3):
+            assert records_to_bytes(run_sweep(SweepConfig(**cfg, workers=workers)),
+                                    "csv") == serial
+        fold = MomentFold(3)
+        stream = RandomStream(11).child(MODES.index(mode)).child(n_spins).child(1)
+        encoding.chain_dots_nspin(n_spins, 3, mode, stream, cfg["trials"], phi, "estimate",
+                                  fold)
+        records = run_sweep(SweepConfig(**cfg, workers=3))
+        assert [(r["mc_mean"], r["mc_stderr"]) for r in records] == [
+            (est.mean, est.stderr) for est in map(fold.estimate, range(3))]
 
     def test_a_failing_unit_raises_the_earliest_failing_n(self, monkeypatch):
         # N = 6 fails first, while N = 4 waits for it and then fails too:
@@ -370,6 +468,21 @@ class TestRunSweep:
         sys.setswitchinterval(1e-6)
         try:
             threaded = run_sweep(SweepConfig(**cfg, workers=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == inline
+
+    def test_many_threads_merge_every_chunk_in_order(self):
+        # twelve chunks of two chains on eight workers, switching threads
+        # every microsecond: each chain still merges its chunk folds in
+        # chunk order, to the bytes of one worker
+        cfg = dict(mode="nspin_parallel", n_values=(2, 4), k_values=(1, 3),
+                   trials=5 * _CHAIN_ROWS + 3, seed=8)
+        inline = records_to_bytes(run_sweep(SweepConfig(**cfg)), "csv")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = records_to_bytes(run_sweep(SweepConfig(**cfg, workers=8)), "csv")
         finally:
             sys.setswitchinterval(interval)
         assert threaded == inline
