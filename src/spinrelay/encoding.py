@@ -14,11 +14,12 @@ Two families are covered:
   phi_J proportional to sqrt(2J+1) P_J(x) (Golub-Welsch).
 
 The closed forms of both, and the steps of every chain the CLI names,
-are in :mod:`spinrelay.laws`.  :func:`_chain` lists them as turns in draw
-order, each observer's tilt and then any hand-on turn by its offset.
-:func:`_run_chunk`, the one chain kernel, runs them on a chunk of trials as
-the scalar Markov chain of the overlap, and :func:`_run_units` runs chunks,
-each on its own stream, on one worker or several.  A ``measure``, such as
+are in :mod:`spinrelay.laws`.  :func:`_chain` sets a chain up as turns in
+draw order, each observer's tilt and then any hand-on turn by its offset,
+and chunks of trials; :func:`_run_chunk`, the one chain kernel, runs the
+turns on a chunk as the scalar Markov chain of the overlap, and
+:func:`_run_units` runs the chunks of chains, on one worker or several,
+into one moment fold per chain.  A ``measure``, such as
 :func:`spinrelay.qubit.stern_gerlach`, replaces every tilt sampler.
 """
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-import itertools
 import math
 
 import numpy as np
@@ -233,7 +233,7 @@ class OutcomeDensity:
     def sample(self, gen, size: int, out=None, work=None) -> np.ndarray:
         """``size`` tilt cosines, drawn into and returned in ``out`` when
         given, with ``work`` the scratch of :meth:`_tilt_angle`."""
-        q = gen.random(size) if out is None else gen.random(size, out=out)
+        q = gen.random(size, out=out)
         # q = 1 - u is exact for u >= 1/2, so the tail near x = 1, where
         # the optimal density puts its mass, keeps full resolution
         np.subtract(1.0, q, out=q)
@@ -270,24 +270,28 @@ def outcome_density(encoding: EncodingSpec) -> OutcomeDensity:
     return OutcomeDensity(encoding, np.sqrt(2.0 * degrees + 1.0) * encoding.phi)
 
 
-def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overlap: str,
+def _chain(n_spins: int, k_values, mode: str, rng, trials: int, phi: float, overlap: str,
            measure=None):
-    """The set-up of :func:`chain_dots_nspin` and of its 3-D test oracle:
-    check the overlap, the chain (:func:`chain_laws`), ``trials`` and the
-    RandomStream ``rng`` before any draw or density build; return the
-    chain's turns (x, column) in draw order, as a function that lists them
-    anew from the at most two runs of :func:`chain_laws` on every call, and
-    the lazy chunks of at most _CHAIN_ROWS rows as (rows, Generator), chunk
-    0 drawing from ``rng`` and chunk c >= 1 from ``rng.child(c)``.  Each
-    observer adds a tilt turn, whose x is a sampler ``(gen, size, out=None,
-    work=None)``: ``measure(gen, size)``, or its law's, whose optimal
-    density and table are built here, after the checks; then at a nonzero
-    offset a hand-on turn with x = cos(offset).  column is the observer
-    whose overlap the turn records, or None: the tilt turn's, or under
-    "prepared" the last turn's."""
+    """The set-up of a chain, for :func:`_run_units` and the 3-D test oracle:
+    check the overlap, ``k_values`` (non-empty, none below 1), the chain of
+    length max(k) (:func:`chain_laws`), ``trials`` and the RandomStream ``rng``
+    before any draw or density build; return ``(turns, chunks, columns)``.
+    ``turns()`` lists the turns (x, slot) in draw order anew from the at most
+    two runs of :func:`chain_laws`; ``chunks`` are the lazy (rows, Generator)
+    of at most _CHAIN_ROWS rows each, chunk 0 drawing from ``rng`` and chunk
+    c >= 1 from ``rng.child(c)``; ``columns`` counts the distinct k, whose
+    order gives each its slot.  Each observer adds a tilt turn, whose x is a
+    sampler ``(gen, size, out=None, work=None)``: ``measure(gen, size)``, or
+    its law's, whose optimal density and table are built here, after the
+    checks; then at a nonzero offset a hand-on turn with x = cos(offset).
+    slot is that of the observer whose overlap the turn records, if its k is
+    asked for, else None: the tilt turn's, or under "prepared" the last turn's."""
     if overlap not in ("estimate", "prepared"):
         raise ValueError("overlap must be 'estimate' or 'prepared'")
-    laws = chain_laws(mode, n_spins, k, phi)
+    if not k_values:
+        raise ValueError("k_values must be non-empty")
+    chain_laws(mode, n_spins, min(k_values), phi)  # a k below 1 names no observer
+    laws = chain_laws(mode, n_spins, max(k_values), phi)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not isinstance(rng, RandomStream):
@@ -300,17 +304,18 @@ def _chain(n_spins: int, k: int, mode: str, rng, trials: int, phi: float, overla
         samplers["optimal"] = density.sample
     measured = measure and (lambda gen, size, out=None, work=None: measure(gen, size))
     prepared = overlap == "prepared"
+    slots = {k - 1: slot for slot, k in enumerate(dict.fromkeys(k_values))}
 
     def turns():
         steps = ((law, offset) for law, offset, count in laws for _ in range(count))
         for j, (law, offset) in enumerate(steps):
-            yield measured or samplers[law], None if offset and prepared else j
+            yield measured or samplers[law], None if offset and prepared else slots.get(j)
             if offset:
-                yield math.cos(offset), j if prepared else None
+                yield math.cos(offset), slots.get(j) if prepared else None
 
     chunks = ((min(_CHAIN_ROWS, trials - lo), (rng.child(c) if c else rng).generator())
               for c, lo in enumerate(range(0, trials, _CHAIN_ROWS)))
-    return turns, chunks
+    return turns, chunks, len(slots)
 
 
 def _azimuth_table() -> tuple[np.ndarray, np.ndarray]:
@@ -395,69 +400,78 @@ def _run_chunk(turns, rows: int, gen, scratch: np.ndarray, consume) -> None:
     """One chunk of ``rows`` trials of a chain of :func:`_chain`, from its
     Generator ``gen``, on a (6, >= rows) ``scratch``: each turn takes c from 1
     to c x + sqrt((1 - c^2)(1 - x^2)) cos psi (:func:`_turn`) in whichever of
-    the first two rows does not hold c, and ``consume(column, c)`` may use the
+    the first two rows does not hold c, and ``consume(slot, c)`` may use the
     last row.  It skips the 3-D oracle's 2 * rows words of true directions."""
     a, b, *work = scratch[:, :rows]
     gen.bit_generator.advance(rows // 2)  # 4 words a counter step
     gen.bit_generator.random_raw(2 * (rows % 2))
     c = 1.0
-    for x, column in turns():
+    for x, slot in turns():
         c = _turn(c, x, gen, b if c is a else a, work)
-        if column is not None:
-            consume(column, c)
+        if slot is not None:
+            consume(slot, c)
 
 
 def _run_units(set_ups: list, trials: int, workers: int = 1) -> list:
-    """The values of chains of ``trials`` trials run chunk by chunk on the
-    calling thread and plain threads, ``workers`` in all, at most one per
-    chunk.  ``set_ups[i]()`` gives chain i as ``(turns, chunks, open, merge,
-    value)``, ``open(scratch)`` a chunk's ``(consume, part)``, merged in chunk
-    order.  A worker takes a chunk, else a set-up (freeing its scratch if it
-    is alone), else waits for one.  The earliest chain's failure is raised."""
+    """One :class:`~spinrelay.records.MomentFold` per chain of ``trials``
+    trials, run chunk by chunk on the calling thread and plain threads,
+    ``workers`` in all, at most one per chunk.  ``set_ups[i]()`` gives chain i
+    as :func:`_chain` does, ``(turns, chunks, columns)``, when a worker asks for
+    a chunk and chain i - 1 has none left, under the lock that hands chunks out
+    (chain 0 on the calling thread, before any other starts).  Each chunk folds
+    apart, with its squares in its worker's scratch, and the chain merges the
+    folds in chunk order.  The earliest chain's failure is raised; no chain is
+    set up after one."""
     import threading
-    cond, chunks, failures = threading.Condition(), [iter(())], {}
-    pending = ((i, None, make) for i, make in enumerate(set_ups))
-    values, parts, merged = {}, {}, [0] * len(set_ups)
-    rows = min(trials, _CHAIN_ROWS)
-    workers = min(workers, len(set_ups) * -(-trials // rows))
+    from .records import MomentFold
+    lock, failures, parts = threading.Lock(), {}, {}
+    folds, merged = [None] * len(set_ups), [0] * len(set_ups)
+    rows, chunks = min(trials, _CHAIN_ROWS), -(-trials // _CHAIN_ROWS)
+    workers = min(workers, len(set_ups) * chunks)
 
-    def take():
-        with cond:
-            while not failures:
-                task = next(chunks[0], None) or next(pending, None)
-                if task or len(values) == len(set_ups):  # no set-up under way
-                    return task
-                cond.wait()
+    def hand_out():  # each next() runs under the lock
+        for i, set_up in enumerate(set_ups):
+            try:
+                turns, chain_chunks, columns = set_up()
+            except BaseException as exc:  # raised again by the calling thread
+                failures.setdefault(i, exc)
+                return
+            folds[i] = MomentFold(columns)
+            for index, (size, gen) in enumerate(chain_chunks):
+                yield i, index, turns, columns, size, gen
+            del turns, chain_chunks  # the chain's density, before the next set-up builds its own
 
-    def run(i, scratch, unit, chunk):
-        (turns, _, open_chunk, merge, _), (index, (size, gen)) = unit, chunk
-        consume, part = open_chunk(scratch)
-        _run_chunk(turns, size, gen, scratch, consume)
-        with cond:
-            parts[i, index] = part
-            while (i, merged[i]) in parts:
-                merge(parts.pop((i, merged[i])))
-                merged[i] += 1
+    def run(scratch, i, index, turns, columns, size, gen):  # returns the next chunk's scratch
+        try:
+            scratch = np.empty((6, rows)) if scratch is None else scratch
+            part = MomentFold(columns, scratch[-1])
+            _run_chunk(turns, size, gen, scratch, part)
+            with lock:
+                parts[i, index] = part
+                while (i, merged[i]) in parts:
+                    folds[i].merge(parts.pop((i, merged[i])))
+                    merged[i] += 1
+        except BaseException as exc:
+            with lock:
+                failures.setdefault(i, exc)
+        # alone, a worker spares the next set-up's peak its scratch
+        return None if workers == 1 and index == chunks - 1 else scratch
 
     def work():
         scratch = None
-        for i, unit, task in iter(take, None):
-            try:
-                if unit is not None:
-                    scratch = np.empty((6, rows)) if scratch is None else scratch
-                    run(i, scratch, unit, task)
-                    continue
-                scratch = scratch if workers > 1 else None  # alone, spare the set-up's peak
-                unit = task()
-                with cond:  # its chunks go after those of the chains set up before
-                    values[i] = unit[-1]
-                    chunks[0] = itertools.chain(chunks[0], zip(
-                        itertools.repeat(i), itertools.repeat(unit), enumerate(unit[1])))
-            except BaseException as exc:  # raised again by the calling thread
-                failures.setdefault(i, exc)
-            with cond:  # after a set-up or a failure, which the waiting workers await
-                cond.notify_all()
+        while True:
+            with lock:
+                task = first.pop() if first else None if failures else next(tasks, None)
+            if task is None:
+                return
+            scratch = run(scratch, *task)
+            del task  # nor may this worker hold the turns into the next set-up
 
+    # the calling thread sets the first chain up before any thread starts, so
+    # what that leaves for the whole run (numpy.polynomial, numpy's caches) is
+    # in its heap, not a thread's: 0.15 MB of optimal_grid's peak RSS
+    tasks = hand_out()
+    first = [next(tasks, None)]  # popped, so that no list keeps chain 0's turns
     threads = [threading.Thread(target=work) for _ in range(workers - 1)]
     for thread in threads:
         thread.start()
@@ -466,19 +480,4 @@ def _run_units(set_ups: list, trials: int, workers: int = 1) -> list:
         thread.join()
     if failures:
         raise failures[min(failures)]
-    return [values[i]() for i in range(len(set_ups))]
-
-
-def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int, phi: float,
-                     overlap: str, consume, measure=None) -> None:
-    """Vectorized covariant observer chains of any mode from the RandomStream
-    ``rng``, handed on the calling thread to ``consume(column, overlaps)`` as
-    each recording turn writes them, chunk by chunk in row order and columns
-    in increasing order: the (rows,) overlaps with the true direction of
-    observer column + 1's estimate, or with ``overlap="prepared"`` of the
-    state it hands on, in a scratch row (:func:`_run_chunk`) reused two turns
-    later, so a consumer that keeps them copies them.  A ``measure`` sampler
-    ``(gen, size)``, such as ``qubit.stern_gerlach``, replaces every tilt law."""
-    turns, chunks = _chain(n_spins, k, mode, rng, trials, phi, overlap, measure)
-    _run_units([lambda: (turns, chunks, lambda scratch: (consume, None), lambda part: None,
-                         lambda: None)], trials)
+    return folds

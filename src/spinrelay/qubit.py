@@ -17,10 +17,9 @@ overlap eta^k with n, eta = cos(phi)/3, as if a depolarizing channel
 shrank the Bloch vector k times; observer k's guess has mean overlap
 (1/3) eta^(k-1), one covariant measurement of the state handed to it.
 
-Both chains are the scalar overlap recurrence of :mod:`spinrelay.encoding`:
-the covariant chain is ``chain_dots_nspin(1, k, "single_qubit", rng,
-trials, phi, overlap, consume)``, which hands each observer's overlaps to
-``consume`` chunk by chunk, and the Stern-Gerlach chain the same call with
+Both chains are the scalar overlap recurrence of :mod:`spinrelay.encoding`,
+estimated by ``sweep.mc_estimate_delta("single_qubit", 1, k_values, phi,
+trials, rng, overlap)``; the Stern-Gerlach chain is the same call with
 ``measure=stern_gerlach``, which draws every observer's tilt by the Born
 rule in place of the inverse CDF.
 """

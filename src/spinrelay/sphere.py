@@ -1,5 +1,5 @@
 """The tilt law of N parallel copies: the scalar chain's "parallel" sampler,
-drawn through ``random(size)`` alone from the ``Generator`` it is given."""
+drawn through ``random(size, out=out)`` alone from the ``Generator`` it is given."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ def sample_cos_tilt(gen, n_copies: int, size: int, out=None):
     """
     if n_copies < 1:
         raise ValueError(f"n_copies must be >= 1, got {n_copies}")
-    u = gen.random(size) if out is None else gen.random(size, out=out)
+    u = gen.random(size, out=out)
     np.subtract(1.0, u, out=u)  # gen.random is [0,1) -> u in (0,1]
     u **= 1.0 / (n_copies + 1)
     u *= 2.0

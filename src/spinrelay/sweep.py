@@ -109,29 +109,22 @@ class SweepConfig:
 
 def mc_estimate_delta(mode: str, n_spins: int, k_values, phi: float, trials: int,
                       rng: RandomStream, overlap: str = "estimate",
-                      measure=None, run=None) -> list[McEstimate]:
+                      measure=None) -> list[McEstimate]:
     """Monte Carlo estimates of observer k's shrink factor (or of the overlap
     it hands on) for each k of ``k_values``, folded observer by observer from
     one chain of length max(k), whose first j columns are the length-j chain,
-    into one slot per distinct k; ``measure`` is the chain's tilt sampler.
-    ``run``, if given, takes the chain as a unit of ``encoding._run_units``,
-    whose chunks fold apart and merge in order, and returns what this does."""
-    k_values = tuple(k_values)
-    if not k_values:
-        raise ValueError("k_values must be non-empty")
-    chain_laws(mode, n_spins, min(k_values), phi)
+    into one slot per distinct k; ``measure`` is the chain's tilt sampler."""
     from .encoding import _chain, _run_units
-    from .records import MomentFold
-    slots = {k - 1: slot for slot, k in enumerate(dict.fromkeys(k_values))}
-    fold = MomentFold(len(slots))
+    k_values = tuple(k_values)
+    [fold] = _run_units([lambda: _chain(n_spins, k_values, mode, rng, trials, phi, overlap,
+                                        measure)], trials)
+    return _estimates(fold, k_values)
 
-    def open_chunk(scratch):  # squares in the row a chunk leaves free
-        part = MomentFold(len(slots), scratch[-1])
-        return (lambda column, c: part(slots[column], c) if column in slots else None), part
 
-    unit = (*_chain(n_spins, max(k_values), mode, rng, trials, phi, overlap, measure),
-            open_chunk, fold.merge, lambda: [fold.estimate(slots[k - 1]) for k in k_values])
-    return run(unit) if run else _run_units([lambda: unit], trials)[0]
+def _estimates(fold, k_values) -> list[McEstimate]:
+    """Each k's estimate from the fold of ``encoding._chain(n, k_values, ...)``."""
+    slots = {k: slot for slot, k in enumerate(dict.fromkeys(k_values))}
+    return [fold.estimate(slots[k]) for k in k_values]
 
 
 def _cell_stream(cfg: SweepConfig, n_spins: int) -> RandomStream:
@@ -149,13 +142,14 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
     (``encoding._run_units``), and the records never depend on scheduling.
     """
     cfg.validate()
-    from .encoding import _run_units
+    from .encoding import _chain, _run_units
 
     n_distinct = list(dict.fromkeys(cfg.n_values))
-    set_ups = [lambda n=n: mc_estimate_delta(cfg.mode, n, cfg.k_values, cfg.phi, cfg.trials,
-                                             _cell_stream(cfg, n), run=lambda unit: unit)
+    set_ups = [lambda n=n: _chain(n, cfg.k_values, cfg.mode, _cell_stream(cfg, n), cfg.trials,
+                                  cfg.phi, "estimate")
                for n in n_distinct]
-    estimates = dict(zip(n_distinct, _run_units(set_ups, cfg.trials, cfg.workers)))
+    estimates = {n: _estimates(fold, cfg.k_values)
+                 for n, fold in zip(n_distinct, _run_units(set_ups, cfg.trials, cfg.workers))}
 
     bid = build_id()
     phi = cfg.phi if cfg.mode == "single_qubit" else None

@@ -5,13 +5,15 @@ vector or ``(..., 3)`` for batches.  The geometric functions broadcast
 over leading axes.  The samplers draw arrays of an int ``size`` through
 ``random(size)`` alone, from the NumPy ``Generator`` they are given.
 
-:func:`chain_dots_3d` runs the turns, chunks and streams of
-:func:`spinrelay.encoding._chain`, as ``chain_dots_nspin`` does, on unit
-vectors, so a patched ``encoding._CHAIN_ROWS`` applies to both kernels.
-With ``measure=stern_gerlach`` it runs the Stern-Gerlach chain with a 3-D
-random axis, the oracle of the library's scalar Stern-Gerlach sampler.
-Both kernels hand each observer's overlaps to a consumer; :func:`collected`
-turns either into a function that returns all of a chain's overlaps.
+:func:`chain_dots_nspin` runs the turns, chunks and streams of
+:func:`spinrelay.encoding._chain` through the library's scalar kernel,
+``encoding._run_chunk``, chunk after chunk; :func:`chain_dots_3d` runs them
+on unit vectors, so a patched ``encoding._CHAIN_ROWS`` applies to both.
+With ``measure=stern_gerlach`` the 3-D chain runs the Stern-Gerlach chain
+with a 3-D random axis, the oracle of the library's scalar Stern-Gerlach
+sampler.  Both kernels hand each observer's overlaps to a consumer;
+:func:`collected` turns either into a function that returns all of a
+chain's overlaps.
 """
 
 from __future__ import annotations
@@ -91,9 +93,33 @@ def stern_gerlach(state_dirs: np.ndarray, gen) -> np.ndarray:
     return axes
 
 
+def _observers(k: int):
+    """The k_values of a chain that records every one of its k observers:
+    1..k, whose slots are the columns 0..k-1, or k itself when it is below 1,
+    for ``encoding._chain`` to reject."""
+    return range(1, k + 1) or (k,)
+
+
+def chain_dots_nspin(n_spins: int, k: int, mode: str, rng, trials: int, phi: float,
+                     overlap: str, consume, measure=None) -> None:
+    """The scalar chain of ``encoding._chain`` on the calling thread, chunk by
+    chunk in row order on one scratch, handing ``consume(column, overlaps)``
+    each recording turn's (rows,) overlaps, columns in increasing order: with
+    the true direction of observer column + 1's estimate, or with
+    ``overlap="prepared"`` of the state it hands on.  They sit in a scratch
+    row that a later turn reuses, so a consumer that keeps them copies them.
+    A ``measure`` sampler ``(gen, size)``, such as ``qubit.stern_gerlach``,
+    replaces every tilt law."""
+    turns, chunks, _ = encoding._chain(n_spins, _observers(k), mode, rng, trials, phi,
+                                       overlap, measure)
+    scratch = np.empty((6, min(trials, encoding._CHAIN_ROWS)))
+    for rows, gen in chunks:
+        encoding._run_chunk(turns, rows, gen, scratch, consume)
+
+
 def chain_dots_3d(n_spins: int, k: int, mode: str, rng, trials: int, phi: float,
                   overlap: str, consume, measure=None) -> None:
-    """The 3-D twin of ``chain_dots_nspin``, with its arguments and its
+    """The 3-D twin of :func:`chain_dots_nspin`, with its arguments and its
     hand-off of each recorded overlap to ``consume(column, overlaps)``, plus
     ``measure``: each observer estimates the direction by tilting the state
     it is handed by a draw from its step's law at a uniform azimuth, or by
@@ -105,7 +131,8 @@ def chain_dots_3d(n_spins: int, k: int, mode: str, rng, trials: int, phi: float,
     on the same columns and makes the same fills in the same order: the
     true directions, then per turn the tilt draw of a tilt turn (or the
     measurement's, which replaces tilt turns only) and the azimuth."""
-    turns, chunks = encoding._chain(n_spins, k, mode, rng, trials, phi, overlap)
+    turns, chunks, _ = encoding._chain(n_spins, _observers(k), mode, rng, trials, phi,
+                                       overlap)
     for rows, gen in chunks:
         state = true_dirs = sample_uniform_sphere(gen, rows)
         for x, column in turns():
@@ -130,5 +157,5 @@ def collected(chain):
 
 
 #: the two kernels as the tests call them, returning all of a chain's overlaps
-collected_nspin = collected(encoding.chain_dots_nspin)
+collected_nspin = collected(chain_dots_nspin)
 collected_3d = collected(chain_dots_3d)

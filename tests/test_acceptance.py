@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from spinrelay import acceptance, encoding, sweep
+from spinrelay import encoding
 from spinrelay.acceptance import _CRITERIA
 
 
@@ -25,17 +25,14 @@ def test_criteria_chains_share_no_stream(monkeypatch):
     # on one stream, and none on s.child(j) of another chain's stream s for
     # any of that chain's chunks j >= 1, whose draws it would repeat;
     # criterion 9 repeats its sweep on purpose, so a repeat counts once
-    seen, number = {}, None
+    seen, number, set_up = {}, None, encoding._chain
 
-    def recorded(real):
-        def run(*args, **kwargs):
-            seen[number, args[5]] = -(-args[4] // encoding._CHAIN_ROWS)
-            # two trials keep the run short; the streams are the same
-            return real(*args[:4], 2, *args[5:], **kwargs)
-        return run
+    def recorded(*args):
+        seen[number, args[3]] = -(-args[4] // encoding._CHAIN_ROWS)
+        # two trials keep the run short; the streams are the same
+        return set_up(*args[:4], 2, *args[5:])
 
-    monkeypatch.setattr(acceptance, "mc_estimate_delta", recorded(sweep.mc_estimate_delta))
-    monkeypatch.setattr(sweep, "mc_estimate_delta", recorded(sweep.mc_estimate_delta))
+    monkeypatch.setattr(encoding, "_chain", recorded)
     for number in _CRITERIA:
         _CRITERIA[number]()
     streams = [rng for _, rng in seen]

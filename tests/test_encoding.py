@@ -767,8 +767,8 @@ class TestStepScratch:
                 mc_estimate_delta(mode, n_spins, (1, 2, 3), phi, trials, RandomStream(6),
                                   overlap)
             else:
-                encoding.chain_dots_nspin(n_spins, 3, mode, RandomStream(6), trials, phi,
-                                          overlap, sample)
+                chain3d.chain_dots_nspin(n_spins, 3, mode, RandomStream(6), trials, phi,
+                                         overlap, sample)
         finally:
             tracemalloc.stop()
         assert len(extra) == 6 * 3
@@ -824,9 +824,8 @@ class TestStepScratch:
     def test_long_chain_holds_nothing_per_observer(self, mode, n_spins, phi, overlap):
         # 10^4 observers of two trials: no per-observer list of turns or
         # column of overlaps, against 3 MB for the listed turns and block
-        assert self._peak(lambda: encoding.chain_dots_nspin(
-            n_spins, 10 ** 4, mode, RandomStream(6), 2, phi, overlap,
-            lambda column, overlaps: None)) < 256 * 1024
+        assert self._peak(lambda: mc_estimate_delta(
+            mode, n_spins, (10 ** 4,), phi, 2, RandomStream(6), overlap)) < 256 * 1024
 
     @staticmethod
     def _garbage(floats, ints, size):

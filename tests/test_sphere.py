@@ -79,7 +79,8 @@ class TestCosTilt:
         # a draw of 0 is u = 1, which maps to x = 1 exactly, and u = 0 to -1
         class Ends:
             @staticmethod
-            def random(size):
+            def random(size, out=None):
+                assert out is None
                 return np.array([0.0, 1.0])[:size]
 
         for n_copies in (1, 3, 50):
@@ -368,9 +369,9 @@ class TestChainBlocks:
         # which MomentFold reduces: chunk by chunk in row order, columns in
         # increasing order within a chunk, the last chunk's short one included
         kernels = [(kernel, mode, n_spins, None) for mode, n_spins in self.MODES
-                   for kernel in (encoding.chain_dots_nspin, chain3d.chain_dots_3d)]
+                   for kernel in (chain3d.chain_dots_nspin, chain3d.chain_dots_3d)]
         kernels += [(chain3d.chain_dots_3d, "single_qubit", 1, chain3d.stern_gerlach),
-                    (encoding.chain_dots_nspin, "single_qubit", 1, stern_gerlach)]
+                    (chain3d.chain_dots_nspin, "single_qubit", 1, stern_gerlach)]
         monkeypatch.setattr(encoding, "_CHAIN_ROWS", 7)
         for kernel, mode, n_spins, measure in kernels:
             for overlap in ("estimate", "prepared"):
@@ -397,8 +398,8 @@ class TestChainBlocks:
         # arrays per step
         tracemalloc.start()
         try:
-            encoding.chain_dots_nspin(1, 6, "single_qubit", RandomStream(3), 300_000, np.pi / 2,
-                                      "estimate", lambda column, overlaps: None)
+            chain3d.chain_dots_nspin(1, 6, "single_qubit", RandomStream(3), 300_000, np.pi / 2,
+                                     "estimate", lambda column, overlaps: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -35,6 +35,7 @@ from spinrelay.sweep import (
     run_sweep,
 )
 
+import chain3d
 from chain3d import collected_nspin as chain_dots_nspin
 
 
@@ -114,7 +115,7 @@ class TestMcEstimate:
         def fail(*args):
             raise AssertionError("the chain ran")
 
-        monkeypatch.setattr(encoding, "chain_dots_nspin", fail)
+        monkeypatch.setattr(encoding, "_run_chunk", fail)
         with pytest.raises(ValueError, match=re.escape(message)):
             mc_estimate_delta("nspin_parallel", 2, k_values, 0.0, 1000, RandomStream(1))
 
@@ -385,11 +386,11 @@ class TestRunSweep:
         assert not any(thread.is_alive() for thread in started)
 
     def test_one_chain_runs_its_chunks_on_two_workers_at_once(self, monkeypatch):
-        # while one worker sets the only chain up, slowly, the other waits for
-        # its chunks instead of leaving.  The full chunk then runs only once
-        # the short last one is done, which one worker alone never gets to,
-        # and the chain still merges its folds in chunk order, to the serial
-        # bytes
+        # the only chain is set up, slowly, before the second worker starts,
+        # which then takes a chunk instead of finding none.  The full chunk
+        # runs only once the short last one is done, which one worker alone
+        # never gets to, and the chain still merges its folds in chunk
+        # order, to the serial bytes
         import threading
         import time
         last_done, kernel, set_up = threading.Event(), encoding._run_chunk, encoding._chain
@@ -427,36 +428,85 @@ class TestRunSweep:
                                     "csv") == serial
         fold = MomentFold(3)
         stream = RandomStream(11).child(MODES.index(mode)).child(n_spins).child(1)
-        encoding.chain_dots_nspin(n_spins, 3, mode, stream, cfg["trials"], phi, "estimate",
-                                  fold)
+        chain3d.chain_dots_nspin(n_spins, 3, mode, stream, cfg["trials"], phi, "estimate", fold)
         records = run_sweep(SweepConfig(**cfg, workers=3))
         assert [(r["mc_mean"], r["mc_stderr"]) for r in records] == [
             (est.mean, est.stderr) for est in map(fold.estimate, range(3))]
 
     def test_a_failing_unit_raises_the_earliest_failing_n(self, monkeypatch):
-        # N = 6 fails first, while N = 4 waits for it and then fails too:
-        # run_sweep raises N = 4's error, as Executor.map would, and no
-        # thread takes N = 8 after a failure
+        # N = 6's set-up fails first, while N = 4's chunk waits for it and
+        # then fails too: run_sweep raises N = 4's error, as Executor.map
+        # would, and no worker sets N = 8 up after a failure
         import threading
-        import spinrelay.sweep as sweep_mod
-        taken, six_ran = [], threading.Event()
+        taken, six_failed, set_up = [], threading.Event(), encoding._chain
 
-        def unit(mode, n_spins, *args, **kwargs):
+        def chain(n_spins, *args):
             taken.append(n_spins)
-            if n_spins == 4:
-                six_ran.wait(timeout=10)
             if n_spins == 6:
-                six_ran.set()
-            if n_spins in (4, 6):
-                raise RuntimeError(f"unit N = {n_spins} failed")
-            return mc_estimate_delta(mode, n_spins, *args, **kwargs)
+                six_failed.set()
+                raise RuntimeError("unit N = 6 failed")
+            turns, chunks, columns = set_up(n_spins, *args)
+            if n_spins == 4:
+                def turns():
+                    assert six_failed.wait(timeout=10), "N = 6 was never set up"
+                    raise RuntimeError("unit N = 4 failed")
+            return turns, chunks, columns
 
-        monkeypatch.setattr(sweep_mod, "mc_estimate_delta", unit)
+        monkeypatch.setattr(encoding, "_chain", chain)
         cfg = SweepConfig("nspin_parallel", (2, 4, 6, 8), (1,), trials=500, workers=2)
         with pytest.raises(RuntimeError, match="unit N = 4 failed"):
             run_sweep(cfg)
-        assert six_ran.is_set()
+        assert six_failed.is_set()
         assert sorted(taken) == [2, 4, 6]
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_set_ups_run_one_at_a_time_in_n_order(self, monkeypatch, workers):
+        # chain 0 is set up before any other thread starts, and every later
+        # chain under the lock that hands chunks out: no set-up overlaps
+        # another, and they run in N order however many workers take the
+        # chains' chunks, which give the one-worker bytes
+        import threading
+        order, running, set_up = [], threading.Lock(), encoding._chain
+
+        def chain(n_spins, *args):
+            assert running.acquire(blocking=False), f"N = {n_spins} set up beside another"
+            try:
+                order.append(n_spins)
+                return set_up(n_spins, *args)
+            finally:
+                running.release()
+
+        cfg = dict(mode="nspin_optimal", n_values=(6, 2, 4, 2, 8), k_values=(1, 3),
+                   trials=_CHAIN_ROWS + 5, seed=9)
+        serial = records_to_bytes(run_sweep(SweepConfig(**cfg)), "csv")
+        monkeypatch.setattr(encoding, "_chain", chain)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records = run_sweep(SweepConfig(**cfg, workers=workers))
+        finally:
+            sys.setswitchinterval(interval)
+        assert order == [6, 2, 4, 8]
+        assert records_to_bytes(records, "csv") == serial
+
+    def test_no_chain_outlives_its_turn(self):
+        # one worker sets each chain up after the last chunk of the one
+        # before, which holds its optimal density and table no longer: four
+        # chains peak where the largest alone does, against 0.4 MB more
+        # when a chain's turns live on into the next set-up
+        def peak(n_values):
+            cfg = SweepConfig("nspin_optimal", n_values, (1,), trials=1000, seed=5)
+            tracemalloc.start()
+            try:
+                run_sweep(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak((280,))  # first-call allocations
+        alone = peak((280,))
+        for n_values in [(240, 280), (160, 200, 240, 280)]:
+            assert peak(n_values) <= alone + 64 * 1024, n_values
 
     def test_many_threads_lose_no_unit(self):
         # more workers than cores, switching threads every microsecond:
@@ -488,16 +538,15 @@ class TestRunSweep:
         assert threaded == inline
 
     def test_a_repeated_n_runs_its_chain_once(self, monkeypatch):
-        import spinrelay.sweep as sweep_mod
-        calls = []
+        calls, set_up = [], encoding._chain
 
-        def counted(mode, n_spins, *args, **kwargs):
+        def counted(n_spins, *args):
             calls.append(n_spins)
-            return mc_estimate_delta(mode, n_spins, *args, **kwargs)
+            return set_up(n_spins, *args)
 
         cfg = dict(mode="nspin_optimal", k_values=(1, 2), trials=500, seed=3)
         alone = {n: run_sweep(SweepConfig(n_values=(n,), **cfg)) for n in (2, 4)}
-        monkeypatch.setattr(sweep_mod, "mc_estimate_delta", counted)
+        monkeypatch.setattr(encoding, "_chain", counted)
         repeated = run_sweep(SweepConfig(n_values=(4, 2, 4), **cfg))
         assert calls == [4, 2]
         # one record per requested (N, k), in request order
@@ -1048,12 +1097,10 @@ class TestCli:
     def test_huge_k_names_k_and_trials_before_any_work(self, tmp_path, monkeypatch, capsys):
         # a single --k is not a range, so the plain limit on k * trials is
         # what rejects it, before any cell runs or any chain allocates
-        import spinrelay.sweep as sweep_mod
-
         def fail(*args, **kwargs):
             raise AssertionError("a cell ran on a rejected config")
 
-        monkeypatch.setattr(sweep_mod, "mc_estimate_delta", fail)
+        monkeypatch.setattr(encoding, "_chain", fail)
         huge = "100000000000000000000"
         config = tmp_path / "huge.cfg"
         config.write_text(f"mode = nspin_optimal\nn = 2\nk = {huge}\ntrials = 10\n")
@@ -1082,7 +1129,7 @@ class TestCli:
         def fail(*args, **kwargs):
             raise AssertionError("a cell was listed or ran on a rejected config")
 
-        monkeypatch.setattr(sweep_mod, "mc_estimate_delta", fail)
+        monkeypatch.setattr(encoding, "_chain", fail)
         monkeypatch.setattr(sweep_mod, "chain_laws", fail)
         full = "1..1000000"
         config = tmp_path / "grid.cfg"
